@@ -7,8 +7,9 @@
 // Two configs bracket the batching work: "off" disables the WAL group-commit
 // window, the clerk's ack/renewal/release coalescing, and the Petal client's
 // small-transfer fusion (one message per tiny op, as before); "on" is the
-// default mount. The gap at the high end of the sweep is what the three
-// batching layers buy on the small-op path.
+// default mount. The gap between them is what the three batching layers buy
+// on the small-op path. A cycle in which any op fails counts as failed and
+// is not scored.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -37,6 +38,7 @@ struct RunResult {
   double goodput_ops_s = 0;   // ...that also met the 50 ms schedule-to-done SLO
   double msgs_per_cycle = 0;  // cluster-wide network messages per op cycle
   double p50_ms = 0, p95_ms = 0, p99_ms = 0;
+  uint64_t failed_cycles = 0;  // any of the four ops failed; not scored
   uint64_t group_commits = 0;
   uint64_t batched_flushes = 0;
   uint64_t vector_calls = 0;
@@ -114,6 +116,7 @@ RunResult RunLoad(bool batching, double offered_cycles_s, bool record = false) {
   // the grace period.
   std::atomic<uint64_t> in_window_cycles{0};
   std::atomic<uint64_t> slo_cycles{0};
+  std::atomic<uint64_t> failed_cycles{0};
   std::vector<std::thread> threads;
   auto t0 = std::chrono::steady_clock::now();
   auto warmup_end = t0 + std::chrono::duration<double>(kWarmupSeconds);
@@ -139,15 +142,20 @@ RunResult RunLoad(bool batching, double offered_cycles_s, bool record = false) {
             break;  // saturated far beyond the window; stop draining
           }
           std::string path = dir + "/f" + std::to_string(i);
+          // A cycle counts only if all four ops succeed; a failed one is
+          // reported, never scored.
           auto ino = fs->Create(path);
-          if (ino.ok()) {
-            (void)fs->Write(*ino, 0, payload);
-            (void)fs->Stat(path);
-            (void)fs->Unlink(path);
+          bool ok = ino.ok();
+          if (ok) {
+            ok = fs->Write(*ino, 0, payload).ok();
+            ok = fs->Stat(path).ok() && ok;
+            ok = fs->Unlink(path).ok() && ok;
           }
           auto done = std::chrono::steady_clock::now();
           double ms = std::chrono::duration<double, std::milli>(done - next).count();
-          if (next >= warmup_end) {  // first cycles hit cold locks/allocator
+          if (!ok) {
+            failed_cycles.fetch_add(1);
+          } else if (next >= warmup_end) {  // first cycles hit cold locks/allocator
             local_ms.push_back(ms);
             if (done <= window_end) {
               in_window_cycles.fetch_add(1);
@@ -182,6 +190,7 @@ RunResult RunLoad(bool batching, double offered_cycles_s, bool record = false) {
   r.p50_ms = Pct(latencies_ms, 0.50);
   r.p95_ms = Pct(latencies_ms, 0.95);
   r.p99_ms = Pct(latencies_ms, 0.99);
+  r.failed_cycles = failed_cycles.load();
   r.group_commits = C("wal.group_commits");
   r.batched_flushes = C("wal.group_commit_batched");
   r.vector_calls = C("net.vector_calls");
@@ -196,20 +205,22 @@ int main() {
   std::printf("Small-op batching sweep: %d machines x %d workers, open-loop\n"
               "create/write-1K/stat/unlink cycles on a sync-log mount\n\n",
               kNodes, kWorkersPerNode);
-  std::printf("config  offered_ops/s  achieved_ops/s  goodput_ops/s   p50_ms   p95_ms   p99_ms  msgs/cycle\n");
+  std::printf("config  offered_ops/s  achieved_ops/s  goodput_ops/s   p50_ms   p95_ms   p99_ms  msgs/cycle  failed_cycles\n");
   std::vector<std::string> rows;
   for (bool batching : {false, true}) {
     for (double cycles : {250.0, 500.0, 1000.0, 2000.0}) {
       RunResult r = RunLoad(batching, cycles);
       double offered_ops = cycles * kOpsPerCycle;
-      std::printf("%-6s  %13.0f  %14.1f  %13.1f  %7.2f  %7.2f  %7.2f  %10.1f\n",
+      std::printf("%-6s  %13.0f  %14.1f  %13.1f  %7.2f  %7.2f  %7.2f  %10.1f  %13llu\n",
                   batching ? "on" : "off", offered_ops, r.achieved_ops_s,
-                  r.goodput_ops_s, r.p50_ms, r.p95_ms, r.p99_ms, r.msgs_per_cycle);
+                  r.goodput_ops_s, r.p50_ms, r.p95_ms, r.p99_ms, r.msgs_per_cycle,
+                  (unsigned long long)r.failed_cycles);
       char buf[256];
       std::snprintf(buf, sizeof(buf),
-                    "%s,%.0f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%llu,%llu,%llu,%llu,%llu",
+                    "%s,%.0f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%llu,%llu,%llu,%llu,%llu,%llu",
                     batching ? "on" : "off", offered_ops, r.achieved_ops_s,
                     r.goodput_ops_s, r.msgs_per_cycle, r.p50_ms, r.p95_ms, r.p99_ms,
+                    (unsigned long long)r.failed_cycles,
                     (unsigned long long)r.group_commits,
                     (unsigned long long)r.batched_flushes,
                     (unsigned long long)r.vector_calls,
@@ -225,11 +236,11 @@ int main() {
   (void)RunLoad(true, 2000.0, /*record=*/true);
   std::printf("\ngroup commit folds concurrent sync-log flushes into one Petal write,\n"
               "the clerk piggybacks renewals/releases on grant acks, and the Petal\n"
-              "client fuses small same-server transfers; the unbatched config pays\n"
-              "one message per tiny op and saturates first\n");
+              "client fuses small same-server transfers; compare achieved and goodput\n"
+              "of the two configs at each offered load (failed cycles are not scored)\n");
   WriteCsv("smallops",
            "config,offered_ops_s,achieved_ops_s,goodput_ops_s,msgs_per_cycle,p50_ms,p95_ms,p99_ms,"
-           "group_commits,batched_flushes,vector_calls,piggybacked_renewals,"
+           "failed_cycles,group_commits,batched_flushes,vector_calls,piggybacked_renewals,"
            "fused_transfers",
            rows);
   return 0;

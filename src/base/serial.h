@@ -57,6 +57,8 @@ class Decoder {
 
   bool ok() const { return ok_; }
   size_t remaining() const { return size_ - pos_; }
+  // Marks the input malformed (a field decoded but failed validation).
+  void Fail() { ok_ = false; }
 
   uint8_t GetU8() {
     uint8_t v = 0;

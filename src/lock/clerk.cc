@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "src/base/logging.h"
-#include "src/base/serial.h"
 #include "src/obs/recorder.h"
 
 namespace frangipani {
@@ -44,25 +43,22 @@ LockClerk::~LockClerk() {
 }
 
 Status LockClerk::Open(const std::string& table) {
-  Encoder enc;
-  enc.PutString(table);
+  Bytes request = LockOpenRequest{table}.Encode();
   Status last = Unavailable("no lock server reachable");
   for (NodeId server : router_->AllServers()) {
-    StatusOr<Bytes> reply = net_->Call(self_, server, "lockd", kLockOpen, enc.buffer());
+    StatusOr<Bytes> reply = net_->Call(self_, server, "lockd", kLockOpen, request);
     if (!reply.ok()) {
       last = reply.status();
       router_->OnServerTrouble(server);
       continue;
     }
-    Decoder dec(reply.value());
-    uint32_t slot = dec.GetU32();
-    int64_t lease_us = dec.GetI64();
-    if (!dec.ok()) {
+    StatusOr<LockOpenReply> opened = LockOpenReply::Decode(*reply);
+    if (!opened.ok()) {
       return Internal("malformed open reply");
     }
     std::lock_guard<std::mutex> guard(mu_);
-    slot_ = slot;
-    lease_duration_ = Duration(lease_us);
+    slot_ = opened->slot;
+    lease_duration_ = Duration(opened->lease_us);
     lease_expiry_ = clock_->Now() + lease_duration_;
     open_ = true;
     poisoned_ = false;
@@ -90,11 +86,9 @@ void LockClerk::Close() {
     open_ = false;
     cache_.clear();
   }
-  Encoder enc;
-  enc.PutU32(slot);
   StatusOr<NodeId> server = router_->AnyServer();
   if (server.ok()) {
-    (void)net_->Call(self_, *server, "lockd", kLockClose, enc.buffer());
+    (void)net_->Call(self_, *server, "lockd", kLockClose, LockSlotRequest{slot}.Encode());
   }
 }
 
@@ -183,17 +177,8 @@ void LockClerk::DeliverServerBatch(LockId route_lock, std::vector<SubCall> subs,
       std::this_thread::sleep_for(std::chrono::milliseconds(1 << std::min(attempt, 4)));
       continue;
     }
-    if (renew_idx >= 0 && static_cast<size_t>(renew_idx) < replies.size() &&
-        replies[renew_idx].ok()) {
-      Decoder dec(replies[renew_idx].value());
-      bool ok = dec.GetBool();
-      if (dec.ok() && ok) {
-        m_piggybacked_renewals_->Increment();
-        RecordRenewOk(*server, sent);
-      } else if (dec.ok()) {
-        std::lock_guard<std::mutex> guard(mu_);
-        renew_denied_ = true;
-      }
+    if (renew_idx >= 0 && static_cast<size_t>(renew_idx) < replies.size()) {
+      RecordPiggybackedRenewal(*server, replies[renew_idx], sent);
     }
     if (obs::RecorderEnabled()) {
       obs::RecordInstant(obs::Layer::kLock, "lock.batch_delivered", self_, "subs", wire.size());
@@ -218,29 +203,36 @@ void LockClerk::FlushQueuedReleases() {
     int renew_idx = -1;
     TimePoint sent = clock_->Now();
     if (options_.piggyback_renewals) {
-      Encoder renc;
-      renc.PutU32(slot);
       renew_idx = 0;
-      subs.push_back({"lockd", kLockRenew, renc.Take()});
+      subs.push_back({"lockd", kLockRenew, LockSlotRequest{slot}.Encode()});
     }
     for (Bytes& body : bodies) {
       subs.push_back({"lockd", kLockRelease, std::move(body)});
     }
     m_batched_releases_->Increment(bodies.size());
     std::vector<StatusOr<Bytes>> replies = net_->CallBatch(self_, server, subs);
-    if (renew_idx >= 0 && static_cast<size_t>(renew_idx) < replies.size() &&
-        replies[renew_idx].ok()) {
-      Decoder dec(replies[renew_idx].value());
-      bool ok = dec.GetBool();
-      if (dec.ok() && ok) {
-        m_piggybacked_renewals_->Increment();
-        RecordRenewOk(server, sent);
-      } else if (dec.ok()) {
-        std::lock_guard<std::mutex> guard(mu_);
-        renew_denied_ = true;
-      }
+    if (renew_idx >= 0 && static_cast<size_t>(renew_idx) < replies.size()) {
+      RecordPiggybackedRenewal(server, replies[renew_idx], sent);
     }
     // Failed releases are dropped, not retried: see DeliverServerBatch.
+  }
+}
+
+void LockClerk::RecordPiggybackedRenewal(NodeId server, const StatusOr<Bytes>& reply,
+                                         TimePoint sent) {
+  if (!reply.ok()) {
+    return;
+  }
+  StatusOr<LockRenewReply> renew = LockRenewReply::Decode(*reply);
+  if (!renew.ok()) {
+    return;
+  }
+  if (renew->ok) {
+    m_piggybacked_renewals_->Increment();
+    RecordRenewOk(server, sent);
+  } else {
+    std::lock_guard<std::mutex> guard(mu_);
+    renew_denied_ = true;
   }
 }
 
@@ -276,6 +268,16 @@ bool LockClerk::UsesOverlap(const Entry& e, LockRange range) {
   return false;
 }
 
+bool LockClerk::LocalConflict(const Entry& e, LockRange range, LockMode mode) {
+  for (const Use& u : e.uses) {
+    if (u.range.Overlaps(range) &&
+        (mode == LockMode::kExclusive || u.mode == LockMode::kExclusive)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
   FGP_CHECK(mode != LockMode::kNone);
   FGP_CHECK(!range.empty());
@@ -300,6 +302,13 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
       continue;
     }
     if (RangeSetCovers(e.held, range.start, range.end, mode)) {
+      // The node's hold covers us, but another local operation may be using
+      // an overlapping range: an exclusive use on either side must wait, or
+      // two threads of one mount would both hold the lock exclusively.
+      if (LocalConflict(e, range, mode)) {
+        cv_.wait(lk);
+        continue;
+      }
       e.uses.push_back({range, mode});
       e.last_used = clock_->Now();
       m_sticky_hits_->Increment();
@@ -313,20 +322,11 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
       cv_.wait(lk);
       continue;
     }
-    if (mode == LockMode::kExclusive) {
-      // Upgrade wanted while another local operation reads the overlapping
-      // range under a shared hold: wait for it to finish first.
-      bool shared_reader = false;
-      for (const Use& u : e.uses) {
-        if (u.mode == LockMode::kShared && u.range.Overlaps(range)) {
-          shared_reader = true;
-          break;
-        }
-      }
-      if (shared_reader) {
-        cv_.wait(lk);
-        continue;
-      }
+    if (mode == LockMode::kExclusive && LocalConflict(e, range, mode)) {
+      // Upgrade wanted while another local operation uses the overlapping
+      // range: wait for it to finish first.
+      cv_.wait(lk);
+      continue;
     }
     // Need to talk to the server: a fresh acquire, a range extension, or an
     // upgrade. Upgrades are issued as a request for the stronger mode; the
@@ -335,19 +335,13 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
     uint32_t slot = slot_;
     lk.unlock();
 
-    Encoder enc;
-    enc.PutU32(slot);
-    enc.PutU64(lock);
-    enc.PutU8(static_cast<uint8_t>(mode));
-    enc.PutU64(range.start);
-    enc.PutU64(range.end);
     m_remote_acquires_->Increment();
     StatusOr<Bytes> reply = Unavailable("not sent");
     {
       obs::LayerTimer grant_timer(obs::Layer::kLock, m_grant_wait_us_);
       obs::SpanScope grant_span(obs::Layer::kLock, "lock.grant_wait", self_, "lock", lock,
                                 "mode", static_cast<uint64_t>(mode));
-      reply = ServerCall(kLockRequest, lock, enc.buffer());
+      reply = ServerCall(kLockRequest, lock, LockModeRequest{slot, lock, mode, range}.Encode());
     }
 
     lk.lock();
@@ -365,13 +359,9 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
     // The reply carries the granted extent, which contains the request and
     // may be wider (grant expansion).
     LockRange granted = range;
-    Decoder rdec(reply.value());
-    if (reply.value().size() >= 16) {
-      uint64_t gs = rdec.GetU64();
-      uint64_t ge = rdec.GetU64();
-      if (rdec.ok() && gs < ge) {
-        granted = {gs, ge};
-      }
+    StatusOr<LockGrantReply> grant = LockGrantReply::Decode(*reply);
+    if (grant.ok() && grant->range.Contains(range)) {
+      granted = grant->range;
     }
     RangeSetAdd(e2.held, granted.start, granted.end, mode);
     e2.uses.push_back({range, mode});
@@ -383,17 +373,12 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
     // which also means the ack only has to land eventually, so it can ride
     // the IO pool as a vector call with a piggybacked renewal and any queued
     // releases instead of costing this thread another round-trip.
-    Encoder ack;
-    ack.PutU32(slot);
-    ack.PutU64(lock);
     std::vector<SubCall> subs;
-    subs.push_back({"lockd", kLockAck, ack.Take()});
+    subs.push_back({"lockd", kLockAck, LockAckRequest{slot, lock}.Encode()});
     int renew_idx = -1;
     if (options_.piggyback_renewals) {
-      Encoder renc;
-      renc.PutU32(slot);
       renew_idx = static_cast<int>(subs.size());
-      subs.push_back({"lockd", kLockRenew, renc.Take()});
+      subs.push_back({"lockd", kLockRenew, LockSlotRequest{slot}.Encode()});
     }
     TimePoint sent = clock_->Now();
     if (options_.async_grant_ack) {
@@ -468,21 +453,16 @@ void LockClerk::DropIdle(Duration max_idle) {
       cache_.erase(lock);
       cv_.notify_all();
     }
-    Encoder enc;
-    enc.PutU32(slot);
-    enc.PutU64(lock);
-    enc.PutU8(static_cast<uint8_t>(LockMode::kNone));
-    enc.PutU64(0);
-    enc.PutU64(kRangeEnd);
+    Bytes release = LockModeRequest{slot, lock, LockMode::kNone, FullRange()}.Encode();
     if (options_.batch_releases) {
       StatusOr<NodeId> server = router_->ServerForLock(lock);
       if (server.ok()) {
         std::lock_guard<std::mutex> guard(mu_);
-        queued_releases_[*server].push_back(enc.Take());
+        queued_releases_[*server].push_back(std::move(release));
         continue;
       }
     }
-    (void)ServerCall(kLockRelease, lock, enc.buffer());
+    (void)ServerCall(kLockRelease, lock, release);
   }
   FlushQueuedReleases();
 }
@@ -503,8 +483,7 @@ void LockClerk::RenewTick() {
     renew_denied_ = false;
   }
   TimePoint sent = clock_->Now();
-  Encoder enc;
-  enc.PutU32(slot);
+  Bytes renew = LockSlotRequest{slot}.Encode();
   bool any_ok = false;
   // The conservative send time the new expiry is computed from: when a
   // server is skipped thanks to a recent piggybacked confirmation, its
@@ -526,16 +505,18 @@ void LockClerk::RenewTick() {
         continue;
       }
     }
-    pending.emplace_back(server,
-                         net_->CallAsync(self_, server, "lockd", kLockRenew, enc.buffer()));
+    pending.emplace_back(server, net_->CallAsync(self_, server, "lockd", kLockRenew, renew));
   }
   for (auto& [server, fut] : pending) {
     StatusOr<Bytes> reply = fut.get();
     if (!reply.ok()) {
       continue;
     }
-    Decoder dec(reply.value());
-    if (dec.GetBool()) {
+    StatusOr<LockRenewReply> renewed = LockRenewReply::Decode(*reply);
+    if (!renewed.ok()) {
+      continue;
+    }
+    if (renewed->ok) {
       any_ok = true;
       RecordRenewOk(server, sent);
     } else {
@@ -620,12 +601,11 @@ size_t LockClerk::cached_lock_count() const {
 }
 
 StatusOr<Bytes> LockClerk::Handle(uint32_t method, const Bytes& request, NodeId from) {
-  Decoder dec(request);
   switch (method) {
     case kClerkRevoke:
-      return HandleRevoke(dec);
+      return HandleRevoke(request);
     case kClerkRecoverSlot:
-      return HandleRecoverSlot(dec);
+      return HandleRecoverSlot(request);
     case kClerkListHeld:
       return HandleListHeld();
     default:
@@ -633,13 +613,11 @@ StatusOr<Bytes> LockClerk::Handle(uint32_t method, const Bytes& request, NodeId 
   }
 }
 
-StatusOr<Bytes> LockClerk::HandleRevoke(Decoder& dec) {
-  LockId lock = dec.GetU64();
-  LockMode new_mode = static_cast<LockMode>(dec.GetU8());
-  LockRange range{dec.GetU64(), dec.GetU64()};
-  if (!dec.ok()) {
-    return InvalidArgument("bad revoke");
-  }
+StatusOr<Bytes> LockClerk::HandleRevoke(const Bytes& request) {
+  ASSIGN_OR_RETURN(ClerkRevokeRequest req, ClerkRevokeRequest::Decode(request));
+  const LockId lock = req.lock;
+  const LockMode new_mode = req.mode;
+  const LockRange range = req.range;
   m_revokes_->Increment();
   obs::LayerTimer timer(obs::Layer::kLock, m_revoke_us_);
   // Covers wait-for-users, the flush callback, and the downgrade: the
@@ -709,11 +687,9 @@ StatusOr<Bytes> LockClerk::HandleRevoke(Decoder& dec) {
   return Bytes{};
 }
 
-StatusOr<Bytes> LockClerk::HandleRecoverSlot(Decoder& dec) {
-  uint32_t dead_slot = dec.GetU32();
-  if (!dec.ok()) {
-    return InvalidArgument("bad recover request");
-  }
+StatusOr<Bytes> LockClerk::HandleRecoverSlot(const Bytes& request) {
+  ASSIGN_OR_RETURN(LockSlotRequest req, LockSlotRequest::Decode(request));
+  const uint32_t dead_slot = req.slot;
   {
     std::lock_guard<std::mutex> guard(mu_);
     if (!open_ || poisoned_) {
@@ -731,28 +707,17 @@ StatusOr<Bytes> LockClerk::HandleRecoverSlot(Decoder& dec) {
 }
 
 StatusOr<Bytes> LockClerk::HandleListHeld() {
-  Encoder enc;
   std::lock_guard<std::mutex> guard(mu_);
-  if (poisoned_ || !open_) {
-    enc.PutU32(slot_);
-    enc.PutU32(0);
-    return enc.Take();
-  }
-  uint32_t count = 0;
-  for (const auto& [lock, e] : cache_) {
-    count += static_cast<uint32_t>(e.held.size());
-  }
-  enc.PutU32(slot_);
-  enc.PutU32(count);
-  for (const auto& [lock, e] : cache_) {
-    for (const RangeHold& h : e.held) {
-      enc.PutU64(lock);
-      enc.PutU8(static_cast<uint8_t>(h.mode));
-      enc.PutU64(h.start);
-      enc.PutU64(h.end);
+  ClerkHeldReply reply;
+  reply.slot = slot_;
+  if (!poisoned_ && open_) {
+    for (const auto& [lock, e] : cache_) {
+      for (const RangeHold& h : e.held) {
+        reply.holds.push_back({lock, slot_, h.mode, {h.start, h.end}});
+      }
     }
   }
-  return enc.Take();
+  return reply.Encode();
 }
 
 }  // namespace frangipani

@@ -118,6 +118,9 @@ class LockClerk : public Service {
   };
 
   static bool UsesOverlap(const Entry& e, LockRange range);
+  // True when a local use overlaps `range` and it or the wanted `mode` is
+  // exclusive.
+  static bool LocalConflict(const Entry& e, LockRange range, LockMode mode);
 
   // Sends a lock-server call with routing/failover; returns the reply.
   StatusOr<Bytes> ServerCall(uint32_t method, LockId lock, const Bytes& request);
@@ -137,9 +140,11 @@ class LockClerk : public Service {
   // at `sent`; advances the lease when every server has a confirmation
   // (expiry = min over servers of last ok send + lease duration).
   void RecordRenewOk(NodeId server, TimePoint sent);
+  // Applies the reply to a renewal that rode a batch sent at `sent`.
+  void RecordPiggybackedRenewal(NodeId server, const StatusOr<Bytes>& reply, TimePoint sent);
 
-  StatusOr<Bytes> HandleRevoke(Decoder& dec);
-  StatusOr<Bytes> HandleRecoverSlot(Decoder& dec);
+  StatusOr<Bytes> HandleRevoke(const Bytes& request);
+  StatusOr<Bytes> HandleRecoverSlot(const Bytes& request);
   StatusOr<Bytes> HandleListHeld();
 
   void MarkLeaseLost();

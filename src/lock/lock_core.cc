@@ -191,9 +191,9 @@ void LockCore::Install(uint32_t slot, LockId lock, LockMode mode, LockRange rang
   }
 }
 
-std::vector<LockCore::DumpEntry> LockCore::Dump() const {
+std::vector<LockHold> LockCore::Dump() const {
   std::lock_guard<std::mutex> guard(mu_);
-  std::vector<DumpEntry> out;
+  std::vector<LockHold> out;
   for (const auto& [lock, state] : locks_) {
     for (const auto& [holder, held] : state.holders) {
       for (const RangeHold& h : held) {

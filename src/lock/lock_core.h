@@ -1,6 +1,7 @@
-// The multiple-reader/single-writer extent-lock state machine shared by all
-// three lock-server implementations (§6). Handles granting, per-lock FIFO
-// fairness, revocation of conflicting holders, and dead-holder cleanup.
+// The multiple-reader/single-writer extent-lock state machine of the lock
+// server (§6), the same for all three of the paper's variants. Handles
+// granting, per-lock FIFO fairness, revocation of conflicting holders, and
+// dead-holder cleanup.
 //
 // Locks are named by (LockId, [start, end)) extents. Holders of one LockId
 // conflict only where their extents overlap with incompatible modes, so
@@ -68,14 +69,8 @@ class LockCore {
   // State injection for recovery from clerks / primary-backup takeover.
   void Install(uint32_t slot, LockId lock, LockMode mode, LockRange range = LockRange{});
 
-  // Serializes (lock, slot, mode, range) tuples for persistence.
-  struct DumpEntry {
-    LockId lock;
-    uint32_t slot;
-    LockMode mode;
-    LockRange range;
-  };
-  std::vector<DumpEntry> Dump() const;
+  // Every held extent, for persistence.
+  std::vector<LockHold> Dump() const;
   void Clear();
 
   // Strongest mode `slot` holds anywhere on `lock` (whole-lock summary).

@@ -1,7 +1,5 @@
 #include "src/lock/router.h"
 
-#include "src/base/serial.h"
-
 namespace frangipani {
 
 Status DistLockRouter::Refresh() {
@@ -10,23 +8,12 @@ Status DistLockRouter::Refresh() {
     if (!reply.ok()) {
       continue;
     }
-    Decoder dec(reply.value());
-    uint32_t nservers = dec.GetU32();
-    std::vector<NodeId> servers;
-    for (uint32_t i = 0; i < nservers && dec.ok(); ++i) {
-      servers.push_back(dec.GetU32());
-    }
-    uint32_t ngroups = dec.GetU32();
-    std::vector<NodeId> assignment;
-    for (uint32_t i = 0; i < ngroups && dec.ok(); ++i) {
-      assignment.push_back(dec.GetU32());
-    }
-    if (!dec.ok() || assignment.size() != kNumLockGroups) {
+    StatusOr<LockAssignment> map = LockAssignment::Decode(*reply);
+    if (!map.ok()) {
       continue;
     }
     std::lock_guard<std::mutex> guard(mu_);
-    servers_ = std::move(servers);
-    assignment_ = std::move(assignment);
+    map_ = std::move(map).value();
     have_map_ = true;
     return OkStatus();
   }
@@ -37,7 +24,7 @@ StatusOr<NodeId> DistLockRouter::ServerForLock(LockId lock) {
   {
     std::lock_guard<std::mutex> guard(mu_);
     if (have_map_) {
-      NodeId server = assignment_[LockGroupOf(lock)];
+      NodeId server = map_.groups[LockGroupOf(lock)];
       if (server != kInvalidNode) {
         return server;
       }
@@ -45,7 +32,7 @@ StatusOr<NodeId> DistLockRouter::ServerForLock(LockId lock) {
   }
   RETURN_IF_ERROR(Refresh());
   std::lock_guard<std::mutex> guard(mu_);
-  NodeId server = assignment_[LockGroupOf(lock)];
+  NodeId server = map_.groups[LockGroupOf(lock)];
   if (server == kInvalidNode) {
     return Unavailable("lock group unassigned");
   }
@@ -55,28 +42,28 @@ StatusOr<NodeId> DistLockRouter::ServerForLock(LockId lock) {
 StatusOr<NodeId> DistLockRouter::AnyServer() {
   {
     std::lock_guard<std::mutex> guard(mu_);
-    if (have_map_ && !servers_.empty()) {
-      return servers_.front();
+    if (have_map_ && !map_.servers.empty()) {
+      return map_.servers.front();
     }
   }
   RETURN_IF_ERROR(Refresh());
   std::lock_guard<std::mutex> guard(mu_);
-  if (servers_.empty()) {
+  if (map_.servers.empty()) {
     return Unavailable("no active lock servers");
   }
-  return servers_.front();
+  return map_.servers.front();
 }
 
 std::vector<NodeId> DistLockRouter::AllServers() {
   {
     std::lock_guard<std::mutex> guard(mu_);
     if (have_map_) {
-      return servers_;
+      return map_.servers;
     }
   }
   (void)Refresh();
   std::lock_guard<std::mutex> guard(mu_);
-  return servers_;
+  return map_.servers;
 }
 
 void DistLockRouter::OnServerTrouble(NodeId server) { (void)Refresh(); }

@@ -74,8 +74,7 @@ class DistLockRouter : public LockRouter {
 
   std::mutex mu_;
   bool have_map_ = false;
-  std::vector<NodeId> servers_;                 // active lock servers
-  std::vector<NodeId> assignment_;              // group -> server, size kNumLockGroups
+  LockAssignment map_;  // active lock servers and group -> server
 };
 
 }  // namespace frangipani

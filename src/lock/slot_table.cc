@@ -6,36 +6,48 @@ StatusOr<uint32_t> SlotTable::Open(const std::string& table, NodeId clerk) {
   std::lock_guard<std::mutex> guard(mu_);
   for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
     if (!slots_[s].open) {
-      slots_[s].open = true;
-      slots_[s].table = table;
-      slots_[s].clerk = clerk;
-      slots_[s].last_renew = clock_->Now();
+      slots_[s] = Slot{true, table, clerk, clock_->Now(), kInvalidNode};
       return s;
     }
   }
   return ResourceExhausted("no free lease slots (256 servers already mounted)");
 }
 
-void SlotTable::Close(uint32_t slot) { Free(slot); }
-
 void SlotTable::Free(uint32_t slot) {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (slot < kNumLeaseSlots) {
-    slots_[slot] = Slot{};
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    if (slot < kNumLeaseSlots) {
+      slots_[slot] = Slot{};
+    }
   }
+  freed_cv_.notify_all();
 }
 
 bool SlotTable::Renew(uint32_t slot) {
   std::lock_guard<std::mutex> guard(mu_);
-  if (slot >= kNumLeaseSlots || !slots_[slot].open) {
+  if (slot >= kNumLeaseSlots) {
     return false;
   }
   Slot& s = slots_[slot];
-  if (clock_->Now() > s.last_renew + lease_duration_) {
+  TimePoint now = clock_->Now();
+  if (!LiveLocked(s, now) || s.recovery_claim != kInvalidNode) {
     return false;  // too late: the service already considers this clerk failed
   }
-  s.last_renew = clock_->Now();
+  s.last_renew = now;
   return true;
+}
+
+void SlotTable::Claim(uint32_t slot, NodeId server) {
+  std::lock_guard<std::mutex> guard(mu_);
+  if (slot < kNumLeaseSlots && slots_[slot].open &&
+      slots_[slot].recovery_claim == kInvalidNode) {
+    slots_[slot].recovery_claim = server;
+  }
+}
+
+NodeId SlotTable::ClaimOf(uint32_t slot) const {
+  std::lock_guard<std::mutex> guard(mu_);
+  return slot < kNumLeaseSlots ? slots_[slot].recovery_claim : kInvalidNode;
 }
 
 bool SlotTable::IsOpen(uint32_t slot) const {
@@ -45,18 +57,7 @@ bool SlotTable::IsOpen(uint32_t slot) const {
 
 bool SlotTable::Expired(uint32_t slot) const {
   std::lock_guard<std::mutex> guard(mu_);
-  if (slot >= kNumLeaseSlots || !slots_[slot].open) {
-    return true;
-  }
-  return clock_->Now() > slots_[slot].last_renew + lease_duration_;
-}
-
-TimePoint SlotTable::ExpiryOf(uint32_t slot) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (slot >= kNumLeaseSlots || !slots_[slot].open) {
-    return TimePoint{};
-  }
-  return slots_[slot].last_renew + lease_duration_;
+  return slot >= kNumLeaseSlots || !LiveLocked(slots_[slot], clock_->Now());
 }
 
 NodeId SlotTable::ClerkOf(uint32_t slot) const {
@@ -67,12 +68,21 @@ NodeId SlotTable::ClerkOf(uint32_t slot) const {
   return slots_[slot].clerk;
 }
 
-std::string SlotTable::TableOf(uint32_t slot) const {
+bool SlotTable::WaitFreed(uint32_t slot, Duration timeout) {
+  std::unique_lock<std::mutex> lk(mu_);
+  return freed_cv_.wait_for(lk, timeout,
+                            [&] { return slot >= kNumLeaseSlots || !slots_[slot].open; });
+}
+
+std::vector<std::pair<uint32_t, NodeId>> SlotTable::OpenClerks() const {
   std::lock_guard<std::mutex> guard(mu_);
-  if (slot >= kNumLeaseSlots || !slots_[slot].open) {
-    return "";
+  std::vector<std::pair<uint32_t, NodeId>> out;
+  for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
+    if (slots_[s].open) {
+      out.emplace_back(s, slots_[s].clerk);
+    }
   }
-  return slots_[slot].table;
+  return out;
 }
 
 std::vector<std::pair<uint32_t, NodeId>> SlotTable::LiveClerks() const {
@@ -80,7 +90,7 @@ std::vector<std::pair<uint32_t, NodeId>> SlotTable::LiveClerks() const {
   std::vector<std::pair<uint32_t, NodeId>> out;
   TimePoint now = clock_->Now();
   for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
-    if (slots_[s].open && now <= slots_[s].last_renew + lease_duration_) {
+    if (LiveLocked(slots_[s], now)) {
       out.emplace_back(s, slots_[s].clerk);
     }
   }
@@ -92,7 +102,7 @@ std::vector<uint32_t> SlotTable::ExpiredSlots() const {
   std::vector<uint32_t> out;
   TimePoint now = clock_->Now();
   for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
-    if (slots_[s].open && now > slots_[s].last_renew + lease_duration_) {
+    if (slots_[s].open && !LiveLocked(slots_[s], now)) {
       out.push_back(s);
     }
   }
@@ -101,46 +111,34 @@ std::vector<uint32_t> SlotTable::ExpiredSlots() const {
 
 void SlotTable::InstallOpen(uint32_t slot, const std::string& table, NodeId clerk) {
   std::lock_guard<std::mutex> guard(mu_);
-  if (slot >= kNumLeaseSlots) {
-    return;
-  }
-  slots_[slot].open = true;
-  slots_[slot].table = table;
-  slots_[slot].clerk = clerk;
-  slots_[slot].last_renew = clock_->Now();
-}
-
-void SlotTable::Encode(Encoder& enc) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  uint32_t n = 0;
-  for (const Slot& s : slots_) {
-    if (s.open) {
-      ++n;
-    }
-  }
-  enc.PutU32(n);
-  for (uint32_t i = 0; i < kNumLeaseSlots; ++i) {
-    if (slots_[i].open) {
-      enc.PutU32(i);
-      enc.PutString(slots_[i].table);
-      enc.PutU32(slots_[i].clerk);
-    }
+  if (slot < kNumLeaseSlots) {
+    slots_[slot] = Slot{true, table, clerk, clock_->Now(), kInvalidNode};
   }
 }
 
-void SlotTable::DecodeInto(Decoder& dec) {
-  uint32_t n = dec.GetU32();
-  TimePoint now = clock_->Now();
+std::vector<SlotRecord> SlotTable::Snapshot() const {
   std::lock_guard<std::mutex> guard(mu_);
-  slots_.fill(Slot{});
-  for (uint32_t i = 0; i < n && dec.ok(); ++i) {
-    uint32_t slot = dec.GetU32();
-    std::string table = dec.GetString();
-    NodeId clerk = dec.GetU32();
-    if (slot < kNumLeaseSlots) {
-      slots_[slot] = Slot{true, table, clerk, now};
+  std::vector<SlotRecord> out;
+  for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
+    if (slots_[s].open) {
+      out.push_back({s, slots_[s].table, slots_[s].clerk});
     }
   }
+  return out;
+}
+
+void SlotTable::Restore(const std::vector<SlotRecord>& records) {
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    TimePoint now = clock_->Now();
+    slots_.fill(Slot{});
+    for (const SlotRecord& r : records) {
+      if (r.slot < kNumLeaseSlots) {
+        slots_[r.slot] = Slot{true, r.table, r.clerk, now, kInvalidNode};
+      }
+    }
+  }
+  freed_cv_.notify_all();
 }
 
 }  // namespace frangipani

@@ -71,38 +71,35 @@ Status Cluster::Start() {
   for (int i = 0; i < options_.lock_servers; ++i) {
     lock_nodes_.push_back(net_.AddNode("lockd" + std::to_string(i)));
   }
-  switch (options_.lock_kind) {
-    case LockServiceKind::kCentralized: {
-      central_lock_ = std::make_unique<CentralizedLockServer>(&net_, lock_nodes_[0], clock_,
-                                                              options_.lease_duration);
-      break;
-    }
-    case LockServiceKind::kPrimaryBackup: {
-      ASSIGN_OR_RETURN(pb_state_vdisk_, admin_petal_->CreateVdisk());
-      for (int i = 0; i < 2; ++i) {
+  if (options_.lock_kind == LockServiceKind::kPrimaryBackup) {
+    ASSIGN_OR_RETURN(pb_state_vdisk_, admin_petal_->CreateVdisk());
+  }
+  for (int i = 0; i < options_.lock_servers; ++i) {
+    std::unique_ptr<LockServerPolicy> policy;
+    switch (options_.lock_kind) {
+      case LockServiceKind::kCentralized:
+        policy = std::make_unique<CentralizedPolicy>();
+        break;
+      case LockServiceKind::kPrimaryBackup:
         pb_petal_clients_.push_back(
             std::make_unique<PetalClient>(&net_, lock_nodes_[i], petal_nodes_));
         RETURN_IF_ERROR(pb_petal_clients_.back()->RefreshMap());
-      }
-      pb_lock_.push_back(std::make_unique<PrimaryBackupLockServer>(
-          &net_, lock_nodes_[0], lock_nodes_[1], /*start_active=*/true,
-          pb_petal_clients_[0].get(), pb_state_vdisk_, clock_, options_.lease_duration));
-      pb_lock_.push_back(std::make_unique<PrimaryBackupLockServer>(
-          &net_, lock_nodes_[1], lock_nodes_[0], /*start_active=*/false,
-          pb_petal_clients_[1].get(), pb_state_vdisk_, clock_, options_.lease_duration));
-      break;
-    }
-    case LockServiceKind::kDistributed: {
-      for (int i = 0; i < options_.lock_servers; ++i) {
+        policy = std::make_unique<PrimaryBackupPolicy>(lock_nodes_[1 - i],
+                                                       /*start_active=*/i == 0,
+                                                       pb_petal_clients_[i].get(),
+                                                       pb_state_vdisk_);
+        break;
+      case LockServiceKind::kDistributed: {
         lock_paxos_state_.push_back(std::make_unique<PaxosDurableState>());
+        auto dist = std::make_unique<DistributedPolicy>(lock_nodes_, lock_nodes_,
+                                                        lock_paxos_state_[i].get());
+        dist_policies_.push_back(dist.get());
+        policy = std::move(dist);
+        break;
       }
-      for (int i = 0; i < options_.lock_servers; ++i) {
-        dist_lock_.push_back(std::make_unique<DistLockServer>(
-            &net_, lock_nodes_[i], lock_nodes_, lock_nodes_, lock_paxos_state_[i].get(),
-            clock_, options_.lease_duration));
-      }
-      break;
     }
+    lock_servers_.push_back(std::make_unique<LockServer>(
+        &net_, lock_nodes_[i], clock_, options_.lease_duration, std::move(policy)));
   }
 
   // ---- shared virtual disk + mkfs ----
@@ -183,7 +180,7 @@ Status Cluster::RestartLockServer(size_t idx) {
   if (options_.lock_kind == LockServiceKind::kDistributed) {
     // Rebuild volatile lock state: catch up on replicated commands; lock
     // state itself is recovered lazily from clerks (cold groups).
-    dist_lock_[idx]->paxos()->CatchUp();
+    dist_policies_[idx]->paxos()->CatchUp();
   } else if (options_.lock_kind == LockServiceKind::kCentralized) {
     std::vector<std::pair<uint32_t, NodeId>> clerks;
     for (size_t i = 0; i < nodes_.size(); ++i) {
@@ -191,7 +188,7 @@ Status Cluster::RestartLockServer(size_t idx) {
         clerks.emplace_back(nodes_[i]->slot(), frangipani_nodes_[i]);
       }
     }
-    central_lock_->RecoverStateFromClerks(clerks);
+    lock_servers_[idx]->RecoverStateFromClerks(clerks);
   }
   return OkStatus();
 }
@@ -201,22 +198,10 @@ void Cluster::PartitionFrangipani(size_t idx, bool partitioned) {
 }
 
 void Cluster::CheckLeases() {
-  switch (options_.lock_kind) {
-    case LockServiceKind::kCentralized:
-      if (central_lock_) {
-        central_lock_->CheckLeases();
-      }
-      break;
-    case LockServiceKind::kDistributed:
-      for (auto& server : dist_lock_) {
-        if (net_.IsNodeUp(server->node())) {
-          server->CheckLeases();
-        }
-      }
-      break;
-    case LockServiceKind::kPrimaryBackup:
-      // Lease sweeps happen lazily on conflicting requests in this flavor.
-      break;
+  for (auto& server : lock_servers_) {
+    if (net_.IsNodeUp(server->node())) {
+      server->CheckLeases();
+    }
   }
 }
 

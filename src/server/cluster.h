@@ -15,9 +15,8 @@
 
 #include "src/base/clock.h"
 #include "src/fs/frangipani_fs.h"
-#include "src/lock/centralized_server.h"
-#include "src/lock/dist_server.h"
-#include "src/lock/primary_backup_server.h"
+#include "src/lock/lock_server.h"
+#include "src/lock/policies.h"
 #include "src/net/network.h"
 #include "src/petal/petal_server.h"
 #include "src/server/node.h"
@@ -84,9 +83,10 @@ class Cluster {
   FrangipaniFs* fs(size_t idx) { return nodes_[idx]->fs(); }
   PetalClient* admin_petal() { return admin_petal_.get(); }
   PetalServer* petal_server(size_t idx) { return petal_runtime_[idx].get(); }
-  DistLockServer* dist_lock_server(size_t idx) { return dist_lock_[idx].get(); }
-  CentralizedLockServer* central_lock_server() { return central_lock_.get(); }
-  PrimaryBackupLockServer* pb_lock_server(size_t idx) { return pb_lock_[idx].get(); }
+  LockServer* lock_server(size_t idx) { return lock_servers_[idx].get(); }
+  // Membership administration of the distributed lock service; only valid
+  // when lock_kind is kDistributed.
+  DistributedPolicy* dist_policy(size_t idx) { return dist_policies_[idx]; }
   NodeId petal_node(size_t idx) const { return petal_nodes_[idx]; }
   NodeId lock_node(size_t idx) const { return lock_nodes_[idx]; }
   NodeId frangipani_node(size_t idx) const { return frangipani_nodes_[idx]; }
@@ -125,10 +125,9 @@ class Cluster {
 
   std::vector<NodeId> lock_nodes_;
   std::vector<std::unique_ptr<PaxosDurableState>> lock_paxos_state_;
-  std::vector<std::unique_ptr<DistLockServer>> dist_lock_;
-  std::unique_ptr<CentralizedLockServer> central_lock_;
-  std::vector<std::unique_ptr<PrimaryBackupLockServer>> pb_lock_;
   std::vector<std::unique_ptr<PetalClient>> pb_petal_clients_;  // lock-state persistence
+  std::vector<std::unique_ptr<LockServer>> lock_servers_;
+  std::vector<DistributedPolicy*> dist_policies_;  // owned by lock_servers_
   VdiskId pb_state_vdisk_ = kInvalidVdisk;
 
   NodeId admin_node_ = kInvalidNode;

@@ -197,17 +197,85 @@ TEST(SlotTableTest, EncodeDecode) {
   SlotTable table(&clock, Duration(30'000'000));
   ASSERT_TRUE(table.Open("fs", 5).ok());
   ASSERT_TRUE(table.Open("fs", 6).ok());
-  Encoder enc;
-  table.Encode(enc);
-  Bytes buf = enc.Take();
+  LockStateBlob blob;
+  blob.slots = table.Snapshot();
+  StatusOr<LockStateBlob> decoded = LockStateBlob::Decode(blob.Encode());
+  ASSERT_TRUE(decoded.ok());
   SlotTable copy(&clock, Duration(30'000'000));
-  Decoder dec(buf);
-  copy.DecodeInto(dec);
+  copy.Restore(decoded->slots);
   EXPECT_TRUE(copy.IsOpen(0));
   EXPECT_TRUE(copy.IsOpen(1));
   EXPECT_FALSE(copy.IsOpen(2));
   EXPECT_EQ(copy.ClerkOf(0), 5u);
   EXPECT_EQ(copy.ClerkOf(1), 6u);
+}
+
+TEST(SlotTableTest, ClaimedSlotCannotRenew) {
+  ManualClock clock;
+  SlotTable table(&clock, Duration(1'000'000));
+  auto s = table.Open("fs", 5);
+  ASSERT_TRUE(s.ok());
+  table.Claim(*s, 9);
+  table.Claim(*s, 10);  // first claim wins
+  EXPECT_EQ(table.ClaimOf(*s), 9u);
+  EXPECT_FALSE(table.Renew(*s));
+  table.Free(*s);
+  EXPECT_EQ(table.ClaimOf(*s), kInvalidNode);
+  EXPECT_TRUE(table.WaitFreed(*s, Duration(0)));
+}
+
+// ---- wire codec ----
+
+TEST(LockCodecTest, RoundTripsKeepTheByteLayout) {
+  LockModeRequest req{3, 77, LockMode::kShared, {4096, 8192}};
+  Bytes raw = req.Encode();
+  ASSERT_EQ(raw.size(), 4u + 8 + 1 + 8 + 8);  // slot, lock, mode, start, end
+  StatusOr<LockModeRequest> back = LockModeRequest::Decode(raw);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->slot, 3u);
+  EXPECT_EQ(back->lock, 77u);
+  EXPECT_EQ(back->mode, LockMode::kShared);
+  EXPECT_TRUE(back->range == MakeRange(4096, 8192));
+
+  ClerkHeldReply held;
+  held.slot = 2;
+  held.holds.push_back({10, 2, LockMode::kExclusive, FullRange()});
+  held.holds.push_back({11, 2, LockMode::kShared, MakeRange(0, 100)});
+  EXPECT_EQ(held.Encode().size(), 4u + 4 + 2 * (8 + 1 + 8 + 8));
+  StatusOr<ClerkHeldReply> held_back = ClerkHeldReply::Decode(held.Encode());
+  ASSERT_TRUE(held_back.ok());
+  ASSERT_EQ(held_back->holds.size(), 2u);
+  EXPECT_EQ(held_back->holds[1].slot, 2u);
+  EXPECT_EQ(held_back->holds[1].mode, LockMode::kShared);
+
+  LockAssignment map;
+  map.servers = {4, 5};
+  map.groups.fill(4);
+  map.groups[7] = 5;
+  StatusOr<LockAssignment> map_back = LockAssignment::Decode(map.Encode());
+  ASSERT_TRUE(map_back.ok());
+  EXPECT_EQ(map_back->servers, map.servers);
+  EXPECT_EQ(map_back->groups, map.groups);
+}
+
+TEST(LockCodecTest, RejectsTruncatedBodiesAndBadModes) {
+  Bytes request = LockModeRequest{0, 5, LockMode::kExclusive, FullRange()}.Encode();
+  for (size_t n = 0; n < request.size(); ++n) {
+    Bytes cut(request.begin(), request.begin() + n);
+    EXPECT_EQ(LockModeRequest::Decode(cut).status().code(), StatusCode::kInvalidArgument) << n;
+  }
+  Bytes bad_mode = request;
+  bad_mode[12] = 3;  // the mode byte, above kExclusive
+  EXPECT_EQ(LockModeRequest::Decode(bad_mode).status().code(), StatusCode::kInvalidArgument);
+  Bytes revoke = ClerkRevokeRequest{5, LockMode::kNone, FullRange()}.Encode();
+  revoke[8] = 0xFF;
+  EXPECT_EQ(ClerkRevokeRequest::Decode(revoke).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(LockSlotRequest::Decode(Bytes{}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(LockAckRequest::Decode(Bytes(11, 0)).status().code(), StatusCode::kInvalidArgument);
+  LockAssignment map;
+  Bytes short_map = map.Encode();
+  short_map.pop_back();
+  EXPECT_EQ(LockAssignment::Decode(short_map).status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

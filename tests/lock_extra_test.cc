@@ -6,9 +6,8 @@
 #include <thread>
 
 #include "src/base/thread_pool.h"
-#include "src/lock/centralized_server.h"
 #include "src/lock/clerk.h"
-#include "src/lock/dist_server.h"
+#include "src/lock/policies.h"
 #include "src/lock/router.h"
 
 namespace frangipani {
@@ -31,8 +30,9 @@ class LockExtraTest : public ::testing::Test {
  protected:
   void SetUp() override {
     server_node_ = net_.AddNode("lockd");
-    server_ = std::make_unique<CentralizedLockServer>(&net_, server_node_, SystemClock::Get(),
-                                                      Duration(2'000'000));
+    server_ = std::make_unique<LockServer>(&net_, server_node_, SystemClock::Get(),
+                                           Duration(2'000'000),
+                                           std::make_unique<CentralizedPolicy>());
   }
 
   TestClerk* NewClerk() {
@@ -53,7 +53,7 @@ class LockExtraTest : public ::testing::Test {
 
   Network net_;
   NodeId server_node_;
-  std::unique_ptr<CentralizedLockServer> server_;
+  std::unique_ptr<LockServer> server_;
   std::deque<TestClerk> clerks_;
 };
 
@@ -151,14 +151,14 @@ TEST(LockGroupTest, GroupHashIsStableAndInRange) {
 }
 
 TEST(RebalanceTest, EveryGroupAssignedExactlyOneActiveServer) {
-  LockGlobalState state;
+  LockAssignment state;
   state.servers = {5, 6, 7, 8, 9};
-  state.assignment.fill(kInvalidNode);
+  state.groups.fill(kInvalidNode);
   RebalanceGroups(state);
   std::map<NodeId, int> counts;
   for (uint32_t g = 0; g < kNumLockGroups; ++g) {
-    ASSERT_NE(state.assignment[g], kInvalidNode);
-    counts[state.assignment[g]]++;
+    ASSERT_NE(state.groups[g], kInvalidNode);
+    counts[state.groups[g]]++;
   }
   EXPECT_EQ(counts.size(), 5u);
   for (const auto& [server, count] : counts) {
@@ -168,7 +168,7 @@ TEST(RebalanceTest, EveryGroupAssignedExactlyOneActiveServer) {
   state.servers.clear();
   RebalanceGroups(state);
   for (uint32_t g = 0; g < kNumLockGroups; ++g) {
-    EXPECT_EQ(state.assignment[g], kInvalidNode);
+    EXPECT_EQ(state.groups[g], kInvalidNode);
   }
 }
 

@@ -11,9 +11,9 @@
 #include "src/fs/device.h"
 #include "src/fs/layout.h"
 #include "src/fs/wal.h"
-#include "src/lock/centralized_server.h"
 #include "src/lock/clerk.h"
 #include "src/lock/lock_core.h"
+#include "src/lock/policies.h"
 #include "src/lock/range_set.h"
 #include "src/lock/router.h"
 #include "src/obs/metrics.h"
@@ -177,8 +177,9 @@ class LockRangeClerkTest : public ::testing::Test {
  protected:
   void SetUp() override {
     server_node_ = net_.AddNode("lockd");
-    server_ = std::make_unique<CentralizedLockServer>(&net_, server_node_, SystemClock::Get(),
-                                                      Duration(30'000'000));
+    server_ = std::make_unique<LockServer>(&net_, server_node_, SystemClock::Get(),
+                                           Duration(30'000'000),
+                                           std::make_unique<CentralizedPolicy>());
   }
 
   TestClerk* NewClerk() {
@@ -199,7 +200,7 @@ class LockRangeClerkTest : public ::testing::Test {
 
   Network net_;
   NodeId server_node_;
-  std::unique_ptr<CentralizedLockServer> server_;
+  std::unique_ptr<LockServer> server_;
   std::deque<TestClerk> clerks_;
 };
 

@@ -172,7 +172,7 @@ TEST_F(RecoveryTest, DistributedLockServiceSurvivesServerCrash) {
   ASSERT_TRUE(cluster_->CrashLockServer(2).ok());
   // Another lock server notices and proposes removal; groups reassign.
   for (int i = 0; i < 3; ++i) {
-    cluster_->dist_lock_server(0)->FailureDetectTick(3);
+    cluster_->dist_policy(0)->FailureDetectTick(3);
   }
   // All lock traffic keeps working (clerks refresh the assignment).
   for (int i = 0; i < 20; ++i) {
