@@ -1,15 +1,15 @@
-// Small-op batching payoff: N machines run an open-loop stream of tiny
+// Small-op group-commit window: N machines run an open-loop stream of tiny
 // metadata-heavy cycles (create, write 1 KB, stat, unlink) against a
 // sync-log mount, at a swept offered load. Arrivals are scheduled, and each
 // cycle's latency is measured from its *scheduled* start, so queueing delay
 // shows up in the tail instead of being absorbed by a closed loop.
 //
-// Two configs bracket the batching work: "off" disables the WAL group-commit
-// window, the clerk's ack/renewal/release coalescing, and the Petal client's
-// small-transfer fusion (one message per tiny op, as before); "on" is the
-// default mount. The gap between them is what the three batching layers buy
-// on the small-op path. A cycle in which any op fails counts as failed and
-// is not scored.
+// The two configs differ only in WalOptions::group_commit_us: 0 (the mount
+// default; concurrent flushers still share one Petal write, but the leader
+// does not wait for more) and 500 us (the leader holds the commit window
+// open while others wait). The clerk's ack/renewal/release coalescing and
+// the Petal client's small-transfer fusion are always on in both. A cycle in
+// which any op fails counts as failed and is not scored.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -69,7 +69,7 @@ uint64_t TotalNetMsgs() {
   return total;
 }
 
-RunResult RunLoad(bool batching, double offered_cycles_s, bool record = false) {
+RunResult RunLoad(uint32_t group_commit_us, double offered_cycles_s, bool record = false) {
   obs::MetricsRegistry::Default()->ResetAll();
   ClusterOptions opts = PaperClusterOptions(/*nvram=*/false);
   // Measured runs keep the flight recorder off (capture would distort the
@@ -78,15 +78,7 @@ RunResult RunLoad(bool batching, double offered_cycles_s, bool record = false) {
   // Every metadata op flushes the log before returning — the worst case for
   // the unbatched small-op path and the one §B.2 of the paper's Table 2 uses.
   opts.node.fs.sync_log = true;
-  if (!batching) {
-    opts.node.fs.wal.group_commit_us = 0;
-    opts.node.clerk.async_grant_ack = false;
-    opts.node.clerk.piggyback_renewals = false;
-    opts.node.clerk.batch_releases = false;
-    opts.node.petal.fuse_small = false;
-  } else {
-    opts.node.fs.wal.group_commit_us = 500;
-  }
+  opts.node.fs.wal.group_commit_us = group_commit_us;
   Cluster cluster(opts);
   if (!cluster.Start().ok()) {
     return {};
@@ -202,24 +194,23 @@ RunResult RunLoad(bool batching, double offered_cycles_s, bool record = false) {
 }  // namespace
 
 int main() {
-  std::printf("Small-op batching sweep: %d machines x %d workers, open-loop\n"
+  std::printf("Small-op group-commit sweep: %d machines x %d workers, open-loop\n"
               "create/write-1K/stat/unlink cycles on a sync-log mount\n\n",
               kNodes, kWorkersPerNode);
-  std::printf("config  offered_ops/s  achieved_ops/s  goodput_ops/s   p50_ms   p95_ms   p99_ms  msgs/cycle  failed_cycles\n");
+  std::printf("group_commit_us  offered_ops/s  achieved_ops/s  goodput_ops/s   p50_ms   p95_ms   p99_ms  msgs/cycle  failed_cycles\n");
   std::vector<std::string> rows;
-  for (bool batching : {false, true}) {
+  for (uint32_t group_commit_us : {0u, 500u}) {
     for (double cycles : {250.0, 500.0, 1000.0, 2000.0}) {
-      RunResult r = RunLoad(batching, cycles);
+      RunResult r = RunLoad(group_commit_us, cycles);
       double offered_ops = cycles * kOpsPerCycle;
-      std::printf("%-6s  %13.0f  %14.1f  %13.1f  %7.2f  %7.2f  %7.2f  %10.1f  %13llu\n",
-                  batching ? "on" : "off", offered_ops, r.achieved_ops_s,
-                  r.goodput_ops_s, r.p50_ms, r.p95_ms, r.p99_ms, r.msgs_per_cycle,
-                  (unsigned long long)r.failed_cycles);
+      std::printf("%15u  %13.0f  %14.1f  %13.1f  %7.2f  %7.2f  %7.2f  %10.1f  %13llu\n",
+                  group_commit_us, offered_ops, r.achieved_ops_s, r.goodput_ops_s, r.p50_ms,
+                  r.p95_ms, r.p99_ms, r.msgs_per_cycle, (unsigned long long)r.failed_cycles);
       char buf[256];
       std::snprintf(buf, sizeof(buf),
-                    "%s,%.0f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%llu,%llu,%llu,%llu,%llu,%llu",
-                    batching ? "on" : "off", offered_ops, r.achieved_ops_s,
-                    r.goodput_ops_s, r.msgs_per_cycle, r.p50_ms, r.p95_ms, r.p99_ms,
+                    "%u,%.0f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%llu,%llu,%llu,%llu,%llu,%llu",
+                    group_commit_us, offered_ops, r.achieved_ops_s, r.goodput_ops_s,
+                    r.msgs_per_cycle, r.p50_ms, r.p95_ms, r.p99_ms,
                     (unsigned long long)r.failed_cycles,
                     (unsigned long long)r.group_commits,
                     (unsigned long long)r.batched_flushes,
@@ -233,15 +224,14 @@ int main() {
   // the trace digest WriteCsv drops has the wal.group_commit /
   // net.vector_call evidence; its timings are not reported.
   std::printf("\n[instrumented capture pass for the trace digest...]\n");
-  (void)RunLoad(true, 2000.0, /*record=*/true);
-  std::printf("\ngroup commit folds concurrent sync-log flushes into one Petal write,\n"
-              "the clerk piggybacks renewals/releases on grant acks, and the Petal\n"
-              "client fuses small same-server transfers; compare achieved and goodput\n"
-              "of the two configs at each offered load (failed cycles are not scored)\n");
+  (void)RunLoad(500, 2000.0, /*record=*/true);
+  std::printf("\nthe group-commit window holds a sync-log flush open for followers;\n"
+              "compare achieved and goodput of the two windows at each offered load\n"
+              "(failed cycles are not scored)\n");
   WriteCsv("smallops",
-           "config,offered_ops_s,achieved_ops_s,goodput_ops_s,msgs_per_cycle,p50_ms,p95_ms,p99_ms,"
-           "failed_cycles,group_commits,batched_flushes,vector_calls,piggybacked_renewals,"
-           "fused_transfers",
+           "group_commit_us,offered_ops_s,achieved_ops_s,goodput_ops_s,msgs_per_cycle,p50_ms,"
+           "p95_ms,p99_ms,failed_cycles,group_commits,batched_flushes,vector_calls,"
+           "piggybacked_renewals,fused_transfers",
            rows);
   return 0;
 }

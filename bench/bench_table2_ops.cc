@@ -6,6 +6,7 @@
 // good because the log is contiguous and NVRAM absorbs the writes.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
 
 #include "bench/harness.h"
@@ -30,6 +31,7 @@ Env* GetEnv(bool frangipani, bool nvram) {
   if (env.fs != nullptr) {
     return &env;
   }
+  FrangipaniFs* fs = nullptr;
   if (frangipani) {
     env.cluster = std::make_unique<Cluster>(PaperClusterOptions(nvram));
     if (!env.cluster->Start().ok()) {
@@ -39,20 +41,25 @@ Env* GetEnv(bool frangipani, bool nvram) {
     if (!node.ok()) {
       return nullptr;
     }
-    env.fs = (*node)->fs();
+    fs = (*node)->fs();
   } else {
     env.advfs = std::make_unique<AdvFsLike>(PaperAdvFsOptions(nvram));
     if (!env.advfs->FormatAndMount().ok()) {
       return nullptr;
     }
-    env.fs = env.advfs->fs();
+    fs = env.advfs->fs();
   }
-  (void)env.fs->Mkdir("/ops");
+  if (!fs->Mkdir("/ops").ok()) {
+    return nullptr;
+  }
   // Spread fresh names over subdirectories so directory scans stay O(1) as
   // iteration counts grow.
   for (int d = 0; d < 16; ++d) {
-    (void)env.fs->Mkdir("/ops/" + std::to_string(d));
+    if (!fs->Mkdir("/ops/" + std::to_string(d)).ok()) {
+      return nullptr;
+    }
   }
+  env.fs = fs;
   return &env;
 }
 
@@ -61,104 +68,197 @@ std::string Fresh(Env* env, const char* stem) {
   return "/ops/" + std::to_string(n % 16) + "/" + stem + std::to_string(n);
 }
 
+int g_failed_rows = 0;
+
+// One benchmark row: its configuration's environment and a count of every
+// op that failed, setup included. The count is printed as the row's
+// `failed` counter; a row with any failure is reported as an error instead
+// of a latency, and main exits nonzero.
+class Row {
+ public:
+  explicit Row(benchmark::State& state)
+      : state_(state), env_(GetEnv(state.range(0), state.range(1))) {
+    Check(env_ != nullptr);
+  }
+  ~Row() {
+    state_.counters["failed"] = static_cast<double>(failed_);
+    if (failed_ > 0) {
+      ++g_failed_rows;
+      state_.SkipWithError("failed ops (see the failed counter)");
+    }
+  }
+
+  Env* env() const { return env_; }
+  bool ok() const { return failed_ == 0; }
+  bool Check(bool ok) {
+    failed_ += ok ? 0 : 1;
+    return ok;
+  }
+  bool Check(const Status& st) { return Check(st.ok()); }
+  template <typename T>
+  bool Check(const StatusOr<T>& v) {
+    return Check(v.ok());
+  }
+  // A read must succeed and return every byte asked for.
+  bool CheckRead(const StatusOr<size_t>& n, size_t want) { return Check(n.ok() && *n == want); }
+
+ private:
+  benchmark::State& state_;
+  Env* env_;
+  uint64_t failed_ = 0;
+};
+
 void BM_Create(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(env->fs->Create(Fresh(env, "c")));
+    row.Check(env->fs->Create(Fresh(env, "c")));
   }
 }
 
 void BM_Mkdir(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(env->fs->Mkdir(Fresh(env, "d")));
+    row.Check(env->fs->Mkdir(Fresh(env, "d")));
   }
 }
 
 void BM_UnlinkCreatePair(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   for (auto _ : state) {
     std::string path = Fresh(env, "u");
-    (void)env->fs->Create(path);
-    (void)env->fs->Unlink(path);
+    row.Check(env->fs->Create(path));
+    row.Check(env->fs->Unlink(path));
   }
 }
 
 void BM_StatCold(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   std::string path = Fresh(env, "s");
-  (void)env->fs->Create(path);
+  if (!row.Check(env->fs->Create(path))) {
+    return;
+  }
   for (auto _ : state) {
     state.PauseTiming();
-    (void)env->fs->DropCaches();
+    row.Check(env->fs->DropCaches());
     state.ResumeTiming();
-    benchmark::DoNotOptimize(env->fs->Stat(path));
+    row.Check(env->fs->Stat(path));
   }
 }
 
 void BM_StatWarm(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   std::string path = Fresh(env, "w");
-  (void)env->fs->Create(path);
+  if (!row.Check(env->fs->Create(path))) {
+    return;
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(env->fs->Stat(path));
+    row.Check(env->fs->Stat(path));
   }
 }
 
 void BM_Symlink(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(env->fs->Symlink("/ops/target", Fresh(env, "l")));
+    row.Check(env->fs->Symlink("/ops/target", Fresh(env, "l")));
   }
 }
 
 void BM_Rename(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   std::string path = Fresh(env, "r");
-  (void)env->fs->Create(path);
+  if (!row.Check(env->fs->Create(path))) {
+    return;
+  }
   for (auto _ : state) {
     std::string next = Fresh(env, "r");
-    (void)env->fs->Rename(path, next);
+    row.Check(env->fs->Rename(path, next));
     path = next;
   }
 }
 
 void BM_ReadWarm64K(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   auto ino = env->fs->Create(Fresh(env, "rw"));
-  (void)env->fs->Write(*ino, 0, Bytes(64 * 1024, 0x5A));
+  if (!row.Check(ino) || !row.Check(env->fs->Write(*ino, 0, Bytes(64 * 1024, 0x5A)))) {
+    return;
+  }
   Bytes buf;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(env->fs->Read(*ino, 0, 64 * 1024, &buf));
+    row.CheckRead(env->fs->Read(*ino, 0, 64 * 1024, &buf), 64 * 1024);
   }
 }
 
 void BM_ReadCold64K(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   auto ino = env->fs->Create(Fresh(env, "rc"));
-  (void)env->fs->Write(*ino, 0, Bytes(64 * 1024, 0x5A));
-  (void)env->fs->Fsync(*ino);
+  if (!row.Check(ino) || !row.Check(env->fs->Write(*ino, 0, Bytes(64 * 1024, 0x5A))) ||
+      !row.Check(env->fs->Fsync(*ino))) {
+    return;
+  }
   Bytes buf;
   for (auto _ : state) {
     state.PauseTiming();
-    (void)env->fs->DropCaches();
+    row.Check(env->fs->DropCaches());
     state.ResumeTiming();
-    benchmark::DoNotOptimize(env->fs->Read(*ino, 0, 64 * 1024, &buf));
+    row.CheckRead(env->fs->Read(*ino, 0, 64 * 1024, &buf), 64 * 1024);
   }
 }
 
 void BM_AppendFsync1K(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   auto ino = env->fs->Create(Fresh(env, "a"));
+  if (!row.Check(ino)) {
+    return;
+  }
   uint64_t off = 0;
   Bytes data(1024, 0x42);
   for (auto _ : state) {
-    (void)env->fs->Write(*ino, off, data);
-    (void)env->fs->Fsync(*ino);
+    row.Check(env->fs->Write(*ino, off, data));
+    row.Check(env->fs->Fsync(*ino));
     off += data.size();
     if (off > 48 * 1024) {
       state.PauseTiming();
-      (void)env->fs->Truncate(*ino, 0);
+      row.Check(env->fs->Truncate(*ino, 0));
       off = 0;
       state.ResumeTiming();
     }
@@ -169,32 +269,45 @@ void BM_AppendFsync1K(benchmark::State& state) {
 // scatter-gather Petal client's large-transfer speedup is visible across
 // revisions). Cold reads so every iteration goes to the Petal servers.
 void BM_ReadSeq1M(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   constexpr size_t kSize = 1 << 20;
   auto ino = env->fs->Create(Fresh(env, "seq"));
-  (void)env->fs->Write(*ino, 0, Bytes(kSize, 0x5A));
-  (void)env->fs->Fsync(*ino);
+  if (!row.Check(ino) || !row.Check(env->fs->Write(*ino, 0, Bytes(kSize, 0x5A))) ||
+      !row.Check(env->fs->Fsync(*ino))) {
+    return;
+  }
   Bytes buf;
   for (auto _ : state) {
     state.PauseTiming();
-    (void)env->fs->DropCaches();
+    row.Check(env->fs->DropCaches());
     state.ResumeTiming();
-    benchmark::DoNotOptimize(env->fs->Read(*ino, 0, kSize, &buf));
+    row.CheckRead(env->fs->Read(*ino, 0, kSize, &buf), kSize);
   }
   state.SetBytesProcessed(state.iterations() * kSize);
 }
 
 void BM_WriteSeq1M(benchmark::State& state) {
-  Env* env = GetEnv(state.range(0), state.range(1));
+  Row row(state);
+  if (!row.ok()) {
+    return;
+  }
+  Env* env = row.env();
   constexpr size_t kSize = 1 << 20;
   auto ino = env->fs->Create(Fresh(env, "seqw"));
+  if (!row.Check(ino)) {
+    return;
+  }
   Bytes data(kSize, 0x6B);
   for (auto _ : state) {
-    (void)env->fs->Write(*ino, 0, data);
-    (void)env->fs->Fsync(*ino);
+    row.Check(env->fs->Write(*ino, 0, data));
+    row.Check(env->fs->Fsync(*ino));
     state.PauseTiming();
-    (void)env->fs->Truncate(*ino, 0);
-    (void)env->fs->Fsync(*ino);
+    row.Check(env->fs->Truncate(*ino, 0));
+    row.Check(env->fs->Fsync(*ino));
     state.ResumeTiming();
   }
   state.SetBytesProcessed(state.iterations() * kSize);
@@ -239,5 +352,9 @@ int main(int argc, char** argv) {
   // Per-op / per-layer latency breakdowns accumulated by the tracing layer
   // during the run above.
   WriteMetricsJson("table2_ops");
+  if (g_failed_rows > 0) {
+    std::fprintf(stderr, "%d benchmark rows had failed ops\n", g_failed_rows);
+    return 1;
+  }
   return 0;
 }

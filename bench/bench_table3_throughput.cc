@@ -6,6 +6,7 @@
 // AdvFS is disk/controller bound. Also reproduces the §9.2 small-file
 // experiment: 30 processes reading separate 8 KB files after invalidating
 // the cache reach ~80% of raw Petal small-read throughput.
+#include <atomic>
 #include <cstdio>
 #include <thread>
 
@@ -16,11 +17,26 @@ using namespace frangipani::bench;
 
 namespace {
 constexpr uint64_t kFileBytes = 8ull << 20;  // 8 MB stream
+
+// Failed ops per reported row; a row with any failure is printed with its
+// count and the binary exits nonzero instead of writing the CSV.
+struct Failed {
+  int write = 0;
+  int read = 0;
+  int small_read = 0;
+};
+
+bool Check(bool ok, int* failed) {
+  *failed += ok ? 0 : 1;
+  return ok;
 }
+}  // namespace
 
 int main() {
   std::printf("Table 3: large-file throughput and CPU utilization (one machine)\n\n");
   std::vector<std::string> rows;
+  Failed fr_failed;
+  Failed adv_failed;
 
   // ---- Frangipani (NVRAM, as in the paper's Table 3 column) ----
   double fr_write = 0, fr_read = 0, fr_wcpu = 0, fr_rcpu = 0;
@@ -35,22 +51,21 @@ int main() {
     }
     FrangipaniFs* fs = (*node)->fs();
     auto ino = fs->Create("/big");
+    if (!Check(ino.ok(), &fr_failed.write)) {
+      return 1;
+    }
     CpuMeter cpu;
     cpu.Start();
     auto w = StreamWrite(fs, *ino, kFileBytes);
     auto [wwall, wcpu] = cpu.Stop();
-    if (!w.ok()) {
-      return 1;
-    }
-    (void)fs->DropCaches();
+    Check(w.ok(), &fr_failed.write);
+    Check(fs->DropCaches().ok(), &fr_failed.read);
     cpu.Start();
     auto r = StreamRead(fs, *ino, kFileBytes);
     auto [rwall, rcpu] = cpu.Stop();
-    if (!r.ok()) {
-      return 1;
-    }
-    fr_write = *w;
-    fr_read = *r;
+    Check(r.ok(), &fr_failed.read);
+    fr_write = w.ok() ? *w : 0;
+    fr_read = r.ok() ? *r : 0;
     fr_wcpu = wcpu;
     fr_rcpu = rcpu;
   }
@@ -64,30 +79,32 @@ int main() {
     }
     FrangipaniFs* fs = advfs.fs();
     auto ino = fs->Create("/big");
+    if (!Check(ino.ok(), &adv_failed.write)) {
+      return 1;
+    }
     CpuMeter cpu;
     cpu.Start();
     auto w = StreamWrite(fs, *ino, kFileBytes);
     auto [wwall, wcpu] = cpu.Stop();
-    (void)fs->DropCaches();
+    Check(w.ok(), &adv_failed.write);
+    Check(fs->DropCaches().ok(), &adv_failed.read);
     cpu.Start();
     auto r = StreamRead(fs, *ino, kFileBytes);
     auto [rwall, rcpu] = cpu.Stop();
-    if (!w.ok() || !r.ok()) {
-      return 1;
-    }
-    adv_write = *w;
-    adv_read = *r;
+    Check(r.ok(), &adv_failed.read);
+    adv_write = w.ok() ? *w : 0;
+    adv_read = r.ok() ? *r : 0;
     adv_wcpu = wcpu;
     adv_rcpu = rcpu;
-    (void)advfs.Unmount();
+    Check(advfs.Unmount().ok(), &adv_failed.read);
   }
 
-  std::printf("            Throughput (MB/s)      CPU utilization*\n");
-  std::printf("            Frangipani  AdvFS      Frangipani  AdvFS\n");
-  std::printf("Write       %8.1f  %8.1f      %8.0f%%  %6.0f%%\n", fr_write, adv_write,
-              fr_wcpu * 100, adv_wcpu * 100);
-  std::printf("Read        %8.1f  %8.1f      %8.0f%%  %6.0f%%\n", fr_read, adv_read,
-              fr_rcpu * 100, adv_rcpu * 100);
+  std::printf("            Throughput (MB/s)      CPU utilization*       failed ops\n");
+  std::printf("            Frangipani  AdvFS      Frangipani  AdvFS      Frangipani  AdvFS\n");
+  std::printf("Write       %8.1f  %8.1f      %8.0f%%  %6.0f%%      %10d  %5d\n", fr_write,
+              adv_write, fr_wcpu * 100, adv_wcpu * 100, fr_failed.write, adv_failed.write);
+  std::printf("Read        %8.1f  %8.1f      %8.0f%%  %6.0f%%      %10d  %5d\n", fr_read,
+              adv_read, fr_rcpu * 100, adv_rcpu * 100, fr_failed.read, adv_failed.read);
   std::printf("(*process-wide: includes the in-process Petal/lock servers)\n");
   std::printf("paper:      write 15.3 vs 13.3   read 10.3 vs 13.2\n\n");
   rows.push_back("write," + std::to_string(fr_write) + "," + std::to_string(adv_write) + "," +
@@ -102,32 +119,47 @@ int main() {
       return 1;
     }
     auto node = cluster.AddFrangipani();
+    if (!node.ok()) {
+      return 1;
+    }
     FrangipaniFs* fs = (*node)->fs();
     constexpr int kProcs = 30;
     for (int i = 0; i < kProcs; ++i) {
       auto ino = fs->Create("/small" + std::to_string(i));
-      (void)fs->Write(*ino, 0, Bytes(8192, static_cast<uint8_t>(i)));
+      Check(ino.ok() && fs->Write(*ino, 0, Bytes(8192, static_cast<uint8_t>(i))).ok(),
+            &fr_failed.small_read);
     }
-    (void)fs->DropCaches();
+    Check(fs->DropCaches().ok(), &fr_failed.small_read);
+    std::atomic<int> read_failures{0};
     double t0 = NowSeconds();
     std::vector<std::thread> procs;
     for (int i = 0; i < kProcs; ++i) {
-      procs.emplace_back([fs, i] {
+      procs.emplace_back([fs, i, &read_failures] {
         auto ino = fs->Lookup("/small" + std::to_string(i));
         Bytes buf;
-        (void)fs->Read(*ino, 0, 8192, &buf);
+        if (!ino.ok() || !fs->Read(*ino, 0, 8192, &buf).ok() || buf.size() != 8192) {
+          read_failures.fetch_add(1);
+        }
       });
     }
     for (auto& t : procs) {
       t.join();
     }
     double secs = NowSeconds() - t0;
+    fr_failed.small_read += read_failures.load();
     double mbs = kProcs * 8192.0 / secs / (1 << 20);
-    std::printf("Small reads: 30 processes x 8 KB uncached files: %.1f MB/s\n", mbs);
+    std::printf("Small reads: 30 processes x 8 KB uncached files: %.1f MB/s (failed ops: %d)\n",
+                mbs, fr_failed.small_read);
     std::printf("paper: 6.3 MB/s (~80%% of raw Petal small-read throughput)\n");
     rows.push_back("small_read," + std::to_string(mbs) + ",,,");
   }
 
+  int failed = fr_failed.write + fr_failed.read + fr_failed.small_read + adv_failed.write +
+               adv_failed.read;
+  if (failed > 0) {
+    std::fprintf(stderr, "%d failed ops: not reporting rows that had failures\n", failed);
+    return 1;
+  }
   WriteCsv("table3_throughput", "op,frangipani_mbs,advfs_mbs,frangipani_cpu,advfs_cpu", rows);
   return 0;
 }

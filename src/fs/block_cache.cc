@@ -223,48 +223,76 @@ bool BlockCache::Cached(uint64_t addr) const {
   return shard.entries.count(addr) > 0;
 }
 
-Status BlockCache::FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>& addrs,
-                                       std::unique_lock<std::mutex>& lk) {
-  // Wait out any in-flight flushes of these entries, then claim them. The
-  // payload is pinned by shared_ptr, not copied, while the lock is held.
-  struct Job {
-    uint64_t addr;
-    std::shared_ptr<const Bytes> data;
-    uint64_t gen;
-    uint64_t pin_lsn;
+bool BlockCache::LogDurableTo(uint64_t max_pin) const {
+  return max_pin == 0 || wal_ == nullptr || wal_->flushed_lsn() >= max_pin;
+}
+
+uint64_t BlockCache::ClaimLocked(Shard& shard, const std::vector<uint64_t>& addrs,
+                                 std::unique_lock<std::mutex>& lk,
+                                 const std::function<bool(const Entry&)>& wanted,
+                                 std::vector<FlushJob>* jobs) {
+  auto pick = [&](uint64_t addr) -> Entry* {
+    auto it = shard.entries.find(addr);
+    return it != shard.entries.end() && it->second.dirty && wanted(it->second) ? &it->second
+                                                                                : nullptr;
   };
-  std::vector<Job> jobs;
+  // Wait out in-flight flushes of the set, then claim all of it at once:
+  // a flusher never waits on another while holding claims in this shard,
+  // so two flushers of overlapping sets cannot wait on each other.
+  shard.cv.wait(lk, [&] {
+    for (uint64_t addr : addrs) {
+      Entry* e = pick(addr);
+      if (e != nullptr && e->flushing) {
+        return false;
+      }
+    }
+    return true;
+  });
+  uint64_t max_pin = 0;
   for (uint64_t addr : addrs) {
-    for (;;) {
-      auto it = shard.entries.find(addr);
-      if (it == shard.entries.end() || !it->second.dirty) {
-        break;
-      }
-      if (it->second.flushing) {
-        shard.cv.wait(lk);
-        continue;
-      }
-      it->second.flushing = true;
-      jobs.push_back({addr, it->second.data, it->second.dirty_gen, it->second.pin_lsn});
-      break;
+    if (Entry* e = pick(addr)) {
+      e->flushing = true;
+      jobs->push_back({addr, e->data, e->dirty_gen, e->pin_lsn});
+      max_pin = std::max(max_pin, e->pin_lsn);
     }
   }
-  if (jobs.empty()) {
-    return OkStatus();
+  return max_pin;
+}
+
+void BlockCache::ReleaseClaimsLocked(Shard& shard, const std::vector<FlushJob>& jobs) {
+  for (const FlushJob& j : jobs) {
+    auto it = shard.entries.find(j.addr);
+    if (it != shard.entries.end()) {
+      it->second.flushing = false;
+    }
   }
-  uint64_t max_pin = 0;
-  for (const Job& j : jobs) {
-    max_pin = std::max(max_pin, j.pin_lsn);
+  shard.cv.notify_all();
+}
+
+Status BlockCache::FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>& addrs,
+                                       std::unique_lock<std::mutex>& lk, uint64_t pin_bound) {
+  std::vector<FlushJob> jobs;
+  for (;;) {
+    uint64_t max_pin = ClaimLocked(
+        shard, addrs, lk, [&](const Entry& e) { return e.pin_lsn <= pin_bound; }, &jobs);
+    if (jobs.empty()) {
+      return OkStatus();
+    }
+    if (LogDurableTo(max_pin)) {
+      break;
+    }
+    ReleaseClaimsLocked(shard, jobs);
+    jobs.clear();
+    lk.unlock();
+    Status st = wal_->FlushTo(max_pin);
+    lk.lock();
+    RETURN_IF_ERROR(st);
   }
   lk.unlock();
 
-  // Write-ahead rule: the log describing these updates reaches Petal first.
   Status st = OkStatus();
-  if (max_pin > 0 && wal_ != nullptr) {
-    st = wal_->FlushTo(max_pin);
-  }
   std::vector<Status> results(jobs.size());
-  if (st.ok()) {
+  {
     int64_t fence = lease_expiry_us_ ? lease_expiry_us_() : 0;
     // Coalesce address-adjacent dirty blocks into contiguous device writes
     // (sequential file data flushes mostly adjacent 4 KB blocks); each run
@@ -272,7 +300,7 @@ Status BlockCache::FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>
     // servers. Runs are written concurrently by the IO pool. A run is at
     // most 256 KB, i.e. at most one shard region, by construction.
     std::sort(jobs.begin(), jobs.end(),
-              [](const Job& a, const Job& b) { return a.addr < b.addr; });
+              [](const FlushJob& a, const FlushJob& b) { return a.addr < b.addr; });
     constexpr size_t kMaxRunBytes = 256 << 10;
     struct Run {
       size_t first_job;
@@ -282,7 +310,7 @@ Status BlockCache::FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>
     for (size_t i = 0; i < jobs.size(); ++i) {
       if (!runs.empty()) {
         Run& r = runs.back();
-        const Job& prev = jobs[i - 1];
+        const FlushJob& prev = jobs[i - 1];
         size_t run_bytes = jobs[i].addr + jobs[i].data->size() - jobs[r.first_job].addr;
         if (prev.addr + prev.data->size() == jobs[i].addr && run_bytes <= kMaxRunBytes) {
           ++r.num_jobs;
@@ -299,7 +327,7 @@ Status BlockCache::FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>
       io_pool_->Submit([&, r] {
         const Run& run = runs[r];
         if (run.num_jobs == 1) {
-          const Job& j = jobs[run.first_job];
+          const FlushJob& j = jobs[run.first_job];
           run_results[r] = device_->Write(j.addr, *j.data, fence);
         } else {
           Bytes merged;
@@ -362,61 +390,51 @@ Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* 
   // written until the full set is claimed, so the whole revoke flush turns
   // into one batch of coalesced write runs issued concurrently rather than
   // a serial wave of rounds per shard.
-  struct Job {
-    uint64_t addr;
-    std::shared_ptr<const Bytes> data;
-    uint64_t gen;
-    uint64_t pin_lsn;
-  };
-  std::vector<std::vector<Job>> shard_jobs(shards_.size());
-  uint64_t max_pin = 0;
+  std::vector<std::vector<FlushJob>> shard_jobs(shards_.size());
   size_t total_jobs = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    std::unique_lock<std::mutex> lk = LockShard(shard);
-    auto it = shard.by_lock.find(lock);
-    if (it == shard.by_lock.end()) {
-      continue;
+  for (;;) {
+    uint64_t max_pin = 0;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      Shard& shard = shards_[s];
+      std::unique_lock<std::mutex> lk = LockShard(shard);
+      auto it = shard.by_lock.find(lock);
+      if (it == shard.by_lock.end()) {
+        continue;
+      }
+      std::vector<uint64_t> addrs(it->second.begin(), it->second.end());
+      // Entries outside the revoked extent stay dirty and cached.
+      auto covered = [&](const Entry& e) {
+        return e.range_off < end && e.range_off + e.data->size() > start;
+      };
+      max_pin = std::max(max_pin, ClaimLocked(shard, addrs, lk, covered, &shard_jobs[s]));
+      total_jobs += shard_jobs[s].size();
     }
-    std::vector<uint64_t> addrs(it->second.begin(), it->second.end());
-    for (uint64_t addr : addrs) {
-      for (;;) {
-        auto eit = shard.entries.find(addr);
-        if (eit == shard.entries.end() || !eit->second.dirty) {
-          break;
-        }
-        const Entry& e = eit->second;
-        if (e.range_off >= end || e.range_off + e.data->size() <= start) {
-          break;  // outside the revoked extent: stays dirty and cached
-        }
-        if (e.flushing) {
-          shard.cv.wait(lk);
-          continue;  // re-find: the entry may have changed while we waited
-        }
-        eit->second.flushing = true;
-        shard_jobs[s].push_back({addr, e.data, e.dirty_gen, e.pin_lsn});
-        max_pin = std::max(max_pin, e.pin_lsn);
-        ++total_jobs;
-        break;
+    if (total_jobs == 0) {
+      if (flushed_bytes != nullptr) {
+        *flushed_bytes = 0;
+      }
+      return OkStatus();
+    }
+    if (LogDurableTo(max_pin)) {
+      break;
+    }
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (!shard_jobs[s].empty()) {
+        std::unique_lock<std::mutex> lk = LockShard(shards_[s]);
+        ReleaseClaimsLocked(shards_[s], shard_jobs[s]);
+        shard_jobs[s].clear();
       }
     }
-  }
-  if (total_jobs == 0) {
-    if (flushed_bytes != nullptr) {
-      *flushed_bytes = 0;
-    }
-    return OkStatus();
+    total_jobs = 0;
+    RETURN_IF_ERROR(wal_->FlushTo(max_pin));
   }
 
-  // Phase 2: one WAL flush for the whole batch (write-ahead rule), then all
-  // coalesced runs of all shards in flight on the IO pool at once.
+  // Phase 2: all coalesced runs of all shards in flight on the IO pool at
+  // once.
   Status st = OkStatus();
-  if (max_pin > 0 && wal_ != nullptr) {
-    st = wal_->FlushTo(max_pin);
-  }
   std::vector<std::vector<Status>> shard_results(shards_.size());
   size_t bytes_out = 0;
-  if (st.ok()) {
+  {
     int64_t fence = lease_expiry_us_ ? lease_expiry_us_() : 0;
     constexpr size_t kMaxRunBytes = 256 << 10;
     struct Run {
@@ -426,15 +444,15 @@ Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* 
     };
     std::vector<Run> runs;
     for (size_t s = 0; s < shards_.size(); ++s) {
-      std::vector<Job>& jobs = shard_jobs[s];
+      std::vector<FlushJob>& jobs = shard_jobs[s];
       shard_results[s].assign(jobs.size(), OkStatus());
       std::sort(jobs.begin(), jobs.end(),
-                [](const Job& a, const Job& b) { return a.addr < b.addr; });
+                [](const FlushJob& a, const FlushJob& b) { return a.addr < b.addr; });
       for (size_t i = 0; i < jobs.size(); ++i) {
         bytes_out += jobs[i].data->size();
         if (!runs.empty() && runs.back().shard == s) {
           Run& r = runs.back();
-          const Job& prev = jobs[i - 1];
+          const FlushJob& prev = jobs[i - 1];
           size_t run_bytes = jobs[i].addr + jobs[i].data->size() - jobs[r.first_job].addr;
           if (prev.addr + prev.data->size() == jobs[i].addr && run_bytes <= kMaxRunBytes) {
             ++r.num_jobs;
@@ -451,9 +469,9 @@ Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* 
     for (size_t r = 0; r < runs.size(); ++r) {
       io_pool_->Submit([&, r] {
         const Run& run = runs[r];
-        const std::vector<Job>& jobs = shard_jobs[run.shard];
+        const std::vector<FlushJob>& jobs = shard_jobs[run.shard];
         if (run.num_jobs == 1) {
-          const Job& j = jobs[run.first_job];
+          const FlushJob& j = jobs[run.first_job];
           run_results[r] = device_->Write(j.addr, *j.data, fence);
         } else {
           Bytes merged;
@@ -482,10 +500,6 @@ Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* 
         st = run_results[r];
       }
     }
-  } else {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      shard_results[s].assign(shard_jobs[s].size(), st);
-    }
   }
 
   // Phase 3: release claims, mark clean.
@@ -496,7 +510,7 @@ Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* 
     Shard& shard = shards_[s];
     std::unique_lock<std::mutex> lk = LockShard(shard);
     for (size_t i = 0; i < shard_jobs[s].size(); ++i) {
-      const Job& j = shard_jobs[s][i];
+      const FlushJob& j = shard_jobs[s][i];
       auto it = shard.entries.find(j.addr);
       if (it == shard.entries.end()) {
         continue;
@@ -597,7 +611,7 @@ Status BlockCache::FlushPinnedUpTo(uint64_t lsn) {
         addrs.push_back(addr);
       }
     }
-    Status one = FlushShardSetLocked(shard, addrs, lk);
+    Status one = FlushShardSetLocked(shard, addrs, lk, /*pin_bound=*/lsn);
     if (!one.ok() && st.ok()) {
       st = one;
     }

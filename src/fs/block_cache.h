@@ -155,10 +155,37 @@ class BlockCache {
   // Acquires `shard.mu`, recording the wait in fs.cache.shard_wait_us.
   std::unique_lock<std::mutex> LockShard(const Shard& shard) const;
 
+  // A dirty entry claimed for writing (Entry::flushing set). The payload is
+  // pinned by shared_ptr, not copied, while the shard lock is held.
+  struct FlushJob {
+    uint64_t addr;
+    std::shared_ptr<const Bytes> data;
+    uint64_t gen;
+    uint64_t pin_lsn;
+  };
+  // Claims the dirty entries of `addrs` that satisfy `wanted` (caller holds
+  // `shard.mu` via `lk`), appending them to `jobs`; returns the newest log
+  // record pinning any of them (0 if none).
+  uint64_t ClaimLocked(Shard& shard, const std::vector<uint64_t>& addrs,
+                       std::unique_lock<std::mutex>& lk,
+                       const std::function<bool(const Entry&)>& wanted,
+                       std::vector<FlushJob>* jobs);
+  // Clears the claims of `jobs` (caller holds `shard.mu`) and wakes waiters.
+  void ReleaseClaimsLocked(Shard& shard, const std::vector<FlushJob>& jobs);
+
   // Writes the given entries of one shard out (WAL first). Called with
-  // `shard.mu` held via `lk`; drops and re-acquires it around IO.
+  // `shard.mu` held via `lk`; drops and re-acquires it around IO. Entries
+  // re-dirtied past `pin_bound` are left dirty (log reclaim passes the
+  // reclaimed LSN: it runs inside a log flush, so it must not wait on one).
   Status FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>& addrs,
-                             std::unique_lock<std::mutex>& lk);
+                             std::unique_lock<std::mutex>& lk, uint64_t pin_bound = ~0ull);
+  // Write-ahead rule for a claimed batch whose newest record is `max_pin`:
+  // true when the log is already durable that far. Otherwise the caller
+  // drops its claims, flushes the log, and claims again. The log is never
+  // flushed while claims are held: the log writer's space reclaim
+  // (FlushPinnedUpTo) waits for claimed entries, so a claimant waiting on
+  // the log writer would deadlock with it.
+  bool LogDurableTo(uint64_t max_pin) const;
   // Evicts clean LRU entries from `shard` while the cache as a whole is over
   // capacity. Caller holds `shard.mu`. When another shard advertises a
   // colder clean entry, eviction is deferred to an async global-LRU sweep

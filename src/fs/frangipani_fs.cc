@@ -10,9 +10,6 @@ namespace frangipani {
 namespace {
 constexpr int kMaxOpRetries = 64;
 constexpr int kMaxSymlinkDepth = 10;
-constexpr int kAllocKindInode = 0;
-constexpr int kAllocKindSmall = 1;
-constexpr int kAllocKindLarge = 2;
 }  // namespace
 
 StatusOr<std::vector<std::string>> SplitPath(const std::string& path) {
@@ -250,6 +247,14 @@ Status FrangipaniFs::CheckUsable() const {
   return OkStatus();
 }
 
+Status FrangipaniFs::CheckWritable() const {
+  RETURN_IF_ERROR(CheckUsable());
+  if (options_.read_only) {
+    return PermissionDenied("read-only mount");
+  }
+  return OkStatus();
+}
+
 Status FrangipaniFs::CheckWriteLease() const {
   Duration lease = locks_->LeaseDuration();
   if (lease.count() == 0) {
@@ -346,6 +351,47 @@ Status FrangipaniFs::WithLocks(std::vector<PlannedLock> locks,
   return st;
 }
 
+Status FrangipaniFs::TwoPhaseOp(const char* op, bool allocates, const PlanFn& plan,
+                                const ApplyFn& apply) {
+  RETURN_IF_ERROR(CheckWritable());
+  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
+    StatusOr<std::vector<PlannedLock>> locks = plan();
+    Status st = locks.status();
+    AllocSeg alloc;
+    if (st.ok()) {
+      if (locks->empty()) {
+        return OkStatus();
+      }
+      if (allocates) {
+        {
+          std::lock_guard<std::mutex> guard(alloc_mu_);
+          alloc.seg = alloc_seg_;
+        }
+        locks->push_back({SegmentLockId(alloc.seg), LockMode::kExclusive});
+      }
+      st = WithLocks(std::move(*locks), [&] { return apply(alloc); });
+    }
+    if (st.code() == StatusCode::kAborted) {
+      if (alloc.full) {
+        AdvanceAllocSeg(alloc.seg);
+      }
+      NoteRetry();
+      continue;
+    }
+    RETURN_IF_ERROR(st);
+    stats_.operations.fetch_add(1, std::memory_order_relaxed);
+    return OkStatus();
+  }
+  return Aborted(std::string(op) + ": too many conflicts");
+}
+
+void FrangipaniFs::AdvanceAllocSeg(uint32_t full_seg) {
+  std::lock_guard<std::mutex> guard(alloc_mu_);
+  if (alloc_seg_ == full_seg) {
+    alloc_seg_ = (alloc_seg_ + 1) % geometry_.num_segments;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Inodes and directories (caller holds the covering locks)
 // ---------------------------------------------------------------------------
@@ -421,7 +467,7 @@ StatusOr<std::optional<DirHit>> FrangipaniFs::DirFind(const Inode& dir, uint64_t
   return std::optional<DirHit>{};
 }
 
-Status FrangipaniFs::DirInsert(MetaTxn& txn, uint64_t dir_ino, Inode& dir, Bytes* dir_raw,
+Status FrangipaniFs::DirInsert(MetaTxn& txn, AllocSeg& alloc, uint64_t dir_ino, Inode& dir,
                                const std::string& name, uint64_t ino, FileType type) {
   LockId lock = InodeLockId(dir_ino);
   // Find a block with a free slot.
@@ -445,22 +491,12 @@ Status FrangipaniFs::DirInsert(MetaTxn& txn, uint64_t dir_ino, Inode& dir, Bytes
   }
   uint64_t block_addr = 0;
   if (new_off < kSmallBytesPerFile) {
-    uint32_t seg;
-    {
-      std::lock_guard<std::mutex> guard(alloc_mu_);
-      seg = alloc_seg_;
-    }
-    ASSIGN_OR_RETURN(uint64_t b, AllocFromSegment(txn, seg, kAllocKindSmall, true));
+    ASSIGN_OR_RETURN(uint64_t b, AllocFromSegment(txn, alloc, AllocKind::kSmall, true));
     dir.small[new_off / kBlockSize] = b;
     block_addr = geometry_.SmallBlockAddr(b);
   } else {
     if (dir.large == 0) {
-      uint32_t seg;
-      {
-        std::lock_guard<std::mutex> guard(alloc_mu_);
-        seg = alloc_seg_;
-      }
-      ASSIGN_OR_RETURN(uint64_t l, AllocFromSegment(txn, seg, kAllocKindLarge, true));
+      ASSIGN_OR_RETURN(uint64_t l, AllocFromSegment(txn, alloc, AllocKind::kLarge, true));
       dir.large = l;
     }
     block_addr = geometry_.LargeBlockAddr(dir.large) + (new_off - kSmallBytesPerFile);
@@ -509,52 +545,27 @@ StatusOr<bool> FrangipaniFs::DirIsEmpty(const Inode& dir, uint64_t dir_ino) {
 // Allocation
 // ---------------------------------------------------------------------------
 
-StatusOr<uint64_t> FrangipaniFs::AllocFromSegment(MetaTxn& txn, uint32_t seg, int what,
-                                                  bool for_metadata) {
+StatusOr<uint64_t> FrangipaniFs::AllocFromSegment(MetaTxn& txn, AllocSeg& alloc,
+                                                  AllocKind kind, bool for_metadata) {
+  const uint32_t seg = alloc.seg;
   uint64_t addr = geometry_.SegmentAddr(seg);
   ASSIGN_OR_RETURN(Bytes * block, txn.GetBlock(addr, BlockKind::kMeta4k, SegmentLockId(seg)));
-  std::optional<uint32_t> local;
-  uint32_t bit = 0;
-  uint64_t object = 0;
-  switch (what) {
-    case kAllocKindInode:
-      local = SegFindFreeInode(*block);
-      if (local.has_value()) {
-        bit = kSegInodeBitsOff + *local;
-        object = InodeOfSeg(seg, *local);
-      }
-      break;
-    case kAllocKindSmall:
-      local = SegFindFreeSmall(*block, for_metadata);
-      if (local.has_value()) {
-        bit = kSegSmallBitsOff + *local;
-        object = SmallOfSeg(seg, *local);
-      }
-      break;
-    case kAllocKindLarge:
-      local = SegFindFreeLarge(*block, for_metadata);
-      if (local.has_value()) {
-        bit = kSegLargeBitsOff + *local;
-        object = LargeOfSeg(seg, *local);
-      }
-      break;
-  }
+  const bool small = kind == AllocKind::kSmall;
+  std::optional<uint32_t> local =
+      small ? SegFindFreeSmall(*block, for_metadata) : SegFindFreeLarge(*block, for_metadata);
   if (!local.has_value()) {
-    return ResourceExhausted("segment full");
+    alloc.full = true;
+    return Aborted("allocation segment full");
   }
+  uint32_t bit = (small ? kSegSmallBitsOff : kSegLargeBitsOff) + *local;
   SegBitSet(*block, bit, true);
   txn.Touch(addr, SegBitByteOffset(bit), 1);
-  if (for_metadata && what == kAllocKindSmall) {
-    uint32_t taint = kSegTaintBitsOff + *local;
+  if (for_metadata) {
+    uint32_t taint = kSegTaintBitsOff + (small ? 0 : kSmallsPerSegment) + *local;
     SegBitSet(*block, taint, true);
     txn.Touch(addr, SegBitByteOffset(taint), 1);
   }
-  if (for_metadata && what == kAllocKindLarge) {
-    uint32_t taint = kSegTaintBitsOff + kSmallsPerSegment + *local;
-    SegBitSet(*block, taint, true);
-    txn.Touch(addr, SegBitByteOffset(taint), 1);
-  }
-  return object;
+  return small ? SmallOfSeg(seg, *local) : LargeOfSeg(seg, *local);
 }
 
 void FrangipaniFs::FreeInSegment(MetaTxn& txn, uint32_t seg, uint32_t bit) {
@@ -590,10 +601,7 @@ StatusOr<uint64_t> FrangipaniFs::PickInodeCandidate() {
     if (candidate != 0) {
       return candidate;
     }
-    std::lock_guard<std::mutex> guard(alloc_mu_);
-    if (alloc_seg_ == seg) {
-      alloc_seg_ = (alloc_seg_ + 1) % geometry_.num_segments;
-    }
+    AdvanceAllocSeg(seg);
   }
   return ResourceExhausted("no free inodes");
 }

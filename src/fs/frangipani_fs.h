@@ -173,7 +173,34 @@ class FrangipaniFs {
   // Acquires the locks in sorted order, runs fn, releases. fn returning
   // kAborted triggers the caller's retry loop.
   Status WithLocks(std::vector<PlannedLock> locks, const std::function<Status()>& fn);
+
+  // The allocation segment of one attempt of a mutating op. §3: a server
+  // allocates only from a segment whose lock it holds, so this is the one
+  // segment phase two locks for allocation and the only one it allocates
+  // from.
+  struct AllocSeg {
+    uint32_t seg = 0;
+    bool full = false;  // set by AllocFromSegment; the retry moves on
+  };
+  // Phase one of a mutating op: lookups that take and drop locks. Returns
+  // the lock set phase two needs (empty = nothing to do).
+  using PlanFn = std::function<StatusOr<std::vector<PlannedLock>>()>;
+  // Phase two, under the planned locks: checks that nothing phase one saw
+  // has changed (kAborted if it has) and applies the update.
+  using ApplyFn = std::function<Status(AllocSeg& alloc)>;
+  // The §5 shape every mutating op shares: refuses unusable and read-only
+  // mounts, then runs a bounded number of attempts of plan + apply,
+  // retrying on kAborted. When `allocates`, each attempt reads alloc_seg_
+  // once after phase one, adds its exclusive lock to the plan and passes it
+  // to apply; an attempt that found it full rotates alloc_seg_. Counts the
+  // op on success; fails with "<op>: too many conflicts".
+  Status TwoPhaseOp(const char* op, bool allocates, const PlanFn& plan, const ApplyFn& apply);
+  // Moves alloc_seg_ past `full_seg` unless another thread already did.
+  void AdvanceAllocSeg(uint32_t full_seg);
+
   Status CheckUsable() const;
+  // CheckUsable, and refuse read-only (snapshot) mounts.
+  Status CheckWritable() const;
   // §6 hazard check: before attempting Petal writes, the lease must still be
   // valid for `margin` (scaled to the installation's lease duration).
   Status CheckWriteLease() const;
@@ -189,7 +216,9 @@ class FrangipaniFs {
   // Looks `name` up in directory `dir` (lock already held).
   StatusOr<std::optional<DirHit>> DirFind(const Inode& dir, uint64_t dir_ino,
                                           const std::string& name, uint64_t* block_addr);
-  Status DirInsert(MetaTxn& txn, uint64_t dir_ino, Inode& dir, Bytes* dir_raw,
+  // Adds the entry, growing the directory by a block from `alloc` if every
+  // block is full.
+  Status DirInsert(MetaTxn& txn, AllocSeg& alloc, uint64_t dir_ino, Inode& dir,
                    const std::string& name, uint64_t ino, FileType type);
   Status DirRemove(MetaTxn& txn, uint64_t dir_ino, Inode& dir, const std::string& name);
   StatusOr<bool> DirIsEmpty(const Inode& dir, uint64_t dir_ino);
@@ -211,8 +240,11 @@ class FrangipaniFs {
   Status StageData(const Inode& node, uint64_t ino, uint64_t offset, const Bytes& data,
                    const std::vector<uint64_t>& fresh_units = {});
 
-  // Allocation (caller holds the segment's lock exclusively).
-  StatusOr<uint64_t> AllocFromSegment(MetaTxn& txn, uint32_t seg, int what, bool for_metadata);
+  // Allocation (caller holds the segment's lock exclusively). A full
+  // segment sets alloc.full and aborts the attempt.
+  enum class AllocKind { kSmall, kLarge };
+  StatusOr<uint64_t> AllocFromSegment(MetaTxn& txn, AllocSeg& alloc, AllocKind kind,
+                                      bool for_metadata);
   void FreeInSegment(MetaTxn& txn, uint32_t seg, uint32_t bit);
   // Picks a candidate inode (phase 1): probes segments until one has a free
   // inode bit, updating alloc_seg_.
@@ -224,6 +256,9 @@ class FrangipaniFs {
   Status FreeInodeAndBlocks(MetaTxn& txn, uint64_t ino, Inode& inode);
   Status DecommitFileData(const Inode& inode);
 
+  // Shared create/mkdir/symlink implementation.
+  StatusOr<uint64_t> CreateCommon(const std::string& path, FileType type,
+                                  const std::string& symlink_target);
   // Shared unlink/rmdir implementation.
   Status RemoveCommon(const std::string& path, bool dir_expected);
 

@@ -10,10 +10,6 @@
 namespace frangipani {
 
 namespace {
-constexpr int kMaxOpRetries = 64;
-constexpr int kAllocKindSmall = 1;
-constexpr int kAllocKindLarge = 2;
-
 // Data-lock extents must be aligned to cache-unit boundaries (4 KB blocks in
 // the small region, 64 KB chunks in the large region): the cache holds and
 // flushes whole units, so a lock boundary inside a unit would let two
@@ -81,10 +77,7 @@ Status FrangipaniFs::StageData(const Inode& node, uint64_t ino, uint64_t offset,
 
 Status FrangipaniFs::Write(uint64_t ino, uint64_t offset, const Bytes& data) {
   obs::OpTrace trace(&op_metrics_.write, options_.node_id);
-  RETURN_IF_ERROR(CheckUsable());
-  if (options_.read_only) {
-    return PermissionDenied("read-only mount");
-  }
+  RETURN_IF_ERROR(CheckWritable());
   if (data.empty()) {
     return OkStatus();
   }
@@ -146,80 +139,49 @@ Status FrangipaniFs::Write(uint64_t ino, uint64_t offset, const Bytes& data) {
   // Slow path: allocation and/or size extension — a metadata transaction
   // under the exclusive inode lock, plus the whole-file data lock so the
   // staged bytes are coherent with extent-locked writers elsewhere.
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    uint32_t alloc_seg;
-    {
-      std::lock_guard<std::mutex> guard(alloc_mu_);
-      alloc_seg = alloc_seg_;
+  auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
+    return std::vector<PlannedLock>{{kLockBarrier, LockMode::kShared},
+                                    {InodeLockId(ino), LockMode::kExclusive},
+                                    {InodeDataLockId(ino), LockMode::kExclusive}};
+  };
+  auto apply = [&](AllocSeg& alloc) -> Status {
+    MetaTxn txn(this);
+    Bytes* ino_raw = nullptr;
+    ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, ino, &ino_raw));
+    if (node.type != FileType::kRegular) {
+      return InvalidArgument("not a regular file");
     }
-    bool segment_full = false;
-    Status st = WithLocks(
-        {{kLockBarrier, LockMode::kShared},
-         {SegmentLockId(alloc_seg), LockMode::kExclusive},
-         {InodeLockId(ino), LockMode::kExclusive},
-         {InodeDataLockId(ino), LockMode::kExclusive}},
-        [&]() -> Status {
-          MetaTxn txn(this);
-          Bytes* ino_raw = nullptr;
-          ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, ino, &ino_raw));
-          if (node.type != FileType::kRegular) {
-            return InvalidArgument("not a regular file");
-          }
-          // Allocate any missing blocks in [offset, end).
-          std::vector<uint64_t> fresh_units;  // cache-unit addrs needing zero-init
-          uint32_t first_small = static_cast<uint32_t>(
-              std::min<uint64_t>(offset, kSmallBytesPerFile) / kBlockSize);
-          uint32_t last_small = static_cast<uint32_t>(
-              (std::min<uint64_t>(end, kSmallBytesPerFile) + kBlockSize - 1) / kBlockSize);
-          for (uint32_t i = first_small; i < last_small; ++i) {
-            if (node.small[i] != 0) {
-              continue;
-            }
-            StatusOr<uint64_t> b = AllocFromSegment(txn, alloc_seg, kAllocKindSmall, false);
-            if (!b.ok()) {
-              segment_full = true;
-              return Aborted("allocation segment full");
-            }
-            node.small[i] = *b;
-            fresh_units.push_back(geometry_.SmallBlockAddr(*b));
-          }
-          if (end > kSmallBytesPerFile && node.large == 0) {
-            StatusOr<uint64_t> l = AllocFromSegment(txn, alloc_seg, kAllocKindLarge, false);
-            if (!l.ok()) {
-              segment_full = true;
-              return Aborted("allocation segment full");
-            }
-            node.large = *l;
-          }
-
-          RETURN_IF_ERROR(StageData(node, ino, offset, data, fresh_units));
-
-          node.size = std::max(node.size, end);
-          node.mtime_us = NowUs();
-          WriteInodeIn(txn, ino, ino_raw, node);
-          RETURN_IF_ERROR(txn.Commit());
-          {
-            // The durable mtime is now current; drop any older overlay.
-            std::lock_guard<std::mutex> guard(atime_mu_);
-            mtime_overlay_.erase(ino);
-          }
-          return OkStatus();
-        });
-    if (st.code() == StatusCode::kAborted) {
-      if (segment_full) {
-        std::lock_guard<std::mutex> guard(alloc_mu_);
-        if (alloc_seg_ == alloc_seg) {
-          alloc_seg_ = (alloc_seg_ + 1) % geometry_.num_segments;
-        }
+    // Allocate any missing blocks in [offset, end).
+    std::vector<uint64_t> fresh_units;  // cache-unit addrs needing zero-init
+    uint32_t first_small = static_cast<uint32_t>(
+        std::min<uint64_t>(offset, kSmallBytesPerFile) / kBlockSize);
+    uint32_t last_small = static_cast<uint32_t>(
+        (std::min<uint64_t>(end, kSmallBytesPerFile) + kBlockSize - 1) / kBlockSize);
+    for (uint32_t i = first_small; i < last_small; ++i) {
+      if (node.small[i] != 0) {
+        continue;
       }
-      NoteRetry();
-      continue;
+      ASSIGN_OR_RETURN(node.small[i], AllocFromSegment(txn, alloc, AllocKind::kSmall, false));
+      fresh_units.push_back(geometry_.SmallBlockAddr(node.small[i]));
     }
-    RETURN_IF_ERROR(st);
-    stats_.operations.fetch_add(1, std::memory_order_relaxed);
+    if (end > kSmallBytesPerFile && node.large == 0) {
+      ASSIGN_OR_RETURN(node.large, AllocFromSegment(txn, alloc, AllocKind::kLarge, false));
+    }
+
+    RETURN_IF_ERROR(StageData(node, ino, offset, data, fresh_units));
+
+    node.size = std::max(node.size, end);
+    node.mtime_us = NowUs();
+    WriteInodeIn(txn, ino, ino_raw, node);
+    RETURN_IF_ERROR(txn.Commit());
+    {
+      // The durable mtime is now current; drop any older overlay.
+      std::lock_guard<std::mutex> guard(atime_mu_);
+      mtime_overlay_.erase(ino);
+    }
     return OkStatus();
-  }
-  return Aborted("write: too many conflicts");
+  };
+  return TwoPhaseOp("write", /*allocates=*/true, plan, apply);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,19 +308,18 @@ void FrangipaniFs::MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read
 
 Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
   obs::OpTrace trace(&op_metrics_.truncate, options_.node_id);
-  RETURN_IF_ERROR(CheckUsable());
-  if (options_.read_only) {
-    return PermissionDenied("read-only mount");
-  }
-  if (new_size > geometry_.MaxFileSize()) {
-    return OutOfRange("beyond maximum file size");
-  }
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    // Phase 1: find which segments hold the blocks to free.
-    uint64_t expected_version = 0;
+  uint64_t expected_version = 0;
+  bool shrinks = false;
+  Inode before;
+  bool freed_large = false;
+  auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
+    if (new_size > geometry_.MaxFileSize()) {
+      return OutOfRange("beyond maximum file size");
+    }
+    // Find which segments hold the blocks to free.
     std::vector<uint32_t> segs;
-    bool shrinks = false;
-    Status st = WithLocks({{InodeLockId(ino), LockMode::kShared}}, [&]() -> Status {
+    shrinks = false;
+    RETURN_IF_ERROR(WithLocks({{InodeLockId(ino), LockMode::kShared}}, [&]() -> Status {
       ASSIGN_OR_RETURN(Inode node, ReadInode(ino));
       if (node.type != FileType::kRegular) {
         return InvalidArgument("not a regular file");
@@ -383,95 +344,87 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
       std::sort(segs.begin(), segs.end());
       segs.erase(std::unique(segs.begin(), segs.end()), segs.end());
       return OkStatus();
-    });
-    RETURN_IF_ERROR(st);
-
-    std::vector<PlannedLock> plan = {{kLockBarrier, LockMode::kShared},
-                                     {InodeLockId(ino), LockMode::kExclusive},
-                                     {InodeDataLockId(ino), LockMode::kExclusive}};
+    }));
+    std::vector<PlannedLock> locks = {{kLockBarrier, LockMode::kShared},
+                                      {InodeLockId(ino), LockMode::kExclusive},
+                                      {InodeDataLockId(ino), LockMode::kExclusive}};
     for (uint32_t seg : segs) {
-      plan.push_back({SegmentLockId(seg), LockMode::kExclusive});
+      locks.push_back({SegmentLockId(seg), LockMode::kExclusive});
     }
-    Inode before;
-    bool freed_large = false;
-    st = WithLocks(plan, [&]() -> Status {
-      MetaTxn txn(this);
-      Bytes* ino_raw = nullptr;
-      ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, ino, &ino_raw));
-      if (node.version != expected_version) {
-        return Aborted("inode changed since phase one");
-      }
-      before = node;
-      if (new_size < node.size) {
-        uint32_t keep_smalls =
-            static_cast<uint32_t>((std::min<uint64_t>(new_size, kSmallBytesPerFile) +
-                                   kBlockSize - 1) /
-                                  kBlockSize);
-        for (uint32_t i = keep_smalls; i < kSmallBlocksPerFile; ++i) {
-          if (node.small[i] != 0) {
-            FreeInSegment(txn, SegmentOfSmall(node.small[i]), SmallBit(node.small[i]));
-            node.small[i] = 0;
-          }
-        }
-        if (node.large != 0 && new_size <= kSmallBytesPerFile) {
-          FreeInSegment(txn, SegmentOfLarge(node.large), LargeBit(node.large));
-          node.large = 0;
-          freed_large = true;
+    return locks;
+  };
+  auto apply = [&](AllocSeg&) -> Status {
+    freed_large = false;
+    MetaTxn txn(this);
+    Bytes* ino_raw = nullptr;
+    ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, ino, &ino_raw));
+    if (node.version != expected_version) {
+      return Aborted("inode changed since phase one");
+    }
+    before = node;
+    if (new_size < node.size) {
+      uint32_t keep_smalls =
+          static_cast<uint32_t>((std::min<uint64_t>(new_size, kSmallBytesPerFile) +
+                                 kBlockSize - 1) /
+                                kBlockSize);
+      for (uint32_t i = keep_smalls; i < kSmallBlocksPerFile; ++i) {
+        if (node.small[i] != 0) {
+          FreeInSegment(txn, SegmentOfSmall(node.small[i]), SmallBit(node.small[i]));
+          node.small[i] = 0;
         }
       }
-      uint64_t old_size = node.size;
-      node.size = new_size;
-      node.mtime_us = NowUs();
-      WriteInodeIn(txn, ino, ino_raw, node);
-      RETURN_IF_ERROR(txn.Commit());
-      if (shrinks) {
-        // Freed blocks may be reallocated under other locks; drop our copies
-        // (both the metadata entries and the file-content entries).
-        RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(ino)));
-        cache_->InvalidateLock(InodeLockId(ino));
-        RETURN_IF_ERROR(cache_->FlushLock(InodeDataLockId(ino)));
-        cache_->InvalidateLock(InodeDataLockId(ino));
-        // Zero the stale tail of the kept partial block so that a later
-        // size extension reads zeros, not resurrected old data.
-        if (new_size > 0) {
-          BlockRef ref = MapOffset(node, new_size, 1);
-          if (ref.addr != 0 && ref.off_in_unit != 0) {
-            uint32_t zero_to = static_cast<uint32_t>(std::min<uint64_t>(
-                ref.unit, old_size - (new_size - ref.off_in_unit)));
-            LockId dlock = InodeDataLockId(ino);
-            uint64_t unit_off = new_size - ref.off_in_unit;
-            ASSIGN_OR_RETURN(Bytes unit, cache_->Read(ref.addr, ref.unit, dlock, unit_off));
-            std::fill(unit.begin() + ref.off_in_unit, unit.begin() + zero_to, 0);
-            RETURN_IF_ERROR(cache_->PutDirty(ref.addr, std::move(unit), dlock, 0, unit_off));
-          }
-        }
-        // A kept large block may still have committed chunks past the new
-        // end; return that physical space (reads then yield zeros).
-        if (node.large != 0 && old_size > kSmallBytesPerFile) {
-          uint64_t keep = new_size > kSmallBytesPerFile ? new_size - kSmallBytesPerFile : 0;
-          uint64_t keep_aligned = (keep + kChunkSize - 1) / kChunkSize * kChunkSize;
-          uint64_t old_extent =
-              (old_size - kSmallBytesPerFile + kChunkSize - 1) / kChunkSize * kChunkSize;
-          if (old_extent > keep_aligned) {
-            (void)device_->Decommit(geometry_.LargeBlockAddr(node.large) + keep_aligned,
-                                    old_extent - keep_aligned);
-          }
+      if (node.large != 0 && new_size <= kSmallBytesPerFile) {
+        FreeInSegment(txn, SegmentOfLarge(node.large), LargeBit(node.large));
+        node.large = 0;
+        freed_large = true;
+      }
+    }
+    uint64_t old_size = node.size;
+    node.size = new_size;
+    node.mtime_us = NowUs();
+    WriteInodeIn(txn, ino, ino_raw, node);
+    RETURN_IF_ERROR(txn.Commit());
+    if (shrinks) {
+      // Freed blocks may be reallocated under other locks; drop our copies
+      // (both the metadata entries and the file-content entries).
+      RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(ino)));
+      cache_->InvalidateLock(InodeLockId(ino));
+      RETURN_IF_ERROR(cache_->FlushLock(InodeDataLockId(ino)));
+      cache_->InvalidateLock(InodeDataLockId(ino));
+      // Zero the stale tail of the kept partial block so that a later
+      // size extension reads zeros, not resurrected old data.
+      if (new_size > 0) {
+        BlockRef ref = MapOffset(node, new_size, 1);
+        if (ref.addr != 0 && ref.off_in_unit != 0) {
+          uint32_t zero_to = static_cast<uint32_t>(std::min<uint64_t>(
+              ref.unit, old_size - (new_size - ref.off_in_unit)));
+          LockId dlock = InodeDataLockId(ino);
+          uint64_t unit_off = new_size - ref.off_in_unit;
+          ASSIGN_OR_RETURN(Bytes unit, cache_->Read(ref.addr, ref.unit, dlock, unit_off));
+          std::fill(unit.begin() + ref.off_in_unit, unit.begin() + zero_to, 0);
+          RETURN_IF_ERROR(cache_->PutDirty(ref.addr, std::move(unit), dlock, 0, unit_off));
         }
       }
-      return OkStatus();
-    });
-    if (st.code() == StatusCode::kAborted) {
-      NoteRetry();
-      continue;
+      // A kept large block may still have committed chunks past the new
+      // end; return that physical space (reads then yield zeros).
+      if (node.large != 0 && old_size > kSmallBytesPerFile) {
+        uint64_t keep = new_size > kSmallBytesPerFile ? new_size - kSmallBytesPerFile : 0;
+        uint64_t keep_aligned = (keep + kChunkSize - 1) / kChunkSize * kChunkSize;
+        uint64_t old_extent =
+            (old_size - kSmallBytesPerFile + kChunkSize - 1) / kChunkSize * kChunkSize;
+        if (old_extent > keep_aligned) {
+          (void)device_->Decommit(geometry_.LargeBlockAddr(node.large) + keep_aligned,
+                                  old_extent - keep_aligned);
+        }
+      }
     }
-    RETURN_IF_ERROR(st);
-    if (freed_large) {
-      (void)DecommitFileData(before);
-    }
-    stats_.operations.fetch_add(1, std::memory_order_relaxed);
     return OkStatus();
+  };
+  RETURN_IF_ERROR(TwoPhaseOp("truncate", /*allocates=*/false, plan, apply));
+  if (freed_large) {
+    (void)DecommitFileData(before);
   }
-  return Aborted("truncate: too many conflicts");
+  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------

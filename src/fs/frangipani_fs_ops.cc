@@ -9,307 +9,132 @@
 
 namespace frangipani {
 
-namespace {
-constexpr int kMaxOpRetries = 64;
-constexpr int kAllocKindInode = 0;
-constexpr int kAllocKindSmall = 1;
-constexpr int kAllocKindLarge = 2;
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Create / Mkdir / Symlink
+// Create / Mkdir / Symlink / Link
 // ---------------------------------------------------------------------------
 
 StatusOr<uint64_t> FrangipaniFs::Create(const std::string& path) {
   obs::OpTrace trace(&op_metrics_.create, options_.node_id);
-  RETURN_IF_ERROR(CheckUsable());
-  if (options_.read_only) {
-    return PermissionDenied("read-only mount");
-  }
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    PathTarget t;
-    RETURN_IF_ERROR(ResolveDir(path, &t));
-    if (t.ino != 0) {
-      return AlreadyExists(path);
-    }
-    ASSIGN_OR_RETURN(uint64_t candidate, PickInodeCandidate());
-    uint32_t alloc_seg;
-    {
-      std::lock_guard<std::mutex> guard(alloc_mu_);
-      alloc_seg = alloc_seg_;
-    }
-    uint64_t created = 0;
-    Status st = WithLocks(
-        {{kLockBarrier, LockMode::kShared},
-         {SegmentLockId(SegmentOfInode(candidate)), LockMode::kExclusive},
-         {SegmentLockId(alloc_seg), LockMode::kExclusive},
-         {InodeLockId(t.parent), LockMode::kExclusive},
-         {InodeLockId(candidate), LockMode::kExclusive}},
-        [&]() -> Status {
-          MetaTxn txn(this);
-          Bytes* parent_raw = nullptr;
-          ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
-          if (parent.type != FileType::kDirectory) {
-            return NotFound("parent vanished");
-          }
-          ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
-          if (hit.has_value()) {
-            return AlreadyExists(path);
-          }
-          // Re-validate the inode candidate under its segment lock.
-          uint32_t seg = SegmentOfInode(candidate);
-          ASSIGN_OR_RETURN(Bytes * seg_block, txn.GetBlock(geometry_.SegmentAddr(seg),
-                                                           BlockKind::kMeta4k, SegmentLockId(seg)));
-          if (SegBitGet(*seg_block, InodeBit(candidate))) {
-            return Aborted("inode candidate taken");
-          }
-          SegBitSet(*seg_block, InodeBit(candidate), true);
-          txn.Touch(geometry_.SegmentAddr(seg), SegBitByteOffset(InodeBit(candidate)), 1);
-
-          Bytes* ino_raw = nullptr;
-          ASSIGN_OR_RETURN(Inode fresh, ReadInodeIn(txn, candidate, &ino_raw));
-          if (!fresh.IsFree()) {
-            return Aborted("inode candidate not free on disk");
-          }
-          Inode node;
-          node.type = FileType::kRegular;
-          node.nlink = 1;
-          node.mtime_us = node.ctime_us = node.atime_us = NowUs();
-          WriteInodeIn(txn, candidate, ino_raw, node);
-
-          RETURN_IF_ERROR(DirInsert(txn, t.parent, parent, parent_raw, t.leaf, candidate,
-                                    FileType::kRegular));
-          parent.mtime_us = NowUs();
-          WriteInodeIn(txn, t.parent, parent_raw, parent);
-          RETURN_IF_ERROR(txn.Commit());
-          created = candidate;
-          return OkStatus();
-        });
-    if (st.code() == StatusCode::kAborted) {
-      NoteRetry();
-      continue;
-    }
-    RETURN_IF_ERROR(st);
-    stats_.operations.fetch_add(1, std::memory_order_relaxed);
-    return created;
-  }
-  return Aborted("create: too many conflicts");
+  return CreateCommon(path, FileType::kRegular, "");
 }
-
-namespace {
-
-Status InitNewInode(Inode* node, FileType type, const std::string& symlink_target,
-                    int64_t now_us) {
-  node->type = type;
-  node->nlink = 1;
-  node->mtime_us = node->ctime_us = node->atime_us = now_us;
-  if (type == FileType::kSymlink) {
-    if (symlink_target.size() > kSymlinkMax) {
-      return InvalidArgument("symlink target too long");
-    }
-    node->symlink_target = symlink_target;
-  }
-  return OkStatus();
-}
-
-}  // namespace
 
 Status FrangipaniFs::Mkdir(const std::string& path) {
   obs::OpTrace trace(&op_metrics_.mkdir, options_.node_id);
-  RETURN_IF_ERROR(CheckUsable());
-  if (options_.read_only) {
-    return PermissionDenied("read-only mount");
-  }
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    PathTarget t;
-    RETURN_IF_ERROR(ResolveDir(path, &t));
-    if (t.ino != 0) {
-      return AlreadyExists(path);
-    }
-    ASSIGN_OR_RETURN(uint64_t candidate, PickInodeCandidate());
-    uint32_t alloc_seg;
-    {
-      std::lock_guard<std::mutex> guard(alloc_mu_);
-      alloc_seg = alloc_seg_;
-    }
-    Status st = WithLocks(
-        {{kLockBarrier, LockMode::kShared},
-         {SegmentLockId(SegmentOfInode(candidate)), LockMode::kExclusive},
-         {SegmentLockId(alloc_seg), LockMode::kExclusive},
-         {InodeLockId(t.parent), LockMode::kExclusive},
-         {InodeLockId(candidate), LockMode::kExclusive}},
-        [&]() -> Status {
-          MetaTxn txn(this);
-          Bytes* parent_raw = nullptr;
-          ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
-          if (parent.type != FileType::kDirectory) {
-            return NotFound("parent vanished");
-          }
-          ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
-          if (hit.has_value()) {
-            return AlreadyExists(path);
-          }
-          uint32_t seg = SegmentOfInode(candidate);
-          ASSIGN_OR_RETURN(Bytes * seg_block, txn.GetBlock(geometry_.SegmentAddr(seg),
-                                                           BlockKind::kMeta4k, SegmentLockId(seg)));
-          if (SegBitGet(*seg_block, InodeBit(candidate))) {
-            return Aborted("inode candidate taken");
-          }
-          SegBitSet(*seg_block, InodeBit(candidate), true);
-          txn.Touch(geometry_.SegmentAddr(seg), SegBitByteOffset(InodeBit(candidate)), 1);
-
-          Bytes* ino_raw = nullptr;
-          ASSIGN_OR_RETURN(Inode fresh, ReadInodeIn(txn, candidate, &ino_raw));
-          if (!fresh.IsFree()) {
-            return Aborted("inode candidate not free on disk");
-          }
-          Inode node;
-          RETURN_IF_ERROR(InitNewInode(&node, FileType::kDirectory, "", NowUs()));
-          WriteInodeIn(txn, candidate, ino_raw, node);
-          RETURN_IF_ERROR(DirInsert(txn, t.parent, parent, parent_raw, t.leaf, candidate,
-                                    FileType::kDirectory));
-          parent.mtime_us = NowUs();
-          WriteInodeIn(txn, t.parent, parent_raw, parent);
-          return txn.Commit();
-        });
-    if (st.code() == StatusCode::kAborted) {
-      NoteRetry();
-      continue;
-    }
-    RETURN_IF_ERROR(st);
-    stats_.operations.fetch_add(1, std::memory_order_relaxed);
-    return OkStatus();
-  }
-  return Aborted("mkdir: too many conflicts");
+  return CreateCommon(path, FileType::kDirectory, "").status();
 }
 
 Status FrangipaniFs::Symlink(const std::string& target, const std::string& path) {
   obs::OpTrace trace(&op_metrics_.symlink, options_.node_id);
-  RETURN_IF_ERROR(CheckUsable());
-  if (options_.read_only) {
-    return PermissionDenied("read-only mount");
+  return CreateCommon(path, FileType::kSymlink, target).status();
+}
+
+// One transaction allocates the inode and enters it in the parent
+// directory, for every file type.
+StatusOr<uint64_t> FrangipaniFs::CreateCommon(const std::string& path, FileType type,
+                                              const std::string& symlink_target) {
+  if (symlink_target.size() > kSymlinkMax) {
+    return InvalidArgument("symlink target too long");
   }
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    PathTarget t;
+  const char* op = type == FileType::kDirectory ? "mkdir"
+                   : type == FileType::kSymlink ? "symlink"
+                                                : "create";
+  PathTarget t;
+  uint64_t candidate = 0;
+  auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
     RETURN_IF_ERROR(ResolveDir(path, &t));
     if (t.ino != 0) {
       return AlreadyExists(path);
     }
-    ASSIGN_OR_RETURN(uint64_t candidate, PickInodeCandidate());
-    uint32_t alloc_seg;
-    {
-      std::lock_guard<std::mutex> guard(alloc_mu_);
-      alloc_seg = alloc_seg_;
+    ASSIGN_OR_RETURN(candidate, PickInodeCandidate());
+    return std::vector<PlannedLock>{{kLockBarrier, LockMode::kShared},
+                                    {SegmentLockId(SegmentOfInode(candidate)), LockMode::kExclusive},
+                                    {InodeLockId(t.parent), LockMode::kExclusive},
+                                    {InodeLockId(candidate), LockMode::kExclusive}};
+  };
+  auto apply = [&](AllocSeg& alloc) -> Status {
+    MetaTxn txn(this);
+    Bytes* parent_raw = nullptr;
+    ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
+    if (parent.type != FileType::kDirectory) {
+      return NotFound("parent vanished");
     }
-    Status st = WithLocks(
-        {{kLockBarrier, LockMode::kShared},
-         {SegmentLockId(SegmentOfInode(candidate)), LockMode::kExclusive},
-         {SegmentLockId(alloc_seg), LockMode::kExclusive},
-         {InodeLockId(t.parent), LockMode::kExclusive},
-         {InodeLockId(candidate), LockMode::kExclusive}},
-        [&]() -> Status {
-          MetaTxn txn(this);
-          Bytes* parent_raw = nullptr;
-          ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
-          if (parent.type != FileType::kDirectory) {
-            return NotFound("parent vanished");
-          }
-          ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
-          if (hit.has_value()) {
-            return AlreadyExists(path);
-          }
-          uint32_t seg = SegmentOfInode(candidate);
-          ASSIGN_OR_RETURN(Bytes * seg_block, txn.GetBlock(geometry_.SegmentAddr(seg),
-                                                           BlockKind::kMeta4k, SegmentLockId(seg)));
-          if (SegBitGet(*seg_block, InodeBit(candidate))) {
-            return Aborted("inode candidate taken");
-          }
-          SegBitSet(*seg_block, InodeBit(candidate), true);
-          txn.Touch(geometry_.SegmentAddr(seg), SegBitByteOffset(InodeBit(candidate)), 1);
-          Bytes* ino_raw = nullptr;
-          ASSIGN_OR_RETURN(Inode fresh, ReadInodeIn(txn, candidate, &ino_raw));
-          if (!fresh.IsFree()) {
-            return Aborted("inode candidate not free on disk");
-          }
-          Inode node;
-          RETURN_IF_ERROR(InitNewInode(&node, FileType::kSymlink, target, NowUs()));
-          WriteInodeIn(txn, candidate, ino_raw, node);
-          RETURN_IF_ERROR(DirInsert(txn, t.parent, parent, parent_raw, t.leaf, candidate,
-                                    FileType::kSymlink));
-          parent.mtime_us = NowUs();
-          WriteInodeIn(txn, t.parent, parent_raw, parent);
-          return txn.Commit();
-        });
-    if (st.code() == StatusCode::kAborted) {
-      NoteRetry();
-      continue;
+    ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
+    if (hit.has_value()) {
+      return AlreadyExists(path);
     }
-    RETURN_IF_ERROR(st);
-    stats_.operations.fetch_add(1, std::memory_order_relaxed);
-    return OkStatus();
-  }
-  return Aborted("symlink: too many conflicts");
+    // Re-validate the inode candidate under its segment lock.
+    uint32_t seg = SegmentOfInode(candidate);
+    ASSIGN_OR_RETURN(Bytes * seg_block, txn.GetBlock(geometry_.SegmentAddr(seg),
+                                                     BlockKind::kMeta4k, SegmentLockId(seg)));
+    if (SegBitGet(*seg_block, InodeBit(candidate))) {
+      return Aborted("inode candidate taken");
+    }
+    SegBitSet(*seg_block, InodeBit(candidate), true);
+    txn.Touch(geometry_.SegmentAddr(seg), SegBitByteOffset(InodeBit(candidate)), 1);
+
+    Bytes* ino_raw = nullptr;
+    ASSIGN_OR_RETURN(Inode fresh, ReadInodeIn(txn, candidate, &ino_raw));
+    if (!fresh.IsFree()) {
+      return Aborted("inode candidate not free on disk");
+    }
+    Inode node;
+    node.type = type;
+    node.nlink = 1;
+    node.mtime_us = node.ctime_us = node.atime_us = NowUs();
+    node.symlink_target = symlink_target;
+    WriteInodeIn(txn, candidate, ino_raw, node);
+
+    RETURN_IF_ERROR(DirInsert(txn, alloc, t.parent, parent, t.leaf, candidate, type));
+    parent.mtime_us = NowUs();
+    WriteInodeIn(txn, t.parent, parent_raw, parent);
+    return txn.Commit();
+  };
+  RETURN_IF_ERROR(TwoPhaseOp(op, /*allocates=*/true, plan, apply));
+  return candidate;
 }
 
 Status FrangipaniFs::Link(const std::string& existing, const std::string& path) {
   obs::OpTrace trace(&op_metrics_.link, options_.node_id);
-  RETURN_IF_ERROR(CheckUsable());
-  if (options_.read_only) {
-    return PermissionDenied("read-only mount");
-  }
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    ASSIGN_OR_RETURN(uint64_t ino, ResolveIno(existing, /*follow_leaf=*/false));
-    PathTarget t;
+  uint64_t ino = 0;
+  PathTarget t;
+  auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
+    ASSIGN_OR_RETURN(ino, ResolveIno(existing, /*follow_leaf=*/false));
     RETURN_IF_ERROR(ResolveDir(path, &t));
     if (t.ino != 0) {
       return AlreadyExists(path);
     }
-    uint32_t alloc_seg;
-    {
-      std::lock_guard<std::mutex> guard(alloc_mu_);
-      alloc_seg = alloc_seg_;
+    return std::vector<PlannedLock>{{kLockBarrier, LockMode::kShared},
+                                    {InodeLockId(t.parent), LockMode::kExclusive},
+                                    {InodeLockId(ino), LockMode::kExclusive}};
+  };
+  auto apply = [&](AllocSeg& alloc) -> Status {
+    MetaTxn txn(this);
+    Bytes* parent_raw = nullptr;
+    ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
+    if (parent.type != FileType::kDirectory) {
+      return NotFound("parent vanished");
     }
-    Status st = WithLocks(
-        {{kLockBarrier, LockMode::kShared},
-         {SegmentLockId(alloc_seg), LockMode::kExclusive},
-         {InodeLockId(t.parent), LockMode::kExclusive},
-         {InodeLockId(ino), LockMode::kExclusive}},
-        [&]() -> Status {
-          MetaTxn txn(this);
-          Bytes* parent_raw = nullptr;
-          ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
-          if (parent.type != FileType::kDirectory) {
-            return NotFound("parent vanished");
-          }
-          ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
-          if (hit.has_value()) {
-            return AlreadyExists(path);
-          }
-          Bytes* ino_raw = nullptr;
-          ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, ino, &ino_raw));
-          if (node.IsFree()) {
-            return Aborted("link target vanished");
-          }
-          if (node.type == FileType::kDirectory) {
-            return InvalidArgument("hard links to directories are not allowed");
-          }
-          node.nlink++;
-          node.ctime_us = NowUs();
-          WriteInodeIn(txn, ino, ino_raw, node);
-          RETURN_IF_ERROR(DirInsert(txn, t.parent, parent, parent_raw, t.leaf, ino, node.type));
-          parent.mtime_us = NowUs();
-          WriteInodeIn(txn, t.parent, parent_raw, parent);
-          return txn.Commit();
-        });
-    if (st.code() == StatusCode::kAborted) {
-      NoteRetry();
-      continue;
+    ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
+    if (hit.has_value()) {
+      return AlreadyExists(path);
     }
-    RETURN_IF_ERROR(st);
-    stats_.operations.fetch_add(1, std::memory_order_relaxed);
-    return OkStatus();
-  }
-  return Aborted("link: too many conflicts");
+    Bytes* ino_raw = nullptr;
+    ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, ino, &ino_raw));
+    if (node.IsFree()) {
+      return Aborted("link target vanished");
+    }
+    if (node.type == FileType::kDirectory) {
+      return InvalidArgument("hard links to directories are not allowed");
+    }
+    node.nlink++;
+    node.ctime_us = NowUs();
+    WriteInodeIn(txn, ino, ino_raw, node);
+    RETURN_IF_ERROR(DirInsert(txn, alloc, t.parent, parent, t.leaf, ino, node.type));
+    parent.mtime_us = NowUs();
+    WriteInodeIn(txn, t.parent, parent_raw, parent);
+    return txn.Commit();
+  };
+  return TwoPhaseOp("link", /*allocates=*/true, plan, apply);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,20 +142,18 @@ Status FrangipaniFs::Link(const std::string& existing, const std::string& path) 
 // ---------------------------------------------------------------------------
 
 Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
-  RETURN_IF_ERROR(CheckUsable());
-  if (options_.read_only) {
-    return PermissionDenied("read-only mount");
-  }
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    PathTarget t;
+  PathTarget t;
+  uint64_t expected_version = 0;
+  bool freed = false;
+  Inode freed_inode;
+  auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
     RETURN_IF_ERROR(ResolveDir(path, &t));
     if (t.ino == 0) {
       return NotFound(path);
     }
-    // Phase 1: inspect the target to learn which segments its storage spans.
-    uint64_t expected_version = 0;
+    // Inspect the target to learn which segments its storage spans.
     std::vector<uint32_t> segs;
-    Status st = WithLocks({{InodeLockId(t.ino), LockMode::kShared}}, [&]() -> Status {
+    RETURN_IF_ERROR(WithLocks({{InodeLockId(t.ino), LockMode::kShared}}, [&]() -> Status {
       ASSIGN_OR_RETURN(Inode node, ReadInode(t.ino));
       if (node.IsFree()) {
         return Aborted("target concurrently removed");
@@ -338,93 +161,81 @@ Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
       expected_version = node.version;
       segs = SegmentsOf(t.ino, node);
       return OkStatus();
-    });
-    if (st.code() == StatusCode::kAborted) {
-      NoteRetry();
-      continue;
-    }
-    RETURN_IF_ERROR(st);
-
-    std::vector<PlannedLock> plan = {{kLockBarrier, LockMode::kShared},
-                                     {InodeLockId(t.parent), LockMode::kExclusive},
-                                     {InodeLockId(t.ino), LockMode::kExclusive},
-                                     {InodeDataLockId(t.ino), LockMode::kExclusive}};
+    }));
+    std::vector<PlannedLock> locks = {{kLockBarrier, LockMode::kShared},
+                                      {InodeLockId(t.parent), LockMode::kExclusive},
+                                      {InodeLockId(t.ino), LockMode::kExclusive},
+                                      {InodeDataLockId(t.ino), LockMode::kExclusive}};
     for (uint32_t seg : segs) {
-      plan.push_back({SegmentLockId(seg), LockMode::kExclusive});
+      locks.push_back({SegmentLockId(seg), LockMode::kExclusive});
     }
-    bool freed = false;
-    Inode freed_inode;
-    st = WithLocks(plan, [&]() -> Status {
-      MetaTxn txn(this);
-      Bytes* parent_raw = nullptr;
-      ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
-      if (parent.type != FileType::kDirectory) {
-        return Aborted("parent vanished");
-      }
-      ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
-      if (!hit.has_value() || hit->ino != t.ino) {
-        return Aborted("directory entry changed");
-      }
-      Bytes* ino_raw = nullptr;
-      ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, t.ino, &ino_raw));
-      if (node.version != expected_version) {
-        return Aborted("inode changed since phase one");
-      }
-      if (dir_expected) {
-        if (node.type != FileType::kDirectory) {
-          return Status(StatusCode::kInvalidArgument, "not a directory");
-        }
-        ASSIGN_OR_RETURN(bool empty, DirIsEmpty(node, t.ino));
-        if (!empty) {
-          return FailedPrecondition("directory not empty");
-        }
-      } else if (node.type == FileType::kDirectory) {
-        return InvalidArgument("is a directory (use rmdir)");
-      }
-      RETURN_IF_ERROR(DirRemove(txn, t.parent, parent, t.leaf));
-      parent.mtime_us = NowUs();
-      WriteInodeIn(txn, t.parent, parent_raw, parent);
-      node.nlink--;
-      if (node.nlink == 0 || node.type == FileType::kDirectory) {
-        freed = true;
-        freed_inode = node;
-        RETURN_IF_ERROR(FreeInodeAndBlocks(txn, t.ino, node));
-        Inode empty_node;  // type kFree
-        WriteInodeIn(txn, t.ino, ino_raw, empty_node);
-      } else {
-        node.ctime_us = NowUs();
-        WriteInodeIn(txn, t.ino, ino_raw, node);
-      }
-      RETURN_IF_ERROR(txn.Commit());
-      if (freed) {
-        // Freed blocks can be reallocated by other servers under other
-        // locks; purge our copies now (flushing the inode image first).
-        // The file's content dies with it: drop, don't flush, data entries.
-        RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(t.ino)));
-        cache_->InvalidateLock(InodeLockId(t.ino));
-        cache_->InvalidateLock(InodeDataLockId(t.ino));
-      }
-      return OkStatus();
-    });
-    if (st.code() == StatusCode::kAborted) {
-      NoteRetry();
-      continue;
+    return locks;
+  };
+  auto apply = [&](AllocSeg&) -> Status {
+    freed = false;
+    MetaTxn txn(this);
+    Bytes* parent_raw = nullptr;
+    ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
+    if (parent.type != FileType::kDirectory) {
+      return Aborted("parent vanished");
     }
-    RETURN_IF_ERROR(st);
+    ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
+    if (!hit.has_value() || hit->ino != t.ino) {
+      return Aborted("directory entry changed");
+    }
+    Bytes* ino_raw = nullptr;
+    ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, t.ino, &ino_raw));
+    if (node.version != expected_version) {
+      return Aborted("inode changed since phase one");
+    }
+    if (dir_expected) {
+      if (node.type != FileType::kDirectory) {
+        return Status(StatusCode::kInvalidArgument, "not a directory");
+      }
+      ASSIGN_OR_RETURN(bool empty, DirIsEmpty(node, t.ino));
+      if (!empty) {
+        return FailedPrecondition("directory not empty");
+      }
+    } else if (node.type == FileType::kDirectory) {
+      return InvalidArgument("is a directory (use rmdir)");
+    }
+    RETURN_IF_ERROR(DirRemove(txn, t.parent, parent, t.leaf));
+    parent.mtime_us = NowUs();
+    WriteInodeIn(txn, t.parent, parent_raw, parent);
+    node.nlink--;
+    if (node.nlink == 0 || node.type == FileType::kDirectory) {
+      freed = true;
+      freed_inode = node;
+      RETURN_IF_ERROR(FreeInodeAndBlocks(txn, t.ino, node));
+      Inode empty_node;  // type kFree
+      WriteInodeIn(txn, t.ino, ino_raw, empty_node);
+    } else {
+      node.ctime_us = NowUs();
+      WriteInodeIn(txn, t.ino, ino_raw, node);
+    }
+    RETURN_IF_ERROR(txn.Commit());
     if (freed) {
-      (void)DecommitFileData(freed_inode);
-      {
-        std::lock_guard<std::mutex> guard(ra_mu_);
-        ra_last_end_.erase(t.ino);
-      }
-      std::lock_guard<std::mutex> guard(atime_mu_);
-      atime_overlay_.erase(t.ino);
-      mtime_overlay_.erase(t.ino);
+      // Freed blocks can be reallocated by other servers under other
+      // locks; purge our copies now (flushing the inode image first).
+      // The file's content dies with it: drop, don't flush, data entries.
+      RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(t.ino)));
+      cache_->InvalidateLock(InodeLockId(t.ino));
+      cache_->InvalidateLock(InodeDataLockId(t.ino));
     }
-    stats_.operations.fetch_add(1, std::memory_order_relaxed);
     return OkStatus();
+  };
+  RETURN_IF_ERROR(TwoPhaseOp("remove", /*allocates=*/false, plan, apply));
+  if (freed) {
+    (void)DecommitFileData(freed_inode);
+    {
+      std::lock_guard<std::mutex> guard(ra_mu_);
+      ra_last_end_.erase(t.ino);
+    }
+    std::lock_guard<std::mutex> guard(atime_mu_);
+    atime_overlay_.erase(t.ino);
+    mtime_overlay_.erase(t.ino);
   }
-  return Aborted("remove: too many conflicts");
+  return OkStatus();
 }
 
 Status FrangipaniFs::Unlink(const std::string& path) {
@@ -443,28 +254,27 @@ Status FrangipaniFs::Rmdir(const std::string& path) {
 
 Status FrangipaniFs::Rename(const std::string& from, const std::string& to) {
   obs::OpTrace trace(&op_metrics_.rename, options_.node_id);
-  RETURN_IF_ERROR(CheckUsable());
-  if (options_.read_only) {
-    return PermissionDenied("read-only mount");
-  }
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    PathTarget src;
+  PathTarget src;
+  PathTarget dst;
+  uint64_t dst_version = 0;
+  bool replaced = false;
+  Inode replaced_inode;
+  auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
     RETURN_IF_ERROR(ResolveDir(from, &src));
     if (src.ino == 0) {
       return NotFound(from);
     }
-    PathTarget dst;
     RETURN_IF_ERROR(ResolveDir(to, &dst));
     if (dst.ino == src.ino && dst.parent == src.parent) {
-      return OkStatus();  // rename to itself
+      return std::vector<PlannedLock>{};  // rename to itself
     }
-
-    // Phase 1: if the destination exists it will be replaced; learn its
-    // segments for the free.
-    uint64_t dst_version = 0;
-    std::vector<uint32_t> dst_segs;
+    std::vector<PlannedLock> locks = {{kLockBarrier, LockMode::kShared},
+                                      {InodeLockId(src.parent), LockMode::kExclusive},
+                                      {InodeLockId(dst.parent), LockMode::kExclusive}};
     if (dst.ino != 0) {
-      Status st = WithLocks({{InodeLockId(dst.ino), LockMode::kShared}}, [&]() -> Status {
+      // The destination will be replaced; learn its segments for the free.
+      std::vector<uint32_t> dst_segs;
+      RETURN_IF_ERROR(WithLocks({{InodeLockId(dst.ino), LockMode::kShared}}, [&]() -> Status {
         ASSIGN_OR_RETURN(Inode node, ReadInode(dst.ino));
         if (node.IsFree()) {
           return Aborted("destination concurrently removed");
@@ -472,115 +282,93 @@ Status FrangipaniFs::Rename(const std::string& from, const std::string& to) {
         dst_version = node.version;
         dst_segs = SegmentsOf(dst.ino, node);
         return OkStatus();
-      });
-      if (st.code() == StatusCode::kAborted) {
-        NoteRetry();
-        continue;
-      }
-      RETURN_IF_ERROR(st);
-    }
-
-    std::vector<PlannedLock> plan = {{kLockBarrier, LockMode::kShared},
-                                     {InodeLockId(src.parent), LockMode::kExclusive},
-                                     {InodeLockId(dst.parent), LockMode::kExclusive}};
-    if (dst.ino != 0) {
-      plan.push_back({InodeLockId(dst.ino), LockMode::kExclusive});
-      plan.push_back({InodeDataLockId(dst.ino), LockMode::kExclusive});
+      }));
+      locks.push_back({InodeLockId(dst.ino), LockMode::kExclusive});
+      locks.push_back({InodeDataLockId(dst.ino), LockMode::kExclusive});
       for (uint32_t seg : dst_segs) {
-        plan.push_back({SegmentLockId(seg), LockMode::kExclusive});
+        locks.push_back({SegmentLockId(seg), LockMode::kExclusive});
       }
     }
-    bool replaced = false;
-    Inode replaced_inode;
-    Status st = WithLocks(plan, [&]() -> Status {
-      MetaTxn txn(this);
-      Bytes* srcp_raw = nullptr;
-      ASSIGN_OR_RETURN(Inode srcp, ReadInodeIn(txn, src.parent, &srcp_raw));
-      if (srcp.type != FileType::kDirectory) {
-        return Aborted("source parent vanished");
-      }
-      ASSIGN_OR_RETURN(std::optional<DirHit> shit, DirFind(srcp, src.parent, src.leaf, nullptr));
-      if (!shit.has_value() || shit->ino != src.ino) {
-        return Aborted("source entry changed");
-      }
-      Bytes* dstp_raw = srcp_raw;
-      Inode dstp = srcp;
-      if (dst.parent != src.parent) {
-        ASSIGN_OR_RETURN(dstp, ReadInodeIn(txn, dst.parent, &dstp_raw));
-        if (dstp.type != FileType::kDirectory) {
-          return Aborted("destination parent vanished");
-        }
-      }
-      ASSIGN_OR_RETURN(std::optional<DirHit> dhit, DirFind(dstp, dst.parent, dst.leaf, nullptr));
-      if (dst.ino == 0) {
-        if (dhit.has_value()) {
-          return Aborted("destination appeared");
-        }
-      } else {
-        if (!dhit.has_value() || dhit->ino != dst.ino) {
-          return Aborted("destination entry changed");
-        }
-        Bytes* dino_raw = nullptr;
-        ASSIGN_OR_RETURN(Inode dnode, ReadInodeIn(txn, dst.ino, &dino_raw));
-        if (dnode.version != dst_version) {
-          return Aborted("destination inode changed");
-        }
-        if (dnode.type == FileType::kDirectory) {
-          if (shit->type != FileType::kDirectory) {
-            return InvalidArgument("cannot overwrite a directory with a file");
-          }
-          ASSIGN_OR_RETURN(bool empty, DirIsEmpty(dnode, dst.ino));
-          if (!empty) {
-            return FailedPrecondition("destination directory not empty");
-          }
-        }
-        dnode.nlink--;
-        if (dnode.nlink == 0 || dnode.type == FileType::kDirectory) {
-          replaced = true;
-          replaced_inode = dnode;
-          RETURN_IF_ERROR(FreeInodeAndBlocks(txn, dst.ino, dnode));
-          Inode empty_node;
-          WriteInodeIn(txn, dst.ino, dino_raw, empty_node);
-        } else {
-          WriteInodeIn(txn, dst.ino, dino_raw, dnode);
-        }
-        RETURN_IF_ERROR(DirRemove(txn, dst.parent, dstp, dst.leaf));
-      }
-      RETURN_IF_ERROR(DirRemove(txn, src.parent, srcp, src.leaf));
-      RETURN_IF_ERROR(
-          DirInsert(txn, dst.parent, dstp, dstp_raw, dst.leaf, src.ino, shit->type));
-      srcp.mtime_us = NowUs();
-      dstp.mtime_us = NowUs();
-      if (dst.parent != src.parent) {
-        WriteInodeIn(txn, src.parent, srcp_raw, srcp);
-        WriteInodeIn(txn, dst.parent, dstp_raw, dstp);
-      } else {
-        // Same directory: srcp and dstp are the same inode; merge edits.
-        // DirInsert/DirRemove mutated `srcp`/`dstp` copies independently, so
-        // re-apply size growth conservatively.
-        dstp.mtime_us = NowUs();
-        WriteInodeIn(txn, dst.parent, dstp_raw, dstp);
-      }
-      RETURN_IF_ERROR(txn.Commit());
-      if (replaced) {
-        RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(dst.ino)));
-        cache_->InvalidateLock(InodeLockId(dst.ino));
-        cache_->InvalidateLock(InodeDataLockId(dst.ino));
-      }
-      return OkStatus();
-    });
-    if (st.code() == StatusCode::kAborted) {
-      NoteRetry();
-      continue;
+    return locks;
+  };
+  auto apply = [&](AllocSeg& alloc) -> Status {
+    replaced = false;
+    MetaTxn txn(this);
+    Bytes* srcp_raw = nullptr;
+    ASSIGN_OR_RETURN(Inode srcp, ReadInodeIn(txn, src.parent, &srcp_raw));
+    if (srcp.type != FileType::kDirectory) {
+      return Aborted("source parent vanished");
     }
-    RETURN_IF_ERROR(st);
+    ASSIGN_OR_RETURN(std::optional<DirHit> shit, DirFind(srcp, src.parent, src.leaf, nullptr));
+    if (!shit.has_value() || shit->ino != src.ino) {
+      return Aborted("source entry changed");
+    }
+    Bytes* dstp_raw = srcp_raw;
+    Inode dstp = srcp;
+    if (dst.parent != src.parent) {
+      ASSIGN_OR_RETURN(dstp, ReadInodeIn(txn, dst.parent, &dstp_raw));
+      if (dstp.type != FileType::kDirectory) {
+        return Aborted("destination parent vanished");
+      }
+    }
+    ASSIGN_OR_RETURN(std::optional<DirHit> dhit, DirFind(dstp, dst.parent, dst.leaf, nullptr));
+    if (dst.ino == 0) {
+      if (dhit.has_value()) {
+        return Aborted("destination appeared");
+      }
+    } else {
+      if (!dhit.has_value() || dhit->ino != dst.ino) {
+        return Aborted("destination entry changed");
+      }
+      Bytes* dino_raw = nullptr;
+      ASSIGN_OR_RETURN(Inode dnode, ReadInodeIn(txn, dst.ino, &dino_raw));
+      if (dnode.version != dst_version) {
+        return Aborted("destination inode changed");
+      }
+      if (dnode.type == FileType::kDirectory) {
+        if (shit->type != FileType::kDirectory) {
+          return InvalidArgument("cannot overwrite a directory with a file");
+        }
+        ASSIGN_OR_RETURN(bool empty, DirIsEmpty(dnode, dst.ino));
+        if (!empty) {
+          return FailedPrecondition("destination directory not empty");
+        }
+      }
+      dnode.nlink--;
+      if (dnode.nlink == 0 || dnode.type == FileType::kDirectory) {
+        replaced = true;
+        replaced_inode = dnode;
+        RETURN_IF_ERROR(FreeInodeAndBlocks(txn, dst.ino, dnode));
+        Inode empty_node;
+        WriteInodeIn(txn, dst.ino, dino_raw, empty_node);
+      } else {
+        WriteInodeIn(txn, dst.ino, dino_raw, dnode);
+      }
+      RETURN_IF_ERROR(DirRemove(txn, dst.parent, dstp, dst.leaf));
+    }
+    RETURN_IF_ERROR(DirRemove(txn, src.parent, srcp, src.leaf));
+    RETURN_IF_ERROR(DirInsert(txn, alloc, dst.parent, dstp, dst.leaf, src.ino, shit->type));
+    srcp.mtime_us = NowUs();
+    dstp.mtime_us = NowUs();
+    if (dst.parent != src.parent) {
+      WriteInodeIn(txn, src.parent, srcp_raw, srcp);
+    }
+    // Same directory: srcp and dstp are copies of one inode, and only
+    // DirInsert (through dstp) can change its size, so dstp wins.
+    WriteInodeIn(txn, dst.parent, dstp_raw, dstp);
+    RETURN_IF_ERROR(txn.Commit());
     if (replaced) {
-      (void)DecommitFileData(replaced_inode);
+      RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(dst.ino)));
+      cache_->InvalidateLock(InodeLockId(dst.ino));
+      cache_->InvalidateLock(InodeDataLockId(dst.ino));
     }
-    stats_.operations.fetch_add(1, std::memory_order_relaxed);
     return OkStatus();
+  };
+  RETURN_IF_ERROR(TwoPhaseOp("rename", /*allocates=*/true, plan, apply));
+  if (replaced) {
+    (void)DecommitFileData(replaced_inode);
   }
-  return Aborted("rename: too many conflicts");
+  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@
 namespace frangipani {
 
 LockClerk::LockClerk(Network* net, NodeId self, std::unique_ptr<LockRouter> router, Clock* clock,
-                     Callbacks callbacks, LockClerkOptions options)
+                     Callbacks callbacks)
     : net_(net),
       self_(self),
       router_(std::move(router)),
       clock_(clock),
-      callbacks_(std::move(callbacks)),
-      options_(options) {
+      callbacks_(std::move(callbacks)) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   m_sticky_hits_ = reg->GetCounter("lock.acquire.sticky");
   m_remote_acquires_ = reg->GetCounter("lock.acquire.remote");
@@ -134,18 +133,21 @@ StatusOr<Bytes> LockClerk::ServerCall(uint32_t method, LockId lock, const Bytes&
   return last;
 }
 
-void LockClerk::DeliverServerBatch(LockId route_lock, std::vector<SubCall> subs, int renew_idx,
-                                   TimePoint sent) {
+void LockClerk::DeliverGrantAck(LockId lock, uint32_t slot, TimePoint sent) {
   constexpr int kAttempts = 6;
+  constexpr size_t kRenewIdx = 1;
+  const std::vector<SubCall> subs = {
+      {"lockd", kLockAck, LockAckRequest{slot, lock}.Encode()},
+      {"lockd", kLockRenew, LockSlotRequest{slot}.Encode()}};
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    StatusOr<NodeId> server = router_->ServerForLock(route_lock);
+    StatusOr<NodeId> server = router_->ServerForLock(lock);
     if (!server.ok()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1 << std::min(attempt, 4)));
       continue;
     }
     std::vector<SubCall> wire = subs;
     size_t queued = 0;
-    if (options_.batch_releases) {
+    {
       std::lock_guard<std::mutex> guard(mu_);
       auto qit = queued_releases_.find(*server);
       if (qit != queued_releases_.end()) {
@@ -177,8 +179,8 @@ void LockClerk::DeliverServerBatch(LockId route_lock, std::vector<SubCall> subs,
       std::this_thread::sleep_for(std::chrono::milliseconds(1 << std::min(attempt, 4)));
       continue;
     }
-    if (renew_idx >= 0 && static_cast<size_t>(renew_idx) < replies.size()) {
-      RecordPiggybackedRenewal(*server, replies[renew_idx], sent);
+    if (kRenewIdx < replies.size()) {
+      RecordPiggybackedRenewal(*server, replies[kRenewIdx], sent);
     }
     if (obs::RecorderEnabled()) {
       obs::RecordInstant(obs::Layer::kLock, "lock.batch_delivered", self_, "subs", wire.size());
@@ -199,22 +201,19 @@ void LockClerk::FlushQueuedReleases() {
     slot = slot_;
   }
   for (auto& [server, bodies] : drained) {
+    // A renewal leads the batch.
     std::vector<SubCall> subs;
-    int renew_idx = -1;
     TimePoint sent = clock_->Now();
-    if (options_.piggyback_renewals) {
-      renew_idx = 0;
-      subs.push_back({"lockd", kLockRenew, LockSlotRequest{slot}.Encode()});
-    }
+    subs.push_back({"lockd", kLockRenew, LockSlotRequest{slot}.Encode()});
     for (Bytes& body : bodies) {
       subs.push_back({"lockd", kLockRelease, std::move(body)});
     }
     m_batched_releases_->Increment(bodies.size());
     std::vector<StatusOr<Bytes>> replies = net_->CallBatch(self_, server, subs);
-    if (renew_idx >= 0 && static_cast<size_t>(renew_idx) < replies.size()) {
-      RecordPiggybackedRenewal(server, replies[renew_idx], sent);
+    if (!replies.empty()) {
+      RecordPiggybackedRenewal(server, replies[0], sent);
     }
-    // Failed releases are dropped, not retried: see DeliverServerBatch.
+    // Failed releases are dropped, not retried: see DeliverGrantAck.
   }
 }
 
@@ -373,28 +372,17 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
     // which also means the ack only has to land eventually, so it can ride
     // the IO pool as a vector call with a piggybacked renewal and any queued
     // releases instead of costing this thread another round-trip.
-    std::vector<SubCall> subs;
-    subs.push_back({"lockd", kLockAck, LockAckRequest{slot, lock}.Encode()});
-    int renew_idx = -1;
-    if (options_.piggyback_renewals) {
-      renew_idx = static_cast<int>(subs.size());
-      subs.push_back({"lockd", kLockRenew, LockSlotRequest{slot}.Encode()});
-    }
     TimePoint sent = clock_->Now();
-    if (options_.async_grant_ack) {
-      {
-        std::lock_guard<std::mutex> guard(mu_);
-        ++async_acks_;
-      }
-      net_->SubmitIo([this, lock, subs = std::move(subs), renew_idx, sent]() mutable {
-        DeliverServerBatch(lock, std::move(subs), renew_idx, sent);
-        std::lock_guard<std::mutex> guard(mu_);
-        --async_acks_;
-        async_cv_.notify_all();
-      });
-    } else {
-      DeliverServerBatch(lock, std::move(subs), renew_idx, sent);
+    {
+      std::lock_guard<std::mutex> guard(mu_);
+      ++async_acks_;
     }
+    net_->SubmitIo([this, lock, slot, sent] {
+      DeliverGrantAck(lock, slot, sent);
+      std::lock_guard<std::mutex> guard(mu_);
+      --async_acks_;
+      async_cv_.notify_all();
+    });
     return OkStatus();
   }
 }
@@ -454,13 +442,11 @@ void LockClerk::DropIdle(Duration max_idle) {
       cv_.notify_all();
     }
     Bytes release = LockModeRequest{slot, lock, LockMode::kNone, FullRange()}.Encode();
-    if (options_.batch_releases) {
-      StatusOr<NodeId> server = router_->ServerForLock(lock);
-      if (server.ok()) {
-        std::lock_guard<std::mutex> guard(mu_);
-        queued_releases_[*server].push_back(std::move(release));
-        continue;
-      }
+    StatusOr<NodeId> server = router_->ServerForLock(lock);
+    if (server.ok()) {
+      std::lock_guard<std::mutex> guard(mu_);
+      queued_releases_[*server].push_back(std::move(release));
+      continue;
     }
     (void)ServerCall(kLockRelease, lock, release);
   }
@@ -493,7 +479,7 @@ void LockClerk::RenewTick() {
   // delay renewal at the others past lease expiry.
   std::vector<std::pair<NodeId, std::future<StatusOr<Bytes>>>> pending;
   for (NodeId server : router_->AllServers()) {
-    if (options_.piggyback_renewals) {
+    {
       std::lock_guard<std::mutex> guard(mu_);
       auto it = renew_ok_.find(server);
       if (it != renew_ok_.end() && sent - it->second < lease_duration_ / 6) {

@@ -28,20 +28,6 @@
 
 namespace frangipani {
 
-// Traffic-coalescing knobs (all on by default; tests and the batching-off
-// bench configs disable them individually).
-struct LockClerkOptions {
-  // Deliver grant acks on the IO pool as a vector call (with a piggybacked
-  // renewal) instead of blocking the acquiring thread one more round-trip.
-  // Safe because the server blocks revokes of the grant until the ack lands.
-  bool async_grant_ack = true;
-  // Ride lease renewals on outgoing ack/release batches; RenewTick then
-  // skips servers that confirmed one recently.
-  bool piggyback_renewals = true;
-  // Queue idle-drop releases and send one vector call per server.
-  bool batch_releases = true;
-};
-
 class LockClerk : public Service {
  public:
   struct Callbacks {
@@ -62,7 +48,7 @@ class LockClerk : public Service {
   static constexpr const char* kServiceName = "lockclerk";
 
   LockClerk(Network* net, NodeId self, std::unique_ptr<LockRouter> router, Clock* clock,
-            Callbacks callbacks, LockClerkOptions options = {});
+            Callbacks callbacks);
   ~LockClerk() override;
 
   // Opens the lock table; obtains a lease. The returned slot is also this
@@ -125,13 +111,12 @@ class LockClerk : public Service {
   // Sends a lock-server call with routing/failover; returns the reply.
   StatusOr<Bytes> ServerCall(uint32_t method, LockId lock, const Bytes& request);
 
-  // Delivers `subs` as one vector call to the server responsible for
-  // `route_lock`, with ServerCall-style retry/failover. Queued releases for
-  // the resolved server are drained into the batch. When `renew_idx` >= 0,
-  // subs[renew_idx] is a piggybacked renewal sent at `sent`; its reply
-  // updates renew_ok_ / renew_denied_.
-  void DeliverServerBatch(LockId route_lock, std::vector<SubCall> subs, int renew_idx,
-                          TimePoint sent);
+  // Acknowledges the grant of `lock` with a piggybacked renewal sent at
+  // `sent`, as one vector call to the server responsible for the lock, with
+  // ServerCall-style retry/failover. Queued releases for the resolved server
+  // are drained into the batch. The renewal's reply updates renew_ok_ /
+  // renew_denied_.
+  void DeliverGrantAck(LockId lock, uint32_t slot, TimePoint sent);
   // Sends one vector call per server with queued releases (plus a leading
   // piggybacked renewal). Failed releases are dropped: the server revokes
   // the lock later and HandleRevoke answers "nothing held".
@@ -154,7 +139,6 @@ class LockClerk : public Service {
   std::unique_ptr<LockRouter> router_;
   Clock* clock_;
   Callbacks callbacks_;
-  LockClerkOptions options_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -14,10 +14,7 @@ PetalClient::PetalClient(Network* net, NodeId self, std::vector<NodeId> bootstra
     : net_(net),
       self_(self),
       bootstrap_(std::move(bootstrap_servers)),
-      io_window_(options.io_window),
-      fuse_small_(options.fuse_small),
-      fuse_threshold_(options.fuse_threshold),
-      fuse_max_batch_(options.fuse_max_batch) {
+      io_window_(options.io_window) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   m_read_us_ = reg->GetHistogram("petal.read_us");
   m_write_us_ = reg->GetHistogram("petal.write_us");
@@ -161,11 +158,11 @@ std::vector<ChunkSpan> SplitIntoChunks(uint64_t offset, uint64_t length) {
 }  // namespace
 
 bool PetalClient::ShouldFuse(const std::vector<ChunkSpan>& spans) const {
-  if (!fuse_small_ || spans.size() < 2) {
+  if (spans.size() < 2) {
     return false;
   }
   for (const ChunkSpan& s : spans) {
-    if (s.n > fuse_threshold_) {
+    if (s.n > kFuseThreshold) {
       return false;
     }
   }
@@ -197,7 +194,7 @@ std::vector<StatusOr<Bytes>> PetalClient::RunFused(const std::vector<CallSpec>& 
   pf.inflight = m_inflight_;
   pf.inflight_peak = m_inflight_peak_;
   return net_->ParallelCalls(self_, specs, io_window_.load(std::memory_order_relaxed), pf,
-                             fuse_max_batch_);
+                             kFuseMaxBatch);
 }
 
 Status PetalClient::Read(VdiskId vdisk, uint64_t offset, uint64_t length, Bytes* out) {

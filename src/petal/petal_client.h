@@ -32,14 +32,6 @@ struct PetalClientOptions {
   // path entirely (serial loop on the caller's thread, the pre-scatter-gather
   // behavior; benches use it as the comparison baseline).
   uint32_t io_window = 8;
-  // Same-destination fusion: when every slice of a multi-chunk transfer is
-  // at most fuse_threshold bytes, slices placed on the same primary travel
-  // as one vector call (one link latency for the lot). Large slices are
-  // never fused — that would serialize their modeled disk time at one
-  // server and undo the streaming scatter-gather win.
-  bool fuse_small = true;
-  uint32_t fuse_threshold = 16 * 1024;
-  size_t fuse_max_batch = 8;
 };
 
 // One chunk-granularity slice of a larger transfer.
@@ -102,7 +94,14 @@ class PetalClient {
   Status ForEachChunk(size_t count, const std::function<Status(size_t)>& op);
 
   // ---- Same-destination fusion (vector calls) ----
-  // True when the transfer qualifies: fusion on, multiple slices, all small.
+  // When every slice of a multi-chunk transfer is at most kFuseThreshold
+  // bytes, slices placed on the same primary travel as one vector call of
+  // up to kFuseMaxBatch entries (one link latency for the lot). Large slices
+  // are never fused: that would serialize their modeled disk time at one
+  // server and undo the streaming scatter-gather win.
+  static constexpr uint32_t kFuseThreshold = 16 * 1024;
+  static constexpr size_t kFuseMaxBatch = 8;
+  // True when the transfer qualifies: multiple slices, all small.
   bool ShouldFuse(const std::vector<ChunkSpan>& spans) const;
   // Addresses each span at its primary replica; false when the map can't
   // place every span (caller takes the ChunkCall path instead).
@@ -116,9 +115,6 @@ class PetalClient {
   NodeId self_;
   std::vector<NodeId> bootstrap_;
   std::atomic<uint32_t> io_window_;
-  bool fuse_small_;
-  uint32_t fuse_threshold_;
-  size_t fuse_max_batch_;
 
   mutable std::mutex mu_;
   PetalGlobalMap map_;

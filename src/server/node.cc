@@ -37,7 +37,7 @@ FrangipaniNode::FrangipaniNode(Network* net, NodeId node, std::vector<NodeId> pe
     }
   };
   clerk_ = std::make_unique<LockClerk>(net_, node_, std::move(router), clock_,
-                                       std::move(callbacks), options_.clerk);
+                                       std::move(callbacks));
   provider_ = std::make_unique<ClerkLockProvider>(clerk_.get());
 }
 

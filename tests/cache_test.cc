@@ -2,6 +2,10 @@
 // pinning, eviction, prefetch epochs, and prefetch coordination.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <thread>
 
 #include "src/fs/block_cache.h"
@@ -248,6 +252,44 @@ TEST_F(CacheTest, ShardedConcurrentMixedTraffic) {
       EXPECT_EQ(back[0], fill) << "thread " << t << " block " << i;
     }
   }
+}
+
+// Write-behind flushes the oldest dirty blocks first while FlushLock claims
+// in address order; writing blocks in descending address order makes the two
+// orders opposite. Flushers of overlapping sets must never wait on each
+// other while holding claims, or they deadlock.
+TEST_F(CacheTest, OverlappingFlushersFinish) {
+  constexpr int kBlocks = 32;  // 128 KB: one shard region
+  auto work = std::async(std::launch::async, [&] {
+    std::atomic<bool> stop{false};
+    std::thread flusher([&] {
+      while (!stop.load()) {
+        EXPECT_TRUE(cache_->FlushLock(7).ok());
+      }
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 3; ++w) {
+      writers.emplace_back([&, w] {
+        for (int round = 0; round < 1000; ++round) {
+          for (int b = kBlocks - 1; b >= 0; --b) {
+            Bytes data = Block(static_cast<uint8_t>(w + round));
+            EXPECT_TRUE(cache_->PutDirty(uint64_t(b) * 4096, std::move(data), 7, 0).ok());
+          }
+        }
+      });
+    }
+    for (auto& t : writers) {
+      t.join();
+    }
+    stop = true;
+    flusher.join();
+  });
+  if (work.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "OverlappingFlushersFinish: flushers deadlocked\n");
+    std::_Exit(1);  // the stuck threads cannot be joined
+  }
+  ASSERT_TRUE(cache_->FlushAll().ok());
+  EXPECT_EQ(cache_->dirty_bytes(), 0u);
 }
 
 TEST_F(CacheTest, FlushPinnedUpToSelectsByLsn) {

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
 #include "src/fs/alloc.h"
+#include "src/fs/device.h"
 #include "src/fs/dir.h"
+#include "src/fs/frangipani_fs.h"
 #include "src/fs/inode.h"
 #include "src/fs/layout.h"
+#include "src/fs/lock_provider.h"
 
 namespace frangipani {
 namespace {
@@ -220,6 +227,122 @@ TEST(LayoutTest, FileSizeLimits) {
   EXPECT_EQ(g.MaxFileSize(), kSmallBytesPerFile + kTiB);
   // Paper: ~16 million large files.
   EXPECT_GE(g.MaxLargeBlocks(), 1u << 20);
+}
+
+// ---- allocation under segment locks (§3) ----
+
+// LocalLocks that records, after every Acquire, the set of locks held
+// exclusively at that moment. Single-threaded use only.
+class RecordingLocks : public LocalLocks {
+ public:
+  Status Acquire(LockId lock, LockMode mode, LockRange range = LockRange{}) override {
+    RETURN_IF_ERROR(LocalLocks::Acquire(lock, mode, range));
+    held_[lock] = mode;
+    std::set<LockId> exclusive;
+    for (const auto& [id, m] : held_) {
+      if (m == LockMode::kExclusive) {
+        exclusive.insert(id);
+      }
+    }
+    snapshots_.push_back(std::move(exclusive));
+    return OkStatus();
+  }
+  void Release(LockId lock, LockRange range = LockRange{}) override {
+    held_.erase(lock);
+    LocalLocks::Release(lock, range);
+  }
+
+  void ClearSnapshots() { snapshots_.clear(); }
+  // True when some Acquire left `a` and `b` both held exclusively.
+  bool HeldTogether(LockId a, LockId b) const {
+    for (const std::set<LockId>& x : snapshots_) {
+      if (x.count(a) > 0 && x.count(b) > 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::map<LockId, LockMode> held_;
+  std::vector<std::set<LockId>> snapshots_;
+};
+
+class SegmentLockTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    geometry_.num_segments = 16;
+    ASSERT_TRUE(FrangipaniFs::Mkfs(&device_, geometry_).ok());
+  }
+
+  void MountFs() {
+    FsOptions opts;
+    opts.fence_writes = false;
+    fs_ = std::make_unique<FrangipaniFs>(&device_, &locks_, SystemClock::Get(), opts);
+    ASSERT_TRUE(fs_->Mount().ok());
+  }
+
+  // The durable inode (after a full sync).
+  Inode DiskInode(uint64_t ino) {
+    EXPECT_TRUE(fs_->SyncAll().ok());
+    Bytes raw;
+    EXPECT_TRUE(device_.Read(geometry_.InodeAddr(ino), kInodeSize, &raw).ok());
+    StatusOr<Inode> node = Inode::Decode(raw);
+    EXPECT_TRUE(node.ok());
+    return node.ok() ? *node : Inode{};
+  }
+
+  LocalDevice device_{1, PhysDiskParams{.timing_enabled = false}};
+  Geometry geometry_;
+  RecordingLocks locks_;
+  std::unique_ptr<FrangipaniFs> fs_;
+};
+
+// A rename into a directory whose blocks are all full grows it by a block;
+// that block must come from a segment the rename holds exclusively.
+TEST_F(SegmentLockTest, RenameGrowingDirectoryHoldsItsSegmentLock) {
+  MountFs();
+  ASSERT_TRUE(fs_->Mkdir("/a").ok());
+  ASSERT_TRUE(fs_->Mkdir("/d").ok());
+  ASSERT_TRUE(fs_->Create("/a/f").ok());
+  for (uint32_t i = 0; i < kDirEntriesPerBlock; ++i) {
+    ASSERT_TRUE(fs_->Create("/d/e" + std::to_string(i)).ok());
+  }
+  StatusOr<FileAttr> d = fs_->Stat("/d");
+  ASSERT_TRUE(d.ok());
+  ASSERT_EQ(d->size, kBlockSize);  // one block, every slot taken
+
+  locks_.ClearSnapshots();
+  ASSERT_TRUE(fs_->Rename("/a/f", "/d/x").ok());
+  d = fs_->Stat("/d");
+  ASSERT_TRUE(d.ok());
+  ASSERT_EQ(d->size, 2u * kBlockSize);
+  Inode dir = DiskInode(d->ino);
+  ASSERT_NE(dir.small[1], 0u);
+  uint32_t seg = SegmentOfSmall(dir.small[1]);
+  EXPECT_TRUE(locks_.HeldTogether(InodeLockId(d->ino), SegmentLockId(seg)))
+      << "directory grew from segment " << seg << " without holding its lock";
+  ASSERT_TRUE(fs_->Unmount().ok());
+}
+
+// A directory that must grow while the allocation segment has no free
+// small block takes its block from the next segment instead of failing.
+TEST_F(SegmentLockTest, FullAllocationSegmentMovesToTheNext) {
+  // Slot 0 allocates from segment 0 first; mark all its small blocks used.
+  Bytes seg0;
+  ASSERT_TRUE(device_.Read(geometry_.SegmentAddr(0), kBlockSize, &seg0).ok());
+  for (uint32_t i = 0; i < kSmallsPerSegment; ++i) {
+    SegBitSet(seg0, kSegSmallBitsOff + i, true);
+  }
+  ASSERT_TRUE(device_.Write(geometry_.SegmentAddr(0), seg0, 0).ok());
+  MountFs();
+
+  ASSERT_TRUE(fs_->Mkdir("/d").ok());  // the root's first directory block
+  Inode root = DiskInode(kRootInode);
+  ASSERT_NE(root.small[0], 0u);
+  EXPECT_EQ(SegmentOfSmall(root.small[0]), 1u);
+  ASSERT_TRUE(fs_->Create("/d/f").ok());
+  ASSERT_TRUE(fs_->Unmount().ok());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Many threads per mount (the paper's kernel file system served many
-// processes per machine). N nodes x T threads per mount each run
-// create / write 1 KB / stat / unlink cycles in a private directory; every
-// op must succeed and fsck must be clean afterwards. Regression test for
+// processes per machine). N nodes x T threads per mount each run cycles of
+// create / write 1 KB / stat / mkdir / symlink / link / rename / unlink /
+// rmdir in a private directory, so the shared create transaction and the
+// two-phase retry loop run with many threads per mount; every op must
+// succeed and fsck must be clean afterwards. Regression test for
 // clerk locks that were not exclusive between the threads of one mount:
 // two threads both "held" an exclusive lock, both committed whole-block
 // images, and the last writer won (fsck: block without directory magic).
@@ -59,21 +61,33 @@ TEST_P(MountThreadsTest, CycleOpsSucceedAndFsckIsClean) {
         FrangipaniFs* fs = cluster.fs(m);
         Bytes payload(1024, static_cast<uint8_t>(m * 16 + t));
         for (int i = 0; i < kCycles; ++i) {
-          std::string path = dir_of(m, t) + "/f" + std::to_string(i);
+          const std::string dir = dir_of(m, t);
+          const std::string path = dir + "/f" + std::to_string(i);
+          const std::string sub = dir + "/s" + std::to_string(i);
+          const std::string moved = dir + "/g" + std::to_string(i);
+          auto check = [&](const std::string& what, const Status& st) {
+            if (!st.ok()) {
+              fail(what, st);
+            }
+          };
           auto ino = fs->Create(path);
           if (!ino.ok()) {
             fail("create " + path, ino.status());
             continue;
           }
-          if (Status st = fs->Write(*ino, 0, payload); !st.ok()) {
-            fail("write " + path, st);
+          check("write " + path, fs->Write(*ino, 0, payload));
+          check("stat " + path, fs->Stat(path).status());
+          check("mkdir " + sub, fs->Mkdir(sub));
+          check("symlink " + sub + "/l", fs->Symlink(path, sub + "/l"));
+          check("link " + sub + "/h", fs->Link(path, sub + "/h"));
+          check("rename " + sub + "/h", fs->Rename(sub + "/h", moved));
+          if (auto via = fs->Lookup(sub + "/l"); !via.ok() || *via != *ino) {
+            fail("lookup " + sub + "/l", via.ok() ? Internal("wrong inode") : via.status());
           }
-          if (auto attr = fs->Stat(path); !attr.ok()) {
-            fail("stat " + path, attr.status());
-          }
-          if (Status st = fs->Unlink(path); !st.ok()) {
-            fail("unlink " + path, st);
-          }
+          check("unlink " + sub + "/l", fs->Unlink(sub + "/l"));
+          check("unlink " + path, fs->Unlink(path));
+          check("unlink " + moved, fs->Unlink(moved));
+          check("rmdir " + sub, fs->Rmdir(sub));
         }
       });
     }
