@@ -323,8 +323,11 @@ Status BlockCache::FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>
     std::mutex done_mu;
     std::condition_variable done_cv;
     size_t done = 0;
+    // The runs' Petal spans are children of the op that flushes.
+    const uint64_t trace_id = obs::CurrentTraceId();
     for (size_t r = 0; r < runs.size(); ++r) {
       io_pool_->Submit([&, r] {
+        obs::InheritedTraceScope inherit(trace_id);
         const Run& run = runs[r];
         if (run.num_jobs == 1) {
           const FlushJob& j = jobs[run.first_job];
@@ -466,8 +469,11 @@ Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* 
     std::mutex done_mu;
     std::condition_variable done_cv;
     size_t done = 0;
+    // The runs' Petal spans are children of the op that flushes.
+    const uint64_t trace_id = obs::CurrentTraceId();
     for (size_t r = 0; r < runs.size(); ++r) {
       io_pool_->Submit([&, r] {
+        obs::InheritedTraceScope inherit(trace_id);
         const Run& run = runs[r];
         const std::vector<FlushJob>& jobs = shard_jobs[run.shard];
         if (run.num_jobs == 1) {

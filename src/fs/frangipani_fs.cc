@@ -112,16 +112,16 @@ Status FrangipaniFs::MetaTxn::Commit() {
     return OkStatus();
   }
   RETURN_IF_ERROR(fs_->CheckWriteLease());
-  uint64_t lsn = fs_->wal_->Append(std::move(record));
+  lsn_ = fs_->wal_->Append(std::move(record));
   fs_->stats_.log_records.fetch_add(1, std::memory_order_relaxed);
   for (auto& [addr, b] : blocks_) {
     if (!b.whole && b.ranges.empty()) {
       continue;
     }
-    RETURN_IF_ERROR(fs_->cache_->PutDirty(addr, b.data, b.lock, lsn));
+    RETURN_IF_ERROR(fs_->cache_->PutDirty(addr, b.data, b.lock, lsn_));
   }
   if (fs_->options_.sync_log) {
-    RETURN_IF_ERROR(fs_->wal_->FlushTo(lsn));
+    RETURN_IF_ERROR(fs_->wal_->FlushTo(lsn_));
   }
   return OkStatus();
 }
@@ -635,15 +635,53 @@ Status FrangipaniFs::FreeInodeAndBlocks(MetaTxn& txn, uint64_t ino, Inode& inode
   return OkStatus();
 }
 
-Status FrangipaniFs::DecommitFileData(const Inode& inode) {
-  // Small blocks share 64 KB Petal chunks with unrelated blocks, so only the
-  // large block's committed range is decommitted.
-  if (inode.large == 0 || inode.size <= kSmallBytesPerFile) {
+Status FrangipaniFs::ForgetFreedInode(const MetaTxn& txn, uint64_t ino, const Inode& freed) {
+  // The file's content dies with it: drop, don't flush, its data entries.
+  cache_->InvalidateLock(InodeDataLockId(ino));
+  {
+    std::lock_guard<std::mutex> guard(ra_mu_);
+    ra_last_end_.erase(ino);
+  }
+  {
+    std::lock_guard<std::mutex> guard(atime_mu_);
+    atime_overlay_.erase(ino);
+    mtime_overlay_.erase(ino);
+  }
+  if (freed.type == FileType::kDirectory) {
+    // A directory's blocks are cached under its inode lock, and freed
+    // blocks can be reallocated by other servers under other locks.
+    RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(ino)));
+    cache_->InvalidateLock(InodeLockId(ino));
+  }
+  // A file's or symlink's inode lock covers only the inode's own block,
+  // whose address never moves to another lock. Its free image stays cached
+  // and dirty like any logged update (§4): the sync demon writes it home,
+  // or a revoke does if another server allocates the inode, and the next
+  // create here finds it in the cache.
+  return DecommitLargeTail(txn.lsn(), freed.large, freed.size, 0);
+}
+
+Status FrangipaniFs::DecommitLargeTail(uint64_t lsn, uint64_t large, uint64_t old_size,
+                                       uint64_t new_size) {
+  // Small blocks share 64 KB Petal chunks with unrelated blocks, so only
+  // the large block's committed range is decommitted.
+  auto extent = [](uint64_t size) -> uint64_t {
+    return size <= kSmallBytesPerFile
+               ? 0
+               : (size - kSmallBytesPerFile + kChunkSize - 1) / kChunkSize * kChunkSize;
+  };
+  uint64_t keep = extent(new_size);
+  uint64_t end = extent(old_size);
+  if (large == 0 || end <= keep) {
     return OkStatus();
   }
-  uint64_t bytes = inode.size - kSmallBytesPerFile;
-  uint64_t len = (bytes + kChunkSize - 1) / kChunkSize * kChunkSize;
-  return device_->Decommit(geometry_.LargeBlockAddr(inode.large), len);
+  // If the record were lost in a crash, the file would come back with its
+  // chunks gone.
+  RETURN_IF_ERROR(wal_->FlushTo(lsn));
+  // A failed decommit only leaks physical space; petal.decommit_errors
+  // counts it.
+  (void)device_->Decommit(geometry_.LargeBlockAddr(large) + keep, end - keep);
+  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------

@@ -151,6 +151,8 @@ class FrangipaniFs {
     void Touch(uint64_t addr, uint32_t off, uint32_t len);
     void TouchAll(uint64_t addr);
     Status Commit();
+    // The committed record's lsn (0 before Commit, or if nothing changed).
+    uint64_t lsn() const { return lsn_; }
 
    private:
     struct Block {
@@ -162,6 +164,7 @@ class FrangipaniFs {
     };
     FrangipaniFs* fs_;
     std::map<uint64_t, Block> blocks_;
+    uint64_t lsn_ = 0;
   };
 
   // ---- lock plan execution ----
@@ -254,7 +257,19 @@ class FrangipaniFs {
   std::vector<uint32_t> SegmentsOf(uint64_t ino, const Inode& inode) const;
 
   Status FreeInodeAndBlocks(MetaTxn& txn, uint64_t ino, Inode& inode);
-  Status DecommitFileData(const Inode& inode);
+  // Phase two of an op whose committed `txn` freed inode `ino` (`freed` is
+  // its image before the free), still under the op's locks: drops the
+  // file's data entries and in-memory times, writes home and drops a
+  // directory's blocks, and decommits the large block. A file's or
+  // symlink's inode block stays cached and dirty.
+  Status ForgetFreedInode(const MetaTxn& txn, uint64_t ino, const Inode& freed);
+  // Returns to Petal the large-region chunks of large block `large` that a
+  // file of `old_size` bytes used and one of `new_size` bytes does not.
+  // The caller holds the lock that keeps the block from being reallocated
+  // (its segment lock, or the file's data lock if the file keeps it). The
+  // log is made durable through `lsn`, the record that freed or shrank the
+  // extent, before anything is decommitted.
+  Status DecommitLargeTail(uint64_t lsn, uint64_t large, uint64_t old_size, uint64_t new_size);
 
   // Shared create/mkdir/symlink implementation.
   StatusOr<uint64_t> CreateCommon(const std::string& path, FileType type,

@@ -310,8 +310,6 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
   obs::OpTrace trace(&op_metrics_.truncate, options_.node_id);
   uint64_t expected_version = 0;
   bool shrinks = false;
-  Inode before;
-  bool freed_large = false;
   auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
     if (new_size > geometry_.MaxFileSize()) {
       return OutOfRange("beyond maximum file size");
@@ -354,14 +352,13 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
     return locks;
   };
   auto apply = [&](AllocSeg&) -> Status {
-    freed_large = false;
     MetaTxn txn(this);
     Bytes* ino_raw = nullptr;
     ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, ino, &ino_raw));
     if (node.version != expected_version) {
       return Aborted("inode changed since phase one");
     }
-    before = node;
+    const uint64_t large = node.large;
     if (new_size < node.size) {
       uint32_t keep_smalls =
           static_cast<uint32_t>((std::min<uint64_t>(new_size, kSmallBytesPerFile) +
@@ -376,7 +373,6 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
       if (node.large != 0 && new_size <= kSmallBytesPerFile) {
         FreeInSegment(txn, SegmentOfLarge(node.large), LargeBit(node.large));
         node.large = 0;
-        freed_large = true;
       }
     }
     uint64_t old_size = node.size;
@@ -405,26 +401,13 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
           RETURN_IF_ERROR(cache_->PutDirty(ref.addr, std::move(unit), dlock, 0, unit_off));
         }
       }
-      // A kept large block may still have committed chunks past the new
-      // end; return that physical space (reads then yield zeros).
-      if (node.large != 0 && old_size > kSmallBytesPerFile) {
-        uint64_t keep = new_size > kSmallBytesPerFile ? new_size - kSmallBytesPerFile : 0;
-        uint64_t keep_aligned = (keep + kChunkSize - 1) / kChunkSize * kChunkSize;
-        uint64_t old_extent =
-            (old_size - kSmallBytesPerFile + kChunkSize - 1) / kChunkSize * kChunkSize;
-        if (old_extent > keep_aligned) {
-          (void)device_->Decommit(geometry_.LargeBlockAddr(node.large) + keep_aligned,
-                                  old_extent - keep_aligned);
-        }
-      }
+      // Return the large-region chunks past the new end, all of them if
+      // the large block was freed (reads of a kept block then yield zeros).
+      RETURN_IF_ERROR(DecommitLargeTail(txn.lsn(), large, old_size, new_size));
     }
     return OkStatus();
   };
-  RETURN_IF_ERROR(TwoPhaseOp("truncate", /*allocates=*/false, plan, apply));
-  if (freed_large) {
-    (void)DecommitFileData(before);
-  }
-  return OkStatus();
+  return TwoPhaseOp("truncate", /*allocates=*/false, plan, apply);
 }
 
 // ---------------------------------------------------------------------------

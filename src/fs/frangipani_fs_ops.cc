@@ -144,8 +144,6 @@ Status FrangipaniFs::Link(const std::string& existing, const std::string& path) 
 Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
   PathTarget t;
   uint64_t expected_version = 0;
-  bool freed = false;
-  Inode freed_inode;
   auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
     RETURN_IF_ERROR(ResolveDir(path, &t));
     if (t.ino == 0) {
@@ -172,7 +170,6 @@ Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
     return locks;
   };
   auto apply = [&](AllocSeg&) -> Status {
-    freed = false;
     MetaTxn txn(this);
     Bytes* parent_raw = nullptr;
     ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
@@ -203,9 +200,8 @@ Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
     parent.mtime_us = NowUs();
     WriteInodeIn(txn, t.parent, parent_raw, parent);
     node.nlink--;
-    if (node.nlink == 0 || node.type == FileType::kDirectory) {
-      freed = true;
-      freed_inode = node;
+    const bool freed = node.nlink == 0 || node.type == FileType::kDirectory;
+    if (freed) {
       RETURN_IF_ERROR(FreeInodeAndBlocks(txn, t.ino, node));
       Inode empty_node;  // type kFree
       WriteInodeIn(txn, t.ino, ino_raw, empty_node);
@@ -214,28 +210,9 @@ Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
       WriteInodeIn(txn, t.ino, ino_raw, node);
     }
     RETURN_IF_ERROR(txn.Commit());
-    if (freed) {
-      // Freed blocks can be reallocated by other servers under other
-      // locks; purge our copies now (flushing the inode image first).
-      // The file's content dies with it: drop, don't flush, data entries.
-      RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(t.ino)));
-      cache_->InvalidateLock(InodeLockId(t.ino));
-      cache_->InvalidateLock(InodeDataLockId(t.ino));
-    }
-    return OkStatus();
+    return freed ? ForgetFreedInode(txn, t.ino, node) : OkStatus();
   };
-  RETURN_IF_ERROR(TwoPhaseOp("remove", /*allocates=*/false, plan, apply));
-  if (freed) {
-    (void)DecommitFileData(freed_inode);
-    {
-      std::lock_guard<std::mutex> guard(ra_mu_);
-      ra_last_end_.erase(t.ino);
-    }
-    std::lock_guard<std::mutex> guard(atime_mu_);
-    atime_overlay_.erase(t.ino);
-    mtime_overlay_.erase(t.ino);
-  }
-  return OkStatus();
+  return TwoPhaseOp("remove", /*allocates=*/false, plan, apply);
 }
 
 Status FrangipaniFs::Unlink(const std::string& path) {
@@ -257,8 +234,6 @@ Status FrangipaniFs::Rename(const std::string& from, const std::string& to) {
   PathTarget src;
   PathTarget dst;
   uint64_t dst_version = 0;
-  bool replaced = false;
-  Inode replaced_inode;
   auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
     RETURN_IF_ERROR(ResolveDir(from, &src));
     if (src.ino == 0) {
@@ -292,7 +267,8 @@ Status FrangipaniFs::Rename(const std::string& from, const std::string& to) {
     return locks;
   };
   auto apply = [&](AllocSeg& alloc) -> Status {
-    replaced = false;
+    bool replaced = false;
+    Inode replaced_inode;
     MetaTxn txn(this);
     Bytes* srcp_raw = nullptr;
     ASSIGN_OR_RETURN(Inode srcp, ReadInodeIn(txn, src.parent, &srcp_raw));
@@ -357,18 +333,9 @@ Status FrangipaniFs::Rename(const std::string& from, const std::string& to) {
     // DirInsert (through dstp) can change its size, so dstp wins.
     WriteInodeIn(txn, dst.parent, dstp_raw, dstp);
     RETURN_IF_ERROR(txn.Commit());
-    if (replaced) {
-      RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(dst.ino)));
-      cache_->InvalidateLock(InodeLockId(dst.ino));
-      cache_->InvalidateLock(InodeDataLockId(dst.ino));
-    }
-    return OkStatus();
+    return replaced ? ForgetFreedInode(txn, dst.ino, replaced_inode) : OkStatus();
   };
-  RETURN_IF_ERROR(TwoPhaseOp("rename", /*allocates=*/true, plan, apply));
-  if (replaced) {
-    (void)DecommitFileData(replaced_inode);
-  }
-  return OkStatus();
+  return TwoPhaseOp("rename", /*allocates=*/true, plan, apply);
 }
 
 // ---------------------------------------------------------------------------

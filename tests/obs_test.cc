@@ -432,6 +432,45 @@ TEST(RecorderTest, TraceIdPropagatesThroughIoPool) {
   rec->Clear();
 }
 
+// The block cache writes dirty blocks back on its IO pool; an fsync's
+// Petal writes made there are still children of the fsync.
+TEST(RecorderTest, FsyncWriteBackSpansCarryTheFsyncTraceId) {
+  ClusterOptions opts;
+  opts.petal_servers = 3;
+  opts.disks_per_petal = 1;
+  opts.node.start_demons = false;  // every Petal write below is the fsync's
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.AddFrangipani().ok());
+  FrangipaniFs* fs = cluster.fs(0);
+  auto ino = fs->Create("/f");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs->Write(*ino, 0, Bytes(256 << 10, 7)).ok());
+
+  Recorder* rec = Recorder::Default();
+  rec->Clear();
+  ASSERT_TRUE(fs->Fsync(*ino).ok());
+  std::vector<TraceEvent> events = rec->Snapshot();
+  uint64_t fsync_id = 0;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) == "fsync") {
+      fsync_id = e.trace_id;
+    }
+  }
+  ASSERT_NE(fsync_id, 0u);
+  size_t writes = 0;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) == "petal.write") {
+      ++writes;
+      EXPECT_EQ(e.trace_id, fsync_id) << "petal.write span outside the fsync's tree";
+    }
+  }
+  // The log record plus the file's data chunks.
+  EXPECT_GT(writes, 4u);
+  rec->Enable(false);
+  rec->Clear();
+}
+
 // ---- Windowed snapshots ----
 
 TEST(SamplerTest, WindowedDeltaMath) {
