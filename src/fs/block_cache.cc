@@ -8,6 +8,34 @@
 
 namespace frangipani {
 
+namespace {
+
+// Write-back candidates: the cached addresses of `locks`, or every dirty one.
+std::vector<uint64_t> AddrsOfLocks(const std::map<LockId, std::set<uint64_t>>& by_lock,
+                                   const std::vector<LockId>& locks) {
+  std::vector<uint64_t> addrs;
+  for (LockId lock : locks) {
+    auto it = by_lock.find(lock);
+    if (it != by_lock.end()) {
+      addrs.insert(addrs.end(), it->second.begin(), it->second.end());
+    }
+  }
+  return addrs;
+}
+
+template <typename Map>
+std::vector<uint64_t> DirtyAddrs(const Map& entries) {
+  std::vector<uint64_t> addrs;
+  for (const auto& [addr, e] : entries) {
+    if (e.dirty) {
+      addrs.push_back(addr);
+    }
+  }
+  return addrs;
+}
+
+}  // namespace
+
 BlockCache::BlockCache(BlockDevice* device, LogWriter* wal, BlockCacheOptions options,
                        std::function<int64_t()> lease_expiry_us)
     : device_(device),
@@ -103,9 +131,8 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
     EvictShardLocked(home, ShardIndex(addr));
   }
 
-  // Write throttling / write-behind: bring dirty data back under control.
-  // Candidates are gathered across all shards (oldest first, globally), then
-  // flushed shard by shard.
+  // Write throttling / write-behind: bring dirty data back under control by
+  // writing the globally oldest dirty entries, as one batch.
   while (dirty_bytes_.load() > options_.dirty_hiwater_bytes) {
     struct Cand {
       uint64_t lru;
@@ -143,18 +170,8 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
         break;
       }
     }
-    Status st = OkStatus();
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (per_shard[s].empty()) {
-        continue;
-      }
-      std::unique_lock<std::mutex> lk = LockShard(shards_[s]);
-      Status one = FlushShardSetLocked(shards_[s], per_shard[s], lk);
-      if (!one.ok() && st.ok()) {
-        st = one;
-      }
-    }
-    RETURN_IF_ERROR(st);
+    RETURN_IF_ERROR(WriteBack([&](size_t s, const Shard&) { return per_shard[s]; },
+                              [](const Entry&) { return true; }, /*log_lsn=*/0));
   }
   return OkStatus();
 }
@@ -223,22 +240,29 @@ bool BlockCache::Cached(uint64_t addr) const {
   return shard.entries.count(addr) > 0;
 }
 
-bool BlockCache::LogDurableTo(uint64_t max_pin) const {
-  return max_pin == 0 || wal_ == nullptr || wal_->flushed_lsn() >= max_pin;
+bool BlockCache::LogDurableTo(uint64_t lsn) const {
+  return lsn == 0 || wal_ == nullptr || wal_->flushed_lsn() >= lsn;
 }
 
-uint64_t BlockCache::ClaimLocked(Shard& shard, const std::vector<uint64_t>& addrs,
-                                 std::unique_lock<std::mutex>& lk,
-                                 const std::function<bool(const Entry&)>& wanted,
-                                 std::vector<FlushJob>* jobs) {
+// Completion state of one write-back batch; its runs report here from the
+// IO pool.
+struct BlockCache::Batch {
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t pending = 0;  // runs submitted and not yet completed
+  size_t bytes = 0;
+  Status status = OkStatus();
+  const uint64_t trace_id = obs::CurrentTraceId();  // runs are the flusher's children
+};
+
+void BlockCache::ClaimLocked(Shard& shard, size_t index, const std::vector<uint64_t>& addrs,
+                             std::unique_lock<std::mutex>& lk, const Wanted& wanted,
+                             std::vector<FlushJob>* jobs) {
   auto pick = [&](uint64_t addr) -> Entry* {
     auto it = shard.entries.find(addr);
     return it != shard.entries.end() && it->second.dirty && wanted(it->second) ? &it->second
                                                                                 : nullptr;
   };
-  // Wait out in-flight flushes of the set, then claim all of it at once:
-  // a flusher never waits on another while holding claims in this shard,
-  // so two flushers of overlapping sets cannot wait on each other.
   shard.cv.wait(lk, [&] {
     for (uint64_t addr : addrs) {
       Entry* e = pick(addr);
@@ -248,281 +272,102 @@ uint64_t BlockCache::ClaimLocked(Shard& shard, const std::vector<uint64_t>& addr
     }
     return true;
   });
-  uint64_t max_pin = 0;
   for (uint64_t addr : addrs) {
     if (Entry* e = pick(addr)) {
       e->flushing = true;
-      jobs->push_back({addr, e->data, e->dirty_gen, e->pin_lsn});
-      max_pin = std::max(max_pin, e->pin_lsn);
+      jobs->push_back({index, addr, e->data, e->dirty_gen, e->pin_lsn});
     }
   }
-  return max_pin;
 }
 
-void BlockCache::ReleaseClaimsLocked(Shard& shard, const std::vector<FlushJob>& jobs) {
-  for (const FlushJob& j : jobs) {
-    auto it = shard.entries.find(j.addr);
-    if (it != shard.entries.end()) {
-      it->second.flushing = false;
-    }
-  }
-  shard.cv.notify_all();
-}
-
-Status BlockCache::FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>& addrs,
-                                       std::unique_lock<std::mutex>& lk, uint64_t pin_bound) {
+std::vector<BlockCache::FlushJob> BlockCache::ClaimAll(const Candidates& candidates,
+                                                       const Wanted& wanted) {
   std::vector<FlushJob> jobs;
-  for (;;) {
-    uint64_t max_pin = ClaimLocked(
-        shard, addrs, lk, [&](const Entry& e) { return e.pin_lsn <= pin_bound; }, &jobs);
-    if (jobs.empty()) {
-      return OkStatus();
-    }
-    if (LogDurableTo(max_pin)) {
-      break;
-    }
-    ReleaseClaimsLocked(shard, jobs);
-    jobs.clear();
-    lk.unlock();
-    Status st = wal_->FlushTo(max_pin);
-    lk.lock();
-    RETURN_IF_ERROR(st);
-  }
-  lk.unlock();
-
-  Status st = OkStatus();
-  std::vector<Status> results(jobs.size());
-  {
-    int64_t fence = lease_expiry_us_ ? lease_expiry_us_() : 0;
-    // Coalesce address-adjacent dirty blocks into contiguous device writes
-    // (sequential file data flushes mostly adjacent 4 KB blocks); each run
-    // is one transfer that the Petal client then scatter-gathers across
-    // servers. Runs are written concurrently by the IO pool. A run is at
-    // most 256 KB, i.e. at most one shard region, by construction.
-    std::sort(jobs.begin(), jobs.end(),
-              [](const FlushJob& a, const FlushJob& b) { return a.addr < b.addr; });
-    constexpr size_t kMaxRunBytes = 256 << 10;
-    struct Run {
-      size_t first_job;
-      size_t num_jobs;
-    };
-    std::vector<Run> runs;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (!runs.empty()) {
-        Run& r = runs.back();
-        const FlushJob& prev = jobs[i - 1];
-        size_t run_bytes = jobs[i].addr + jobs[i].data->size() - jobs[r.first_job].addr;
-        if (prev.addr + prev.data->size() == jobs[i].addr && run_bytes <= kMaxRunBytes) {
-          ++r.num_jobs;
-          continue;
-        }
-      }
-      runs.push_back({i, 1});
-    }
-    std::vector<Status> run_results(runs.size());
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    size_t done = 0;
-    // The runs' Petal spans are children of the op that flushes.
-    const uint64_t trace_id = obs::CurrentTraceId();
-    for (size_t r = 0; r < runs.size(); ++r) {
-      io_pool_->Submit([&, r] {
-        obs::InheritedTraceScope inherit(trace_id);
-        const Run& run = runs[r];
-        if (run.num_jobs == 1) {
-          const FlushJob& j = jobs[run.first_job];
-          run_results[r] = device_->Write(j.addr, *j.data, fence);
-        } else {
-          Bytes merged;
-          size_t total = jobs[run.first_job + run.num_jobs - 1].addr +
-                         jobs[run.first_job + run.num_jobs - 1].data->size() -
-                         jobs[run.first_job].addr;
-          merged.reserve(total);
-          for (size_t k = 0; k < run.num_jobs; ++k) {
-            const Bytes& d = *jobs[run.first_job + k].data;
-            merged.insert(merged.end(), d.begin(), d.end());
-          }
-          run_results[r] = device_->Write(jobs[run.first_job].addr, merged, fence);
-        }
-        std::lock_guard<std::mutex> guard(done_mu);
-        ++done;
-        done_cv.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> done_lk(done_mu);
-    done_cv.wait(done_lk, [&] { return done == runs.size(); });
-    for (size_t r = 0; r < runs.size(); ++r) {
-      for (size_t k = 0; k < runs[r].num_jobs; ++k) {
-        results[runs[r].first_job + k] = run_results[r];
-      }
-    }
-    for (const Status& r : run_results) {
-      if (!r.ok()) {
-        st = r;
-      }
-    }
-  }
-
-  lk.lock();
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    auto it = shard.entries.find(jobs[i].addr);
-    if (it == shard.entries.end()) {
-      continue;  // discarded while we wrote (lease loss)
-    }
-    it->second.flushing = false;
-    if (st.ok() && results[i].ok() && it->second.dirty_gen == jobs[i].gen) {
-      it->second.dirty = false;
-      it->second.pin_lsn = 0;
-      dirty_bytes_ -= it->second.data->size();
-      uint64_t adv = shard.oldest_clean_seq.load(std::memory_order_relaxed);
-      if (it->second.lru_seq < adv) {
-        shard.oldest_clean_seq.store(it->second.lru_seq, std::memory_order_relaxed);
-      }
-    }
-  }
-  // Dirty data can push the cache past its capacity (dirty entries are not
-  // evictable); reclaim now that some entries are clean again.
-  EvictShardLocked(shard, static_cast<size_t>(&shard - shards_.data()));
-  shard.cv.notify_all();
-  throttle_cv_.notify_all();
-  return st;
-}
-
-Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* flushed_bytes) {
-  // Phase 1: claim the covered dirty entries of every shard. Nothing is
-  // written until the full set is claimed, so the whole revoke flush turns
-  // into one batch of coalesced write runs issued concurrently rather than
-  // a serial wave of rounds per shard.
-  std::vector<std::vector<FlushJob>> shard_jobs(shards_.size());
-  size_t total_jobs = 0;
-  for (;;) {
-    uint64_t max_pin = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = shards_[s];
-      std::unique_lock<std::mutex> lk = LockShard(shard);
-      auto it = shard.by_lock.find(lock);
-      if (it == shard.by_lock.end()) {
-        continue;
-      }
-      std::vector<uint64_t> addrs(it->second.begin(), it->second.end());
-      // Entries outside the revoked extent stay dirty and cached.
-      auto covered = [&](const Entry& e) {
-        return e.range_off < end && e.range_off + e.data->size() > start;
-      };
-      max_pin = std::max(max_pin, ClaimLocked(shard, addrs, lk, covered, &shard_jobs[s]));
-      total_jobs += shard_jobs[s].size();
-    }
-    if (total_jobs == 0) {
-      if (flushed_bytes != nullptr) {
-        *flushed_bytes = 0;
-      }
-      return OkStatus();
-    }
-    if (LogDurableTo(max_pin)) {
-      break;
-    }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!shard_jobs[s].empty()) {
-        std::unique_lock<std::mutex> lk = LockShard(shards_[s]);
-        ReleaseClaimsLocked(shards_[s], shard_jobs[s]);
-        shard_jobs[s].clear();
-      }
-    }
-    total_jobs = 0;
-    RETURN_IF_ERROR(wal_->FlushTo(max_pin));
-  }
-
-  // Phase 2: all coalesced runs of all shards in flight on the IO pool at
-  // once.
-  Status st = OkStatus();
-  std::vector<std::vector<Status>> shard_results(shards_.size());
-  size_t bytes_out = 0;
-  {
-    int64_t fence = lease_expiry_us_ ? lease_expiry_us_() : 0;
-    constexpr size_t kMaxRunBytes = 256 << 10;
-    struct Run {
-      size_t shard;
-      size_t first_job;
-      size_t num_jobs;
-    };
-    std::vector<Run> runs;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      std::vector<FlushJob>& jobs = shard_jobs[s];
-      shard_results[s].assign(jobs.size(), OkStatus());
-      std::sort(jobs.begin(), jobs.end(),
-                [](const FlushJob& a, const FlushJob& b) { return a.addr < b.addr; });
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        bytes_out += jobs[i].data->size();
-        if (!runs.empty() && runs.back().shard == s) {
-          Run& r = runs.back();
-          const FlushJob& prev = jobs[i - 1];
-          size_t run_bytes = jobs[i].addr + jobs[i].data->size() - jobs[r.first_job].addr;
-          if (prev.addr + prev.data->size() == jobs[i].addr && run_bytes <= kMaxRunBytes) {
-            ++r.num_jobs;
-            continue;
-          }
-        }
-        runs.push_back({s, i, 1});
-      }
-    }
-    std::vector<Status> run_results(runs.size());
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    size_t done = 0;
-    // The runs' Petal spans are children of the op that flushes.
-    const uint64_t trace_id = obs::CurrentTraceId();
-    for (size_t r = 0; r < runs.size(); ++r) {
-      io_pool_->Submit([&, r] {
-        obs::InheritedTraceScope inherit(trace_id);
-        const Run& run = runs[r];
-        const std::vector<FlushJob>& jobs = shard_jobs[run.shard];
-        if (run.num_jobs == 1) {
-          const FlushJob& j = jobs[run.first_job];
-          run_results[r] = device_->Write(j.addr, *j.data, fence);
-        } else {
-          Bytes merged;
-          size_t total = jobs[run.first_job + run.num_jobs - 1].addr +
-                         jobs[run.first_job + run.num_jobs - 1].data->size() -
-                         jobs[run.first_job].addr;
-          merged.reserve(total);
-          for (size_t k = 0; k < run.num_jobs; ++k) {
-            const Bytes& d = *jobs[run.first_job + k].data;
-            merged.insert(merged.end(), d.begin(), d.end());
-          }
-          run_results[r] = device_->Write(jobs[run.first_job].addr, merged, fence);
-        }
-        std::lock_guard<std::mutex> guard(done_mu);
-        ++done;
-        done_cv.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> done_lk(done_mu);
-    done_cv.wait(done_lk, [&] { return done == runs.size(); });
-    for (size_t r = 0; r < runs.size(); ++r) {
-      for (size_t k = 0; k < runs[r].num_jobs; ++k) {
-        shard_results[runs[r].shard][runs[r].first_job + k] = run_results[r];
-      }
-      if (!run_results[r].ok() && st.ok()) {
-        st = run_results[r];
-      }
-    }
-  }
-
-  // Phase 3: release claims, mark clean.
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shard_jobs[s].empty()) {
-      continue;
-    }
     Shard& shard = shards_[s];
     std::unique_lock<std::mutex> lk = LockShard(shard);
-    for (size_t i = 0; i < shard_jobs[s].size(); ++i) {
-      const FlushJob& j = shard_jobs[s][i];
+    std::vector<uint64_t> addrs = candidates(s, shard);
+    if (!addrs.empty()) {
+      ClaimLocked(shard, s, addrs, lk, wanted, &jobs);
+    }
+  }
+  return jobs;
+}
+
+void BlockCache::ReleaseClaims(const std::vector<FlushJob>& jobs) {
+  // ClaimAll returns jobs grouped by shard.
+  for (size_t i = 0; i < jobs.size();) {
+    Shard& shard = shards_[jobs[i].shard];
+    {
+      std::unique_lock<std::mutex> lk = LockShard(shard);
+      for (const size_t s = jobs[i].shard; i < jobs.size() && jobs[i].shard == s; ++i) {
+        auto it = shard.entries.find(jobs[i].addr);
+        if (it != shard.entries.end()) {
+          it->second.flushing = false;
+        }
+      }
+    }
+    shard.cv.notify_all();
+  }
+}
+
+void BlockCache::SubmitRuns(std::vector<FlushJob> jobs, Batch* batch) {
+  // Coalesce address-adjacent dirty blocks of a shard into contiguous device
+  // writes (sequential file data flushes mostly adjacent 4 KB blocks); each
+  // run is one transfer that the Petal client then scatter-gathers across
+  // servers.
+  constexpr size_t kMaxRunBytes = 256 << 10;
+  std::sort(jobs.begin(), jobs.end(), [](const FlushJob& a, const FlushJob& b) {
+    return a.shard != b.shard ? a.shard < b.shard : a.addr < b.addr;
+  });
+  const int64_t fence = lease_expiry_us_ ? lease_expiry_us_() : 0;
+  for (size_t first = 0, end = 0; first < jobs.size(); first = end) {
+    size_t bytes = jobs[first].data->size();
+    for (end = first + 1; end < jobs.size(); ++end) {
+      const FlushJob& prev = jobs[end - 1];
+      const FlushJob& next = jobs[end];
+      if (next.shard != prev.shard || prev.addr + prev.data->size() != next.addr ||
+          next.addr + next.data->size() - jobs[first].addr > kMaxRunBytes) {
+        break;
+      }
+      bytes += next.data->size();
+    }
+    std::vector<FlushJob> run(std::make_move_iterator(jobs.begin() + first),
+                              std::make_move_iterator(jobs.begin() + end));
+    {
+      std::lock_guard<std::mutex> guard(batch->mu);
+      ++batch->pending;
+      batch->bytes += bytes;
+    }
+    io_pool_->Submit([this, run = std::move(run), fence, batch] { WriteRun(run, fence, batch); });
+  }
+}
+
+void BlockCache::WriteRun(const std::vector<FlushJob>& run, int64_t fence, Batch* batch) {
+  Status st;
+  {
+    obs::InheritedTraceScope inherit(batch->trace_id);
+    if (run.size() == 1) {
+      st = device_->Write(run[0].addr, *run[0].data, fence);
+    } else {
+      Bytes merged;
+      merged.reserve(run.back().addr + run.back().data->size() - run.front().addr);
+      for (const FlushJob& j : run) {
+        merged.insert(merged.end(), j.data->begin(), j.data->end());
+      }
+      st = device_->Write(run.front().addr, merged, fence);
+    }
+  }
+  Shard& shard = shards_[run.front().shard];
+  {
+    std::unique_lock<std::mutex> lk = LockShard(shard);
+    for (const FlushJob& j : run) {
       auto it = shard.entries.find(j.addr);
       if (it == shard.entries.end()) {
-        continue;
+        continue;  // discarded while we wrote (lease loss)
       }
       it->second.flushing = false;
-      if (st.ok() && shard_results[s][i].ok() && it->second.dirty_gen == j.gen) {
+      if (st.ok() && it->second.dirty_gen == j.gen) {
         it->second.dirty = false;
         it->second.pin_lsn = 0;
         dirty_bytes_ -= it->second.data->size();
@@ -532,14 +377,74 @@ Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* 
         }
       }
     }
-    EvictShardLocked(shard, s);
+    // Dirty data can push the cache past its capacity (dirty entries are not
+    // evictable); reclaim now that some entries are clean again.
+    EvictShardLocked(shard, run.front().shard);
     shard.cv.notify_all();
   }
   throttle_cv_.notify_all();
+  std::lock_guard<std::mutex> guard(batch->mu);
+  if (!st.ok() && batch->status.ok()) {
+    batch->status = st;
+  }
+  --batch->pending;
+  batch->cv.notify_all();
+}
+
+Status BlockCache::WriteBack(const Candidates& candidates, const Wanted& wanted,
+                             uint64_t log_lsn, size_t* flushed_bytes) {
+  Batch batch;
+  std::vector<FlushJob> data, meta;
+  for (FlushJob& j : ClaimAll(candidates, wanted)) {
+    (j.pin_lsn == 0 ? data : meta).push_back(std::move(j));
+  }
+  // Unlogged data is unordered against the log: it goes out at once.
+  SubmitRuns(std::move(data), &batch);
+
+  auto newest_pin = [](const std::vector<FlushJob>& jobs) {
+    uint64_t lsn = 0;
+    for (const FlushJob& j : jobs) {
+      lsn = std::max(lsn, j.pin_lsn);
+    }
+    return lsn;
+  };
+  Status st = OkStatus();
+  uint64_t need = std::max(log_lsn, newest_pin(meta));
+  while (!LogDurableTo(need)) {
+    ReleaseClaims(meta);
+    meta.clear();
+    st = wal_->FlushTo(need);
+    if (!st.ok()) {
+      break;
+    }
+    meta = ClaimAll(candidates, [&](const Entry& e) { return e.pin_lsn != 0 && wanted(e); });
+    need = newest_pin(meta);
+  }
+  SubmitRuns(std::move(meta), &batch);
+
+  std::unique_lock<std::mutex> lk(batch.mu);
+  batch.cv.wait(lk, [&] { return batch.pending == 0; });
+  if (st.ok()) {
+    st = batch.status;
+  }
   if (flushed_bytes != nullptr) {
-    *flushed_bytes = st.ok() ? bytes_out : 0;
+    *flushed_bytes = st.ok() ? batch.bytes : 0;
   }
   return st;
+}
+
+Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* flushed_bytes) {
+  // Entries outside the revoked extent stay dirty and cached.
+  return WriteBack(
+      [&](size_t, const Shard& shard) { return AddrsOfLocks(shard.by_lock, {lock}); },
+      [&](const Entry& e) { return e.range_off < end && e.range_off + e.data->size() > start; },
+      /*log_lsn=*/0, flushed_bytes);
+}
+
+Status BlockCache::FlushLocks(const std::vector<LockId>& locks, uint64_t log_lsn) {
+  return WriteBack(
+      [&](size_t, const Shard& shard) { return AddrsOfLocks(shard.by_lock, locks); },
+      [](const Entry&) { return true; }, log_lsn);
 }
 
 void BlockCache::InvalidateLock(LockId lock, uint64_t start, uint64_t end) {
@@ -589,40 +494,15 @@ void BlockCache::InvalidateLock(LockId lock, uint64_t start, uint64_t end) {
   throttle_cv_.notify_all();
 }
 
-Status BlockCache::FlushAll() {
-  Status st = OkStatus();
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::mutex> lk = LockShard(shard);
-    std::vector<uint64_t> addrs;
-    for (const auto& [addr, e] : shard.entries) {
-      if (e.dirty) {
-        addrs.push_back(addr);
-      }
-    }
-    Status one = FlushShardSetLocked(shard, addrs, lk);
-    if (!one.ok() && st.ok()) {
-      st = one;
-    }
-  }
-  return st;
+Status BlockCache::FlushAll(uint64_t log_lsn) {
+  return WriteBack([](size_t, const Shard& shard) { return DirtyAddrs(shard.entries); },
+                   [](const Entry&) { return true; }, log_lsn);
 }
 
 Status BlockCache::FlushPinnedUpTo(uint64_t lsn) {
-  Status st = OkStatus();
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::mutex> lk = LockShard(shard);
-    std::vector<uint64_t> addrs;
-    for (const auto& [addr, e] : shard.entries) {
-      if (e.dirty && e.pin_lsn != 0 && e.pin_lsn <= lsn) {
-        addrs.push_back(addr);
-      }
-    }
-    Status one = FlushShardSetLocked(shard, addrs, lk, /*pin_bound=*/lsn);
-    if (!one.ok() && st.ok()) {
-      st = one;
-    }
-  }
-  return st;
+  return WriteBack([](size_t, const Shard& shard) { return DirtyAddrs(shard.entries); },
+                   [&](const Entry& e) { return e.pin_lsn != 0 && e.pin_lsn <= lsn; },
+                   /*log_lsn=*/0);
 }
 
 void BlockCache::DiscardAll() {

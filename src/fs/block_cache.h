@@ -9,8 +9,14 @@
 //    described their update; the WAL is flushed up to that lsn before the
 //    block itself is written (write-ahead rule, §4).
 //
-// Write-behind: dirty data above a high-water mark is flushed by a pool of
-// IO threads, which is what pipelines large writes across Petal servers.
+// Every flush is one write-back batch (WriteBack): claim the selected dirty
+// entries across all shards, coalesce them into <=256 KB runs, put the runs
+// of unlogged data (pin_lsn == 0) on the IO pool at once, and write the
+// LSN-pinned metadata runs only once the log is durable past their pins.
+// Data is unordered against the log, so an fsync's data writes go out
+// alongside its log write instead of behind it. Write-behind (dirty data
+// above a high-water mark) uses the same batch, which is what pipelines
+// large writes across Petal servers.
 // Prefetch inserts are epoch-guarded: an invalidation bumps the lock's epoch
 // so a read-ahead racing with a revoke cannot repopulate stale data.
 //
@@ -88,22 +94,27 @@ class BlockCache {
   bool Cached(uint64_t addr) const;
 
   // Flushes dirty blocks covered by `lock` whose range_off extent overlaps
-  // [start, end) (WAL first); entries stay cached. Dirty blocks of the same
-  // lock outside the range are untouched — a partial revoke writes only the
-  // revoked extent. Blocks are claimed across all shards up front, so the
-  // whole revoke flush is one batch of coalesced Petal write runs issued
-  // concurrently, not one round-trip wave per shard. If `flushed_bytes` is
-  // non-null it receives the number of payload bytes written.
+  // [start, end) as one write-back batch; entries stay cached. Dirty blocks
+  // of the same lock outside the range are untouched — a partial revoke
+  // writes only the revoked extent. If `flushed_bytes` is non-null it
+  // receives the number of payload bytes written.
   Status FlushLock(LockId lock, uint64_t start = 0, uint64_t end = kRangeEnd,
                    size_t* flushed_bytes = nullptr);
+  // Fsync: one batch that writes every dirty block of `locks` and makes the
+  // log durable through `log_lsn`. The unlogged data goes out while the log
+  // is written; the pinned metadata follows the log.
+  Status FlushLocks(const std::vector<LockId>& locks, uint64_t log_lsn);
   // Drops every entry covered by `lock` overlapping [start, end) (after
   // FlushLock if dirty data must survive). Bumps the lock epoch (whole-lock:
   // in-flight prefetches anywhere under the lock are conservatively wasted).
   void InvalidateLock(LockId lock, uint64_t start = 0, uint64_t end = kRangeEnd);
 
-  Status FlushAll();
+  // Flushes every dirty block, and with `log_lsn` > 0 the log through that
+  // lsn, in one batch (SyncAll, the sync demon).
+  Status FlushAll(uint64_t log_lsn = 0);
   // Flushes all metadata blocks pinned by log records with lsn <= bound
-  // (log reclaim callback).
+  // (log reclaim callback). Blocks re-dirtied past the bound stay dirty: the
+  // reclaim runs inside a log flush, so it must not wait on one.
   Status FlushPinnedUpTo(uint64_t lsn);
 
   // Drops everything without writing (lease lost: the paper discards the
@@ -143,8 +154,8 @@ class BlockCache {
     std::atomic<uint64_t> oldest_clean_seq{~0ull};
   };
 
-  // Shard by 256 KB region so the ≤256 KB coalesced flush runs (see
-  // FlushShardSetLocked) never span shards.
+  // Shard by 256 KB region, the flush-run bound: SubmitRuns cuts a run
+  // where it crosses into another shard.
   static constexpr int kShardRegionShift = 18;
   size_t ShardIndex(uint64_t addr) const {
     return (addr >> kShardRegionShift) % shards_.size();
@@ -158,34 +169,48 @@ class BlockCache {
   // A dirty entry claimed for writing (Entry::flushing set). The payload is
   // pinned by shared_ptr, not copied, while the shard lock is held.
   struct FlushJob {
+    size_t shard;
     uint64_t addr;
     std::shared_ptr<const Bytes> data;
     uint64_t gen;
     uint64_t pin_lsn;
   };
-  // Claims the dirty entries of `addrs` that satisfy `wanted` (caller holds
-  // `shard.mu` via `lk`), appending them to `jobs`; returns the newest log
-  // record pinning any of them (0 if none).
-  uint64_t ClaimLocked(Shard& shard, const std::vector<uint64_t>& addrs,
-                       std::unique_lock<std::mutex>& lk,
-                       const std::function<bool(const Entry&)>& wanted,
-                       std::vector<FlushJob>* jobs);
-  // Clears the claims of `jobs` (caller holds `shard.mu`) and wakes waiters.
-  void ReleaseClaimsLocked(Shard& shard, const std::vector<FlushJob>& jobs);
+  // What a write-back batch writes: the addresses of each shard to consider
+  // (called under that shard's lock), and which of their dirty entries.
+  using Candidates = std::function<std::vector<uint64_t>(size_t index, const Shard& shard)>;
+  using Wanted = std::function<bool(const Entry&)>;
+  struct Batch;
 
-  // Writes the given entries of one shard out (WAL first). Called with
-  // `shard.mu` held via `lk`; drops and re-acquires it around IO. Entries
-  // re-dirtied past `pin_bound` are left dirty (log reclaim passes the
-  // reclaimed LSN: it runs inside a log flush, so it must not wait on one).
-  Status FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>& addrs,
-                             std::unique_lock<std::mutex>& lk, uint64_t pin_bound = ~0ull);
-  // Write-ahead rule for a claimed batch whose newest record is `max_pin`:
-  // true when the log is already durable that far. Otherwise the caller
-  // drops its claims, flushes the log, and claims again. The log is never
-  // flushed while claims are held: the log writer's space reclaim
-  // (FlushPinnedUpTo) waits for claimed entries, so a claimant waiting on
-  // the log writer would deadlock with it.
-  bool LogDurableTo(uint64_t max_pin) const;
+  // The one write-back routine behind every flush. Claims the selected
+  // entries of all shards, puts the unpinned (data) runs on the IO pool at
+  // once, makes the log durable through max(`log_lsn`, newest pin), then
+  // writes the pinned (metadata) runs. Claims on pinned entries are never
+  // held across the log write: the log writer's space reclaim
+  // (FlushPinnedUpTo) waits for claimed pinned entries, so a claimant waiting
+  // on the log writer would deadlock with it. The batch therefore drops its
+  // pinned claims, flushes the log, and claims them again. Unpinned claims
+  // stay held: they are already being written and reclaim never needs them.
+  Status WriteBack(const Candidates& candidates, const Wanted& wanted, uint64_t log_lsn,
+                   size_t* flushed_bytes = nullptr);
+  // Claims the candidate entries that `wanted` accepts, shard by shard in
+  // index order (so a claimant only ever waits in a shard above those it
+  // holds claims in).
+  std::vector<FlushJob> ClaimAll(const Candidates& candidates, const Wanted& wanted);
+  // One shard of ClaimAll (caller holds `shard.mu` via `lk`). Waits out
+  // in-flight flushes of the whole set before claiming any of it, so two
+  // flushers of overlapping sets never each hold part of the other's.
+  void ClaimLocked(Shard& shard, size_t index, const std::vector<uint64_t>& addrs,
+                   std::unique_lock<std::mutex>& lk, const Wanted& wanted,
+                   std::vector<FlushJob>* jobs);
+  // Clears the claims of `jobs` (grouped by shard) and wakes waiters.
+  void ReleaseClaims(const std::vector<FlushJob>& jobs);
+  // Coalesces `jobs` into address-contiguous runs of at most 256 KB within a
+  // shard and puts each run on the IO pool; each run releases its own claims
+  // when its write completes.
+  void SubmitRuns(std::vector<FlushJob> jobs, Batch* batch);
+  void WriteRun(const std::vector<FlushJob>& run, int64_t fence, Batch* batch);
+  // Write-ahead rule: true when the log is durable through `lsn`.
+  bool LogDurableTo(uint64_t lsn) const;
   // Evicts clean LRU entries from `shard` while the cache as a whole is over
   // capacity. Caller holds `shard.mu`. When another shard advertises a
   // colder clean entry, eviction is deferred to an async global-LRU sweep

@@ -157,6 +157,7 @@ FrangipaniFs::FrangipaniFs(BlockDevice* device, LockProvider* locks, Clock* cloc
   readahead_on_.store(options_.readahead_enabled);
   m_revoke_flush_bytes_ =
       obs::MetricsRegistry::Default()->GetCounter("lock.revoke_flush_bytes");
+  m_sync_errors_ = obs::MetricsRegistry::Default()->GetCounter("fs.sync.errors");
 }
 
 FrangipaniFs::~FrangipaniFs() {

@@ -110,9 +110,13 @@ class FrangipaniFs {
   Status Truncate(uint64_t ino, uint64_t new_size);
   Status Fsync(uint64_t ino);
 
-  // The update demon's work: flush the log, then all dirty blocks (§4).
+  // The update demon's work: the log and all dirty blocks, in one
+  // write-back batch (§4).
   Status SyncAll();
   Status FlushLog();
+  // For flushes no caller waits on (the sync and log-flush demons, the
+  // backup barrier): a failure is counted in fs.sync.errors and logged.
+  void ReportSyncError(const char* who, const Status& st);
   // Flush + drop the buffer cache (benchmarks: uncached experiments).
   Status DropCaches();
 
@@ -335,6 +339,7 @@ class FrangipaniFs {
   // Payload bytes written by revoke-driven flushes (coherence cost of
   // write sharing; should stay near zero for disjoint-extent writers).
   obs::Counter* m_revoke_flush_bytes_;
+  obs::Counter* m_sync_errors_;
 };
 
 // Parses a path into components; rejects empty names and names over the

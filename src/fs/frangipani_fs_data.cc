@@ -418,11 +418,11 @@ Status FrangipaniFs::Fsync(uint64_t ino) {
   obs::OpTrace trace(&op_metrics_.fsync, options_.node_id);
   RETURN_IF_ERROR(CheckUsable());
   RETURN_IF_ERROR(CheckWriteLease());
-  // Flush the log (making this file's metadata updates recoverable) and the
-  // file's dirty blocks.
-  RETURN_IF_ERROR(wal_->FlushAll());
-  RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(ino)));
-  RETURN_IF_ERROR(cache_->FlushLock(InodeDataLockId(ino)));
+  // One batch: the whole log (making this file's metadata updates
+  // recoverable), with the file's data written alongside it and its inode
+  // and directory blocks after it.
+  RETURN_IF_ERROR(
+      cache_->FlushLocks({InodeLockId(ino), InodeDataLockId(ino)}, wal_->next_lsn() - 1));
   stats_.operations.fetch_add(1, std::memory_order_relaxed);
   return OkStatus();
 }
@@ -431,8 +431,7 @@ Status FrangipaniFs::SyncAll() {
   if (!mounted_ || poisoned_) {
     return OkStatus();
   }
-  RETURN_IF_ERROR(wal_->FlushAll());
-  return cache_->FlushAll();
+  return cache_->FlushAll(wal_->next_lsn() - 1);
 }
 
 Status FrangipaniFs::DropCaches() {
@@ -450,6 +449,13 @@ Status FrangipaniFs::FlushLog() {
     return OkStatus();
   }
   return wal_->FlushAll();
+}
+
+void FrangipaniFs::ReportSyncError(const char* who, const Status& st) {
+  if (!st.ok()) {
+    m_sync_errors_->Increment();
+    FLOG(WARN) << "fs: " << who << " failed to flush: " << st;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -472,8 +478,9 @@ void FrangipaniFs::OnLockRevoked(LockId lock, LockMode new_mode, LockRange range
     return;
   }
   if (lock == kLockBarrier) {
-    // Backup barrier (§8): clean everything, then let the barrier go.
-    (void)SyncAll();
+    // Backup barrier (§8): clean everything, then let the barrier go (a
+    // failed flush does not hold the barrier).
+    ReportSyncError("backup barrier", SyncAll());
     return;
   }
   // §5: write dirty data covered by the lock before it changes hands;

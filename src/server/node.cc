@@ -98,13 +98,13 @@ void FrangipaniNode::StartDemons() {
   log_flush_task_ = std::make_unique<PeriodicTask>(options_.log_flush_period, [this, tag] {
     SetLogNodeTag(tag);
     if (fs_) {
-      (void)fs_->FlushLog();
+      fs_->ReportSyncError("log flush demon", fs_->FlushLog());
     }
   });
   sync_task_ = std::make_unique<PeriodicTask>(options_.sync_period, [this, tag] {
     SetLogNodeTag(tag);
     if (fs_) {
-      (void)fs_->SyncAll();
+      fs_->ReportSyncError("sync demon", fs_->SyncAll());
     }
   });
   idle_drop_task_ = std::make_unique<PeriodicTask>(
