@@ -8,6 +8,7 @@
 // before it is delivered — wasted work that slows the readers' lock
 // requests. With read-ahead OFF, throughput scales with readers as the fair
 // lock service round-robins grants.
+#include <atomic>
 #include <cstdio>
 #include <thread>
 
@@ -21,38 +22,50 @@ namespace {
 constexpr uint64_t kFileBytes = 4ull << 20;
 constexpr double kWindowSeconds = 4.0;
 
+// One measured configuration. A failed setup step, write or read counts in
+// `failed`; a row with any failure is not reported.
 struct Sample {
   double read_mbs = 0;
   uint64_t wasted_prefetches = 0;
+  int failed = 0;
 };
 
 Sample RunContention(int readers, bool readahead) {
+  Sample failed_setup{0, 0, 1};
   Cluster cluster(PaperClusterOptions(/*nvram=*/true));
   if (!cluster.Start().ok()) {
-    return {};
+    return failed_setup;
   }
   for (int m = 0; m < readers + 1; ++m) {
     if (!cluster.AddFrangipani().ok()) {
-      return {};
+      return failed_setup;
     }
   }
   for (int m = 0; m <= readers; ++m) {
     cluster.fs(m)->SetReadahead(readahead);
   }
   auto ino = cluster.fs(0)->Create("/contended");
+  if (!ino.ok()) {
+    return failed_setup;
+  }
   Bytes unit(64 * 1024, 0x3C);
   for (uint64_t off = 0; off < kFileBytes; off += unit.size()) {
-    (void)cluster.fs(0)->Write(*ino, off, unit);
+    if (!cluster.fs(0)->Write(*ino, off, unit).ok()) {
+      return failed_setup;
+    }
   }
-  (void)cluster.fs(0)->SyncAll();
+  if (!cluster.fs(0)->SyncAll().ok()) {
+    return failed_setup;
+  }
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> bytes_read{0};
+  std::atomic<int> failed{0};
   // The writer rewrites the entire file, over and over.
   std::thread writer([&] {
     while (!stop.load()) {
       for (uint64_t off = 0; off < kFileBytes && !stop.load(); off += unit.size()) {
-        (void)cluster.fs(0)->Write(*ino, off, unit);
+        failed += !cluster.fs(0)->Write(*ino, off, unit).ok();
       }
     }
   });
@@ -65,6 +78,8 @@ Sample RunContention(int readers, bool readahead) {
           auto n = cluster.fs(r)->Read(*ino, off, 64 * 1024, &buf);
           if (n.ok()) {
             bytes_read.fetch_add(*n);
+          } else {
+            ++failed;
           }
         }
       }
@@ -81,6 +96,7 @@ Sample RunContention(int readers, bool readahead) {
   for (int r = 1; r <= readers; ++r) {
     s.wasted_prefetches += cluster.fs(r)->Stats().prefetch_wasted;
   }
+  s.failed = failed.load();
   return s;
 }
 
@@ -88,14 +104,18 @@ Sample RunContention(int readers, bool readahead) {
 
 int main() {
   std::printf("Figure 8: reader/writer contention (aggregate read MB/s)\n\n");
-  std::printf("readers   with read-ahead   (wasted prefetches)   without read-ahead\n");
+  std::printf(
+      "readers   with read-ahead   (wasted prefetches)   without read-ahead   failed\n");
   std::vector<std::string> rows;
+  int failed_rows = 0;
   for (int readers : {1, 2, 3, 4, 5, 6}) {
     Sample with = RunContention(readers, /*readahead=*/true);
     Sample without = RunContention(readers, /*readahead=*/false);
-    std::printf("   %d        %8.2f          (%6llu)            %8.2f\n", readers,
+    int failed = with.failed + without.failed;
+    std::printf("   %d        %8.2f          (%6llu)            %8.2f          %d\n", readers,
                 with.read_mbs, static_cast<unsigned long long>(with.wasted_prefetches),
-                without.read_mbs);
+                without.read_mbs, failed);
+    failed_rows += failed > 0;
     char buf[96];
     std::snprintf(buf, sizeof(buf), "%d,%.3f,%.3f,%llu", readers, with.read_mbs,
                   without.read_mbs, static_cast<unsigned long long>(with.wasted_prefetches));
@@ -103,6 +123,10 @@ int main() {
   }
   std::printf("\npaper: with read-ahead the curve flattens (~10%% of uncontended); without\n"
               "read-ahead it scales with the number of readers\n");
+  if (failed_rows > 0) {
+    std::fprintf(stderr, "%d rows had failed ops: not reporting them\n", failed_rows);
+    return 1;
+  }
   WriteCsv("fig8_rw_contention", "readers,with_readahead_mbs,without_readahead_mbs,wasted",
            rows);
   return 0;

@@ -7,9 +7,8 @@
 // The two configs differ only in WalOptions::group_commit_us: 0 (the mount
 // default; concurrent flushers still share one Petal write, but the leader
 // does not wait for more) and 500 us (the leader holds the commit window
-// open while others wait). The clerk's ack/renewal/release coalescing and
-// the Petal client's small-transfer fusion are always on in both. A cycle in
-// which any op fails counts as failed and is not scored.
+// open while others wait). A cycle in which any op fails counts as failed
+// and is not scored.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -41,9 +40,6 @@ struct RunResult {
   uint64_t failed_cycles = 0;  // any of the four ops failed; not scored
   uint64_t group_commits = 0;
   uint64_t batched_flushes = 0;
-  uint64_t vector_calls = 0;
-  uint64_t piggybacked_renewals = 0;
-  uint64_t fused_transfers = 0;
 };
 
 double Pct(std::vector<double>& v, double p) {
@@ -185,9 +181,6 @@ RunResult RunLoad(uint32_t group_commit_us, double offered_cycles_s, bool record
   r.failed_cycles = failed_cycles.load();
   r.group_commits = C("wal.group_commits");
   r.batched_flushes = C("wal.group_commit_batched");
-  r.vector_calls = C("net.vector_calls");
-  r.piggybacked_renewals = C("lock.piggybacked_renewals");
-  r.fused_transfers = C("petal.fused_transfers");
   return r;
 }
 
@@ -208,21 +201,18 @@ int main() {
                   r.p95_ms, r.p99_ms, r.msgs_per_cycle, (unsigned long long)r.failed_cycles);
       char buf[256];
       std::snprintf(buf, sizeof(buf),
-                    "%u,%.0f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%llu,%llu,%llu,%llu,%llu,%llu",
+                    "%u,%.0f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%llu,%llu,%llu",
                     group_commit_us, offered_ops, r.achieved_ops_s, r.goodput_ops_s,
                     r.msgs_per_cycle, r.p50_ms, r.p95_ms, r.p99_ms,
                     (unsigned long long)r.failed_cycles,
                     (unsigned long long)r.group_commits,
-                    (unsigned long long)r.batched_flushes,
-                    (unsigned long long)r.vector_calls,
-                    (unsigned long long)r.piggybacked_renewals,
-                    (unsigned long long)r.fused_transfers);
+                    (unsigned long long)r.batched_flushes);
       rows.push_back(buf);
     }
   }
   // One more pass with the flight recorder on, at the top of the sweep, so
-  // the trace digest WriteCsv drops has the wal.group_commit /
-  // net.vector_call evidence; its timings are not reported.
+  // the trace digest WriteCsv drops has the wal.group_commit evidence; its
+  // timings are not reported.
   std::printf("\n[instrumented capture pass for the trace digest...]\n");
   (void)RunLoad(500, 2000.0, /*record=*/true);
   std::printf("\nthe group-commit window holds a sync-log flush open for followers;\n"
@@ -230,8 +220,7 @@ int main() {
               "(failed cycles are not scored)\n");
   WriteCsv("smallops",
            "group_commit_us,offered_ops_s,achieved_ops_s,goodput_ops_s,msgs_per_cycle,p50_ms,"
-           "p95_ms,p99_ms,failed_cycles,group_commits,batched_flushes,vector_calls,"
-           "piggybacked_renewals,fused_transfers",
+           "p95_ms,p99_ms,failed_cycles,group_commits,batched_flushes",
            rows);
   return 0;
 }

@@ -22,9 +22,7 @@ LockClerk::LockClerk(Network* net, NodeId self, std::unique_ptr<LockRouter> rout
   m_range_cache_hits_ = reg->GetCounter("lock.range_cache_hits");
   m_range_splits_ = reg->GetCounter("lock.range_splits");
   m_partial_revokes_ = reg->GetCounter("lock.partial_revokes");
-  m_piggybacked_renewals_ = reg->GetCounter("lock.piggybacked_renewals");
-  m_batched_releases_ = reg->GetCounter("lock.batched_releases");
-  m_renew_skipped_ = reg->GetCounter("lock.renew_skipped");
+  m_ack_errors_ = reg->GetCounter("lock.ack_errors");
   m_acquire_us_ = reg->GetHistogram("lock.acquire_us");
   m_grant_wait_us_ = reg->GetHistogram("lock.grant_wait_us");
   m_release_us_ = reg->GetHistogram("lock.release_us");
@@ -61,14 +59,6 @@ Status LockClerk::Open(const std::string& table) {
     lease_expiry_ = clock_->Now() + lease_duration_;
     open_ = true;
     poisoned_ = false;
-    renew_denied_ = false;
-    queued_releases_.clear();
-    // Seed the per-server confirmation times at open: the min-over-servers
-    // lease advance then starts from exactly the open-time lease.
-    renew_ok_.clear();
-    for (NodeId s : router_->AllServers()) {
-      renew_ok_[s] = lease_expiry_ - lease_duration_;
-    }
     return OkStatus();
   }
   return last;
@@ -133,129 +123,18 @@ StatusOr<Bytes> LockClerk::ServerCall(uint32_t method, LockId lock, const Bytes&
   return last;
 }
 
-void LockClerk::DeliverGrantAck(LockId lock, uint32_t slot, TimePoint sent) {
-  constexpr int kAttempts = 6;
-  constexpr size_t kRenewIdx = 1;
-  const std::vector<SubCall> subs = {
-      {"lockd", kLockAck, LockAckRequest{slot, lock}.Encode()},
-      {"lockd", kLockRenew, LockSlotRequest{slot}.Encode()}};
-  for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    StatusOr<NodeId> server = router_->ServerForLock(lock);
-    if (!server.ok()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1 << std::min(attempt, 4)));
-      continue;
-    }
-    std::vector<SubCall> wire = subs;
-    size_t queued = 0;
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      auto qit = queued_releases_.find(*server);
-      if (qit != queued_releases_.end()) {
-        for (Bytes& body : qit->second) {
-          wire.push_back({"lockd", kLockRelease, std::move(body)});
-          ++queued;
-        }
-        queued_releases_.erase(qit);
-      }
-    }
-    if (queued > 0) {
-      m_batched_releases_->Increment(queued);
-    }
-    std::vector<StatusOr<Bytes>> replies = net_->CallBatch(self_, *server, wire);
-    bool transport_down = !replies.empty();
-    for (const StatusOr<Bytes>& r : replies) {
-      if (r.ok() || (r.status().code() != StatusCode::kUnavailable &&
-                     r.status().code() != StatusCode::kFailedPrecondition)) {
-        transport_down = false;
-        break;
-      }
-    }
-    if (transport_down) {
-      // Message lost or server no longer responsible. Retry the core subs on
-      // the re-routed server; the drained releases are dropped — losing a
-      // release is benign (the server revokes later and we answer with
-      // nothing held).
-      router_->OnServerTrouble(*server);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1 << std::min(attempt, 4)));
-      continue;
-    }
-    if (kRenewIdx < replies.size()) {
-      RecordPiggybackedRenewal(*server, replies[kRenewIdx], sent);
-    }
-    if (obs::RecorderEnabled()) {
-      obs::RecordInstant(obs::Layer::kLock, "lock.batch_delivered", self_, "subs", wire.size());
-    }
+void LockClerk::DeliverGrantAck(LockId lock, uint32_t slot) {
+  Status st = ServerCall(kLockAck, lock, LockAckRequest{slot, lock}.Encode()).status();
+  if (st.ok()) {
     return;
   }
-}
-
-void LockClerk::FlushQueuedReleases() {
-  std::map<NodeId, std::vector<Bytes>> drained;
-  uint32_t slot;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (queued_releases_.empty()) {
-      return;
-    }
-    drained.swap(queued_releases_);
-    slot = slot_;
+  // The server keeps the grant unacked and so never revokes it: a peer that
+  // wants the lock waits until our lease runs out. Surface it.
+  m_ack_errors_->Increment();
+  if (!ack_error_logged_.exchange(true)) {
+    FLOG(WARN) << "clerk@" << self_ << ": grant ack for lock " << lock
+               << " lost (further failures only counted in lock.ack_errors): " << st;
   }
-  for (auto& [server, bodies] : drained) {
-    // A renewal leads the batch.
-    std::vector<SubCall> subs;
-    TimePoint sent = clock_->Now();
-    subs.push_back({"lockd", kLockRenew, LockSlotRequest{slot}.Encode()});
-    for (Bytes& body : bodies) {
-      subs.push_back({"lockd", kLockRelease, std::move(body)});
-    }
-    m_batched_releases_->Increment(bodies.size());
-    std::vector<StatusOr<Bytes>> replies = net_->CallBatch(self_, server, subs);
-    if (!replies.empty()) {
-      RecordPiggybackedRenewal(server, replies[0], sent);
-    }
-    // Failed releases are dropped, not retried: see DeliverGrantAck.
-  }
-}
-
-void LockClerk::RecordPiggybackedRenewal(NodeId server, const StatusOr<Bytes>& reply,
-                                         TimePoint sent) {
-  if (!reply.ok()) {
-    return;
-  }
-  StatusOr<LockRenewReply> renew = LockRenewReply::Decode(*reply);
-  if (!renew.ok()) {
-    return;
-  }
-  if (renew->ok) {
-    m_piggybacked_renewals_->Increment();
-    RecordRenewOk(server, sent);
-  } else {
-    std::lock_guard<std::mutex> guard(mu_);
-    renew_denied_ = true;
-  }
-}
-
-void LockClerk::RecordRenewOk(NodeId server, TimePoint sent) {
-  std::lock_guard<std::mutex> guard(mu_);
-  TimePoint& t = renew_ok_[server];
-  t = std::max(t, sent);
-  if (!open_ || poisoned_ || renew_denied_) {
-    return;
-  }
-  // Advance the lease from piggybacked confirmations alone only when every
-  // server has one: expiry = min(last ok send) + duration is safe against
-  // each server's local renewal clock. Servers that never confirm (e.g. a
-  // standby backup) keep their open-time seed, so this simply never fires
-  // for them and RenewTick remains the backstop.
-  TimePoint base = sent;
-  for (NodeId s : router_->AllServers()) {
-    auto it = renew_ok_.find(s);
-    if (it == renew_ok_.end()) {
-      return;
-    }
-    base = std::min(base, it->second);
-  }
-  lease_expiry_ = std::max(lease_expiry_, base + lease_duration_);
 }
 
 bool LockClerk::UsesOverlap(const Entry& e, LockRange range) {
@@ -369,16 +248,15 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
     lk.unlock();
     // Acknowledge the grant: until this lands, the server will not revoke
     // this hold, so a revoke can never cross the grant we just applied —
-    // which also means the ack only has to land eventually, so it can ride
-    // the IO pool as a vector call with a piggybacked renewal and any queued
-    // releases instead of costing this thread another round-trip.
-    TimePoint sent = clock_->Now();
+    // which also means the ack only has to land eventually, so it is sent
+    // from the IO pool instead of costing this thread another round trip.
+    // Like every lock message, it also renews our lease at the server.
     {
       std::lock_guard<std::mutex> guard(mu_);
       ++async_acks_;
     }
-    net_->SubmitIo([this, lock, slot, sent] {
-      DeliverGrantAck(lock, slot, sent);
+    net_->SubmitIo([this, lock, slot] {
+      DeliverGrantAck(lock, slot);
       std::lock_guard<std::mutex> guard(mu_);
       --async_acks_;
       async_cv_.notify_all();
@@ -406,7 +284,7 @@ void LockClerk::Release(LockId lock, LockRange range) {
 }
 
 void LockClerk::DropIdle(Duration max_idle) {
-  std::vector<LockId> to_drop;
+  std::vector<LockId> candidates;
   uint32_t slot;
   {
     std::lock_guard<std::mutex> guard(mu_);
@@ -418,82 +296,68 @@ void LockClerk::DropIdle(Duration max_idle) {
     for (auto& [lock, e] : cache_) {
       if (!e.held.empty() && e.uses.empty() && e.revoking.empty() && !e.pending &&
           now - e.last_used >= max_idle) {
-        to_drop.push_back(lock);
+        candidates.push_back(lock);
       }
     }
   }
-  for (LockId lock : to_drop) {
+  // Flush each lock's dirty data (a write lock may cover dirty blocks) on
+  // this thread. The lock stays marked revoking until its release has been
+  // sent, so a local Acquire cannot re-request it and have the late release
+  // take the new grant away at the server.
+  std::vector<LockId> to_drop;
+  for (LockId lock : candidates) {
     {
-      std::unique_lock<std::mutex> lk(mu_);
+      std::lock_guard<std::mutex> guard(mu_);
       auto it = cache_.find(lock);
       if (it == cache_.end() || !it->second.uses.empty() || !it->second.revoking.empty() ||
           it->second.pending) {
         continue;
       }
-      // Flush dirty data (a write lock may cover dirty blocks) before
-      // giving the lock back.
       it->second.revoking.push_back(LockRange{});
-      lk.unlock();
-      if (callbacks_.on_revoke) {
-        callbacks_.on_revoke(lock, LockMode::kNone, LockRange{});
-      }
-      lk.lock();
-      cache_.erase(lock);
-      cv_.notify_all();
     }
-    Bytes release = LockModeRequest{slot, lock, LockMode::kNone, FullRange()}.Encode();
-    StatusOr<NodeId> server = router_->ServerForLock(lock);
-    if (server.ok()) {
-      std::lock_guard<std::mutex> guard(mu_);
-      queued_releases_[*server].push_back(std::move(release));
-      continue;
+    if (callbacks_.on_revoke) {
+      callbacks_.on_revoke(lock, LockMode::kNone, LockRange{});
     }
-    (void)ServerCall(kLockRelease, lock, release);
+    to_drop.push_back(lock);
   }
-  FlushQueuedReleases();
+  // One release message per lock, several in flight at once. A lost release
+  // is benign: the server revokes the lock later and HandleRevoke answers
+  // that nothing is held.
+  constexpr uint32_t kReleaseWindow = 16;
+  (void)net_->ParallelFor(to_drop.size(), kReleaseWindow, [&](size_t i) {
+    (void)ServerCall(kLockRelease, to_drop[i],
+                     LockModeRequest{slot, to_drop[i], LockMode::kNone, FullRange()}.Encode());
+    return OkStatus();
+  });
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    for (LockId lock : to_drop) {
+      cache_.erase(lock);
+    }
+  }
+  cv_.notify_all();
 }
 
 void LockClerk::RenewTick() {
   uint32_t slot;
-  bool denied = false;
   {
     std::lock_guard<std::mutex> guard(mu_);
     if (!open_ || poisoned_) {
       return;
     }
     slot = slot_;
-    // A piggybacked renewal came back denied since the last tick: the
-    // lease-lost handling runs here, on the demon thread, never on an async
-    // completion (the lease-lost callback touches the fs).
-    denied = renew_denied_;
-    renew_denied_ = false;
   }
   TimePoint sent = clock_->Now();
   Bytes renew = LockSlotRequest{slot}.Encode();
-  bool any_ok = false;
-  // The conservative send time the new expiry is computed from: when a
-  // server is skipped thanks to a recent piggybacked confirmation, its
-  // (earlier) confirmation send time bounds the advance.
-  TimePoint base = sent;
   // Issue all renewals concurrently: one slow or dead lock server must not
   // delay renewal at the others past lease expiry.
-  std::vector<std::pair<NodeId, std::future<StatusOr<Bytes>>>> pending;
+  std::vector<std::future<StatusOr<Bytes>>> pending;
   for (NodeId server : router_->AllServers()) {
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      auto it = renew_ok_.find(server);
-      if (it != renew_ok_.end() && sent - it->second < lease_duration_ / 6) {
-        // A piggybacked renewal reached this server moments ago; skip the
-        // standalone call and count its confirmation from that send time.
-        m_renew_skipped_->Increment();
-        any_ok = true;
-        base = std::min(base, it->second);
-        continue;
-      }
-    }
-    pending.emplace_back(server, net_->CallAsync(self_, server, "lockd", kLockRenew, renew));
+    pending.push_back(net_->CallAsync(self_, server, "lockd", kLockRenew, renew));
   }
-  for (auto& [server, fut] : pending) {
+  bool any_ok = false;
+  bool denied = false;
+  for (auto& fut : pending) {
     StatusOr<Bytes> reply = fut.get();
     if (!reply.ok()) {
       continue;
@@ -504,18 +368,13 @@ void LockClerk::RenewTick() {
     }
     if (renewed->ok) {
       any_ok = true;
-      RecordRenewOk(server, sent);
     } else {
       denied = true;
     }
   }
   std::unique_lock<std::mutex> lk(mu_);
-  if (renew_denied_) {
-    denied = true;
-    renew_denied_ = false;
-  }
   if (any_ok && !denied) {
-    lease_expiry_ = std::max(lease_expiry_, base + lease_duration_);
+    lease_expiry_ = std::max(lease_expiry_, sent + lease_duration_);
     return;
   }
   if (denied || clock_->Now() > lease_expiry_) {

@@ -11,6 +11,7 @@
 #ifndef SRC_LOCK_CLERK_H_
 #define SRC_LOCK_CLERK_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -111,22 +112,9 @@ class LockClerk : public Service {
   // Sends a lock-server call with routing/failover; returns the reply.
   StatusOr<Bytes> ServerCall(uint32_t method, LockId lock, const Bytes& request);
 
-  // Acknowledges the grant of `lock` with a piggybacked renewal sent at
-  // `sent`, as one vector call to the server responsible for the lock, with
-  // ServerCall-style retry/failover. Queued releases for the resolved server
-  // are drained into the batch. The renewal's reply updates renew_ok_ /
-  // renew_denied_.
-  void DeliverGrantAck(LockId lock, uint32_t slot, TimePoint sent);
-  // Sends one vector call per server with queued releases (plus a leading
-  // piggybacked renewal). Failed releases are dropped: the server revokes
-  // the lock later and HandleRevoke answers "nothing held".
-  void FlushQueuedReleases();
-  // Records a successful renewal confirmation from `server` for a renew sent
-  // at `sent`; advances the lease when every server has a confirmation
-  // (expiry = min over servers of last ok send + lease duration).
-  void RecordRenewOk(NodeId server, TimePoint sent);
-  // Applies the reply to a renewal that rode a batch sent at `sent`.
-  void RecordPiggybackedRenewal(NodeId server, const StatusOr<Bytes>& reply, TimePoint sent);
+  // Acknowledges the grant of `lock` with one kLockAck through ServerCall.
+  // Runs on the IO pool; a final failure is counted in lock.ack_errors.
+  void DeliverGrantAck(LockId lock, uint32_t slot);
 
   StatusOr<Bytes> HandleRevoke(const Bytes& request);
   StatusOr<Bytes> HandleRecoverSlot(const Bytes& request);
@@ -148,21 +136,11 @@ class LockClerk : public Service {
   TimePoint lease_expiry_{};
   bool open_ = false;
   bool poisoned_ = false;
-  // Last send time of a renewal each server confirmed (piggybacked or
-  // standalone). Seeded at Open so the min-over-servers lease advance starts
-  // from the open-time lease and stays conservative.
-  std::map<NodeId, TimePoint> renew_ok_;
-  // A piggybacked renewal came back denied; consumed by RenewTick, which
-  // owns MarkLeaseLost (async completions must not poison the mount — the
-  // lease-lost callback touches the fs, which is torn down before the
-  // clerk).
-  bool renew_denied_ = false;
-  // Idle-drop release bodies queued per destination server.
-  std::map<NodeId, std::vector<Bytes>> queued_releases_;
   // In-flight async grant-ack tasks; the destructor drains them before the
   // clerk's members go away.
   int async_acks_ = 0;
   std::condition_variable async_cv_;
+  std::atomic<bool> ack_error_logged_{false};
 
   // Registry handles, resolved once at construction (hot path is lock-free).
   obs::Counter* m_sticky_hits_;
@@ -171,9 +149,7 @@ class LockClerk : public Service {
   obs::Counter* m_range_cache_hits_;
   obs::Counter* m_range_splits_;
   obs::Counter* m_partial_revokes_;
-  obs::Counter* m_piggybacked_renewals_;
-  obs::Counter* m_batched_releases_;
-  obs::Counter* m_renew_skipped_;
+  obs::Counter* m_ack_errors_;
   Histogram* m_acquire_us_;
   Histogram* m_grant_wait_us_;
   Histogram* m_release_us_;

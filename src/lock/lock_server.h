@@ -108,8 +108,8 @@ class LockServer : public Service {
   StatusOr<Bytes> DoRelease(const Bytes& request);
   StatusOr<Bytes> DoAck(const Bytes& request);
 
-  // Any message from a live holder proves liveness: restamp its lease so
-  // piggybacked acks and releases keep it fresh without standalone renewals.
+  // Any message from a live holder proves liveness: restamp its lease, so a
+  // grant ack, a release or a request renews it like a kLockRenew does.
   // Only this server's view is extended, which is always safe (the hazard
   // direction is the server expiring a lease the client still trusts).
   void ImplicitRenew(uint32_t slot);

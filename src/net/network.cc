@@ -10,10 +10,8 @@
 namespace frangipani {
 
 namespace {
-// Envelope overhead per message, and the per-sub-request framing overhead
-// inside a vector call (method id, lengths, status demux fields).
+// Envelope overhead per message.
 constexpr size_t kHeaderBytes = 64;
-constexpr size_t kSubHeaderBytes = 16;
 }  // namespace
 
 Network::~Network() {
@@ -150,176 +148,6 @@ StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service
     Transmit(*dst, *src, resp_bytes + kHeaderBytes);
   }
   return response;
-}
-
-std::vector<StatusOr<Bytes>> Network::CallBatch(NodeId from, NodeId to,
-                                                const std::vector<SubCall>& subs) {
-  std::vector<StatusOr<Bytes>> results(subs.size(),
-                                       StatusOr<Bytes>(Unavailable("not attempted")));
-  if (subs.empty()) {
-    return results;
-  }
-  if (subs.size() == 1) {
-    results[0] = Call(from, to, subs[0].service, subs[0].method, subs[0].request);
-    return results;
-  }
-  m_vector_calls_->Increment();
-  m_vector_subcalls_->Increment(subs.size());
-  obs::SpanScope span(obs::Layer::kNet, "net.vector_call", from, "dst", to, "n", subs.size());
-
-  Node* src = nullptr;
-  Node* dst = nullptr;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (!Reachable(from, to)) {
-      Status down = Unavailable("node " + std::to_string(to) + " unreachable from " +
-                                std::to_string(from));
-      for (auto& r : results) {
-        r = down;
-      }
-      return results;
-    }
-    src = nodes_[from - 1].get();
-    dst = nodes_[to - 1].get();
-  }
-
-  // Marshal every sub-request into one request envelope. The whole batch is
-  // one message on the wire, so it is charged one header and one latency.
-  Encoder req;
-  req.PutU32(static_cast<uint32_t>(subs.size()));
-  for (const SubCall& sub : subs) {
-    req.PutString(sub.service);
-    req.PutU32(sub.method);
-    req.PutBytes(sub.request);
-  }
-  {
-    obs::LayerTimer timer(obs::Layer::kNet);
-    Transmit(*src, *dst, req.size() + kHeaderBytes + subs.size() * kSubHeaderBytes);
-  }
-
-  // Destination side: demux the envelope and run each handler in order on
-  // this (the caller's) thread, exactly as a plain Call would.
-  Encoder rep;
-  {
-    Decoder dec(req.buffer());
-    uint32_t n = dec.GetU32();
-    rep.PutU32(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      std::string service = dec.GetString();
-      uint32_t method = dec.GetU32();
-      Bytes payload = dec.GetBytes();
-      Service* svc = nullptr;
-      {
-        std::lock_guard<std::mutex> guard(mu_);
-        auto it = dst->services.find(service);
-        if (it != dst->services.end()) {
-          svc = it->second;
-        }
-      }
-      StatusOr<Bytes> sub_result =
-          svc != nullptr ? svc->Handle(method, payload, from)
-                         : StatusOr<Bytes>(Unavailable("service '" + service +
-                                                       "' not registered at node " +
-                                                       std::to_string(to)));
-      if (sub_result.ok()) {
-        rep.PutU8(1);
-        rep.PutBytes(sub_result.value());
-      } else {
-        rep.PutU8(0);
-        rep.PutU32(static_cast<uint32_t>(sub_result.status().code()));
-        rep.PutString(std::string(sub_result.status().message()));
-      }
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (!Reachable(to, from)) {
-      Status lost = Unavailable("reply from node " + std::to_string(to) + " lost");
-      for (auto& r : results) {
-        r = lost;
-      }
-      return results;
-    }
-  }
-  {
-    obs::LayerTimer timer(obs::Layer::kNet);
-    Transmit(*dst, *src, rep.size() + kHeaderBytes + subs.size() * kSubHeaderBytes);
-  }
-
-  // Caller side: demux per-entry status + payload from the reply envelope.
-  Decoder dec(rep.buffer());
-  uint32_t n = dec.GetU32();
-  for (uint32_t i = 0; i < n && i < results.size(); ++i) {
-    if (dec.GetU8() != 0) {
-      results[i] = dec.GetBytes();
-    } else {
-      StatusCode code = static_cast<StatusCode>(dec.GetU32());
-      results[i] = Status(code, dec.GetString());
-    }
-  }
-  return results;
-}
-
-std::future<std::vector<StatusOr<Bytes>>> Network::CallBatchAsync(NodeId from, NodeId to,
-                                                                  std::vector<SubCall> subs) {
-  auto task = std::make_shared<std::packaged_task<std::vector<StatusOr<Bytes>>()>>(
-      [this, from, to, batch = std::move(subs)] { return CallBatch(from, to, batch); });
-  std::future<std::vector<StatusOr<Bytes>>> result = task->get_future();
-  SubmitIo([task] { (*task)(); });
-  return result;
-}
-
-std::vector<StatusOr<Bytes>> Network::ParallelCalls(NodeId from,
-                                                    const std::vector<CallSpec>& specs,
-                                                    uint32_t window, ParallelForOptions opts,
-                                                    size_t max_batch) {
-  std::vector<StatusOr<Bytes>> results(specs.size(),
-                                       StatusOr<Bytes>(Unavailable("not attempted")));
-  if (specs.empty()) {
-    return results;
-  }
-  if (max_batch == 0) {
-    max_batch = 1;
-  }
-  // Fusion pass: group spec indices by destination (chunk placement stripes
-  // round-robin, so same-destination entries are generally NOT adjacent),
-  // splitting oversized groups at max_batch. Each unit is one message pair.
-  std::map<NodeId, std::vector<size_t>> by_dst;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    by_dst[specs[i].to].push_back(i);
-  }
-  std::vector<std::vector<size_t>> units;
-  for (auto& [dst, idx] : by_dst) {
-    for (size_t off = 0; off < idx.size(); off += max_batch) {
-      size_t end = std::min(idx.size(), off + max_batch);
-      units.emplace_back(idx.begin() + off, idx.begin() + end);
-    }
-  }
-  // Units always "succeed" from ParallelFor's point of view: per-entry
-  // failures land in `results`, and issuing must not stop early.
-  (void)ParallelFor(
-      units.size(), window,
-      [&](size_t u) -> Status {
-        const std::vector<size_t>& idx = units[u];
-        if (idx.size() == 1) {
-          const CallSpec& s = specs[idx[0]];
-          results[idx[0]] = Call(from, s.to, s.service, s.method, s.request);
-          return OkStatus();
-        }
-        std::vector<SubCall> subs;
-        subs.reserve(idx.size());
-        for (size_t i : idx) {
-          subs.push_back({specs[i].service, specs[i].method, specs[i].request});
-        }
-        std::vector<StatusOr<Bytes>> unit_results = CallBatch(from, specs[idx[0]].to, subs);
-        for (size_t k = 0; k < idx.size(); ++k) {
-          results[idx[k]] = std::move(unit_results[k]);
-        }
-        return OkStatus();
-      },
-      opts);
-  return results;
 }
 
 ThreadPool* Network::IoPool() {

@@ -14,6 +14,9 @@
 // occupancy model is untouched (each in-flight message still reserves both
 // NICs), which is exactly what lets scatter-gather transfers overlap the
 // wire and disk time of independent chunks.
+// Every RPC is one request message and one reply message, as in the paper's
+// lock protocol (§6): each lock message and each Petal chunk transfer is one
+// Call.
 // Failure injection: node down, pairwise partition, full isolation, random
 // message drops. A failed delivery surfaces as kUnavailable, which callers
 // treat like an RPC timeout.
@@ -63,22 +66,6 @@ struct ParallelForOptions {
   obs::Gauge* inflight_peak = nullptr;
 };
 
-// One sub-request of a vector call (CallBatch): a (service, method, payload)
-// triple addressed at the batch's common destination.
-struct SubCall {
-  std::string service;
-  uint32_t method = 0;
-  Bytes request;
-};
-
-// One fully addressed call, for ParallelCalls' same-destination fusion.
-struct CallSpec {
-  NodeId to = kInvalidNode;
-  std::string service;
-  uint32_t method = 0;
-  Bytes request;
-};
-
 class Network {
  public:
   explicit Network(LinkParams defaults = {}, int io_threads = 32)
@@ -99,20 +86,6 @@ class Network {
   // failure injection in both directions.
   StatusOr<Bytes> Call(NodeId from, NodeId to, const std::string& service, uint32_t method,
                        const Bytes& request);
-
-  // Vector RPC: packs all sub-requests into one request message (charged one
-  // envelope and one link latency each way, plus a small per-sub header),
-  // executes each sub-handler in order at the destination, and demuxes
-  // per-sub status + payload from one reply message. An unreachable
-  // destination or lost reply fails every entry with kUnavailable; an
-  // individual handler failure fails only its own entry (partial-failure
-  // demux). A single-entry batch degenerates to a plain Call.
-  std::vector<StatusOr<Bytes>> CallBatch(NodeId from, NodeId to,
-                                         const std::vector<SubCall>& subs);
-
-  // CallBatch executed on the IO thread pool.
-  std::future<std::vector<StatusOr<Bytes>>> CallBatchAsync(NodeId from, NodeId to,
-                                                           std::vector<SubCall> subs);
 
   // ---- Async IO ----
   // Runs `fn` on the shared IO thread pool (created lazily on first use).
@@ -137,16 +110,6 @@ class Network {
   // block on another SubmitIo/CallAsync task.
   Status ParallelFor(size_t count, uint32_t window, const std::function<Status(size_t)>& op,
                      ParallelForOptions opts = {});
-
-  // Same-destination fusion pass over a mixed-destination call list: specs
-  // aimed at the same node travel as CallBatch vector calls (at most
-  // `max_batch` subs per message); the resulting message units run under
-  // ParallelFor with `window` in flight. Results come back in spec order,
-  // each entry carrying its own status (no early stop — a failed spec does
-  // not prevent the others from being issued).
-  std::vector<StatusOr<Bytes>> ParallelCalls(NodeId from, const std::vector<CallSpec>& specs,
-                                             uint32_t window, ParallelForOptions opts = {},
-                                             size_t max_batch = 16);
 
   std::string NodeName(NodeId node) const;
 
@@ -193,10 +156,6 @@ class Network {
   Rng rng_{0xF00DF00Dull};
   Histogram* m_queue_delay_us_ =
       obs::MetricsRegistry::Default()->GetHistogram("net.queue_delay_us");
-  obs::Counter* m_vector_calls_ =
-      obs::MetricsRegistry::Default()->GetCounter("net.vector_calls");
-  obs::Counter* m_vector_subcalls_ =
-      obs::MetricsRegistry::Default()->GetCounter("net.vector_subcalls");
 };
 
 }  // namespace frangipani

@@ -23,7 +23,6 @@ PetalClient::PetalClient(Network* net, NodeId self, std::vector<NodeId> bootstra
   m_write_bytes_ = reg->GetCounter("petal.write_bytes");
   m_failovers_ = reg->GetCounter("petal.failover");
   m_decommit_errors_ = reg->GetCounter("petal.decommit_errors");
-  m_fused_transfers_ = reg->GetCounter("petal.fused_transfers");
   m_inflight_ = reg->GetGauge("petal.inflight");
   m_inflight_peak_ = reg->GetGauge("petal.inflight_peak");
   m_io_window_ = reg->GetGauge("petal.io_window");
@@ -140,6 +139,14 @@ StatusOr<Bytes> PetalClient::AnyCall(uint32_t method, const Bytes& request) {
 
 namespace {
 
+// One chunk-granularity slice of a larger transfer.
+struct ChunkSpan {
+  uint64_t index = 0;    // chunk index
+  uint64_t pos = 0;      // absolute byte position of the slice
+  uint32_t n = 0;        // slice length
+  size_t data_off = 0;   // offset into the transfer's buffer
+};
+
 std::vector<ChunkSpan> SplitIntoChunks(uint64_t offset, uint64_t length) {
   std::vector<ChunkSpan> spans;
   spans.reserve(static_cast<size_t>(length / kChunkSize) + 2);
@@ -157,46 +164,6 @@ std::vector<ChunkSpan> SplitIntoChunks(uint64_t offset, uint64_t length) {
 
 }  // namespace
 
-bool PetalClient::ShouldFuse(const std::vector<ChunkSpan>& spans) const {
-  if (spans.size() < 2) {
-    return false;
-  }
-  for (const ChunkSpan& s : spans) {
-    if (s.n > kFuseThreshold) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool PetalClient::BuildFusedSpecs(const std::vector<ChunkSpan>& spans, uint32_t method,
-                                  const std::function<Bytes(const ChunkSpan&)>& encode,
-                                  std::vector<CallSpec>* specs) {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (!have_map_) {
-    return false;
-  }
-  specs->reserve(spans.size());
-  for (const ChunkSpan& s : spans) {
-    Replicas place = PlaceChunk(map_, s.index);
-    if (place.primary == kInvalidNode) {
-      specs->clear();
-      return false;
-    }
-    specs->push_back({place.primary, PetalServer::kServiceName, method, encode(s)});
-  }
-  return true;
-}
-
-std::vector<StatusOr<Bytes>> PetalClient::RunFused(const std::vector<CallSpec>& specs) {
-  m_fused_transfers_->Increment();
-  ParallelForOptions pf;
-  pf.inflight = m_inflight_;
-  pf.inflight_peak = m_inflight_peak_;
-  return net_->ParallelCalls(self_, specs, io_window_.load(std::memory_order_relaxed), pf,
-                             kFuseMaxBatch);
-}
-
 Status PetalClient::Read(VdiskId vdisk, uint64_t offset, uint64_t length, Bytes* out) {
   obs::LayerTimer timer(obs::Layer::kPetal, m_read_us_);
   m_read_bytes_->Increment(length);
@@ -208,46 +175,19 @@ Status PetalClient::Read(VdiskId vdisk, uint64_t offset, uint64_t length, Bytes*
   }
   std::vector<ChunkSpan> spans = SplitIntoChunks(offset, length);
   uint8_t* base = out->data();
-  auto encode = [&](const ChunkSpan& s) {
+  return ForEachChunk(spans.size(), [&](size_t i) -> Status {
+    const ChunkSpan& s = spans[i];
     Encoder enc;
     enc.PutU32(vdisk);
     enc.PutU64(s.pos);
     enc.PutU32(s.n);
-    return enc.Take();
-  };
-  auto read_one = [&](const ChunkSpan& s) -> Status {
-    ASSIGN_OR_RETURN(Bytes piece, ChunkCall(s.index, PetalServer::kRead, encode(s)));
+    ASSIGN_OR_RETURN(Bytes piece, ChunkCall(s.index, PetalServer::kRead, enc.buffer()));
     if (piece.size() != s.n) {
       return IoError("short read from petal");
     }
     std::memcpy(base + s.data_off, piece.data(), s.n);
     return OkStatus();
-  };
-  if (ShouldFuse(spans)) {
-    std::vector<CallSpec> specs;
-    if (BuildFusedSpecs(spans, PetalServer::kRead, encode, &specs)) {
-      std::vector<StatusOr<Bytes>> results = RunFused(specs);
-      std::vector<size_t> retry;
-      for (size_t i = 0; i < results.size(); ++i) {
-        const ChunkSpan& s = spans[i];
-        if (results[i].ok() && results[i].value().size() == s.n) {
-          std::memcpy(base + s.data_off, results[i].value().data(), s.n);
-          continue;
-        }
-        if (!results[i].ok() &&
-            (results[i].status().code() == StatusCode::kPermissionDenied ||
-             results[i].status().code() == StatusCode::kInvalidArgument)) {
-          return results[i].status();
-        }
-        retry.push_back(i);  // failed/short slice: full failover path below
-      }
-      if (retry.empty()) {
-        return OkStatus();
-      }
-      return ForEachChunk(retry.size(), [&](size_t k) { return read_one(spans[retry[k]]); });
-    }
-  }
-  return ForEachChunk(spans.size(), [&](size_t i) { return read_one(spans[i]); });
+  });
 }
 
 Status PetalClient::Write(VdiskId vdisk, uint64_t offset, const Bytes& data,
@@ -258,7 +198,8 @@ Status PetalClient::Write(VdiskId vdisk, uint64_t offset, const Bytes& data,
     return OkStatus();
   }
   std::vector<ChunkSpan> spans = SplitIntoChunks(offset, data.size());
-  auto encode = [&](const ChunkSpan& s) {
+  return ForEachChunk(spans.size(), [&](size_t i) {
+    const ChunkSpan& s = spans[i];
     Encoder enc;
     enc.PutU32(vdisk);
     enc.PutU64(s.pos);
@@ -267,34 +208,7 @@ Status PetalClient::Write(VdiskId vdisk, uint64_t offset, const Bytes& data,
     // Decoder::GetBytes) — no intermediate per-chunk copy.
     enc.PutU32(s.n);
     enc.PutRaw(data.data() + s.data_off, s.n);
-    return enc.Take();
-  };
-  if (ShouldFuse(spans)) {
-    std::vector<CallSpec> specs;
-    if (BuildFusedSpecs(spans, PetalServer::kWrite, encode, &specs)) {
-      std::vector<StatusOr<Bytes>> results = RunFused(specs);
-      std::vector<size_t> retry;
-      for (size_t i = 0; i < results.size(); ++i) {
-        if (results[i].ok()) {
-          continue;
-        }
-        if (results[i].status().code() == StatusCode::kPermissionDenied ||
-            results[i].status().code() == StatusCode::kInvalidArgument) {
-          return results[i].status();  // fenced/malformed: no failover
-        }
-        retry.push_back(i);
-      }
-      if (retry.empty()) {
-        return OkStatus();
-      }
-      return ForEachChunk(retry.size(), [&](size_t k) {
-        const ChunkSpan& s = spans[retry[k]];
-        return ChunkCall(s.index, PetalServer::kWrite, encode(s)).status();
-      });
-    }
-  }
-  return ForEachChunk(spans.size(), [&](size_t i) {
-    return ChunkCall(spans[i].index, PetalServer::kWrite, encode(spans[i])).status();
+    return ChunkCall(s.index, PetalServer::kWrite, enc.buffer()).status();
   });
 }
 

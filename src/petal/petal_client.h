@@ -34,14 +34,6 @@ struct PetalClientOptions {
   uint32_t io_window = 8;
 };
 
-// One chunk-granularity slice of a larger transfer.
-struct ChunkSpan {
-  uint64_t index = 0;    // chunk index
-  uint64_t pos = 0;      // absolute byte position of the slice
-  uint32_t n = 0;        // slice length
-  size_t data_off = 0;   // offset into the transfer's buffer
-};
-
 // Thread-safe; one instance per client machine.
 class PetalClient {
  public:
@@ -93,24 +85,6 @@ class PetalClient {
   // first failure (in-flight ops drain) and returns that first error.
   Status ForEachChunk(size_t count, const std::function<Status(size_t)>& op);
 
-  // ---- Same-destination fusion (vector calls) ----
-  // When every slice of a multi-chunk transfer is at most kFuseThreshold
-  // bytes, slices placed on the same primary travel as one vector call of
-  // up to kFuseMaxBatch entries (one link latency for the lot). Large slices
-  // are never fused: that would serialize their modeled disk time at one
-  // server and undo the streaming scatter-gather win.
-  static constexpr uint32_t kFuseThreshold = 16 * 1024;
-  static constexpr size_t kFuseMaxBatch = 8;
-  // True when the transfer qualifies: multiple slices, all small.
-  bool ShouldFuse(const std::vector<ChunkSpan>& spans) const;
-  // Addresses each span at its primary replica; false when the map can't
-  // place every span (caller takes the ChunkCall path instead).
-  bool BuildFusedSpecs(const std::vector<ChunkSpan>& spans, uint32_t method,
-                       const std::function<Bytes(const ChunkSpan&)>& encode,
-                       std::vector<CallSpec>* specs);
-  // Issues the specs through Network::ParallelCalls under the io window.
-  std::vector<StatusOr<Bytes>> RunFused(const std::vector<CallSpec>& specs);
-
   Network* net_;
   NodeId self_;
   std::vector<NodeId> bootstrap_;
@@ -130,7 +104,6 @@ class PetalClient {
   obs::Counter* m_write_bytes_;
   obs::Counter* m_failovers_;
   obs::Counter* m_decommit_errors_;
-  obs::Counter* m_fused_transfers_;  // transfers that took the vector-call path
   obs::Gauge* m_inflight_;
   obs::Gauge* m_inflight_peak_;
   obs::Gauge* m_io_window_;

@@ -1,5 +1,5 @@
-// Vector RPC (Network::CallBatch / ParallelCalls), WAL group commit, and
-// clerk traffic-coalescing coverage.
+// WAL group commit (leader/follower handoff, strict window, leader failure)
+// and the clerk's asynchronous grant ack on a write-shared file.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,145 +7,14 @@
 #include <vector>
 
 #include "src/fs/device.h"
+#include "src/fs/fsck.h"
 #include "src/fs/wal.h"
-#include "src/net/network.h"
 #include "src/server/cluster.h"
 
 namespace frangipani {
 namespace {
 
 obs::Counter* C(const char* name) { return obs::MetricsRegistry::Default()->GetCounter(name); }
-
-class EchoService : public Service {
- public:
-  StatusOr<Bytes> Handle(uint32_t method, const Bytes& request, NodeId from) override {
-    calls.fetch_add(1);
-    if (method == 99) {
-      return Internal("requested failure");
-    }
-    Bytes reply = request;
-    reply.push_back(static_cast<uint8_t>(method));
-    return reply;
-  }
-  std::atomic<int> calls{0};
-};
-
-TEST(CallBatchTest, DemuxesRepliesInOrder) {
-  Network net;
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
-  EchoService echo;
-  net.RegisterService(b, "echo", &echo);
-  uint64_t vcalls_before = C("net.vector_calls")->value();
-  std::vector<SubCall> subs = {{"echo", 1, {10}}, {"echo", 2, {20}}, {"echo", 3, {30}}};
-  auto replies = net.CallBatch(a, b, subs);
-  ASSERT_EQ(replies.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(replies[i].ok()) << replies[i].status();
-    EXPECT_EQ(*replies[i], (Bytes{static_cast<uint8_t>(10 * (i + 1)),
-                                  static_cast<uint8_t>(i + 1)}));
-  }
-  EXPECT_EQ(echo.calls.load(), 3);
-  EXPECT_EQ(C("net.vector_calls")->value(), vcalls_before + 1);
-}
-
-TEST(CallBatchTest, PartialSubFailureDemuxesPerEntry) {
-  Network net;
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
-  EchoService echo;
-  net.RegisterService(b, "echo", &echo);
-  std::vector<SubCall> subs = {{"echo", 1, {1}}, {"echo", 99, {2}}, {"echo", 3, {3}}};
-  auto replies = net.CallBatch(a, b, subs);
-  ASSERT_EQ(replies.size(), 3u);
-  EXPECT_TRUE(replies[0].ok());
-  ASSERT_FALSE(replies[1].ok());
-  EXPECT_EQ(replies[1].status().code(), StatusCode::kInternal);
-  EXPECT_EQ(replies[1].status().message(), "requested failure");
-  EXPECT_TRUE(replies[2].ok());
-  // Missing service on the same node fails only its own entry too.
-  subs[1].service = "nope";
-  subs[1].method = 1;
-  replies = net.CallBatch(a, b, subs);
-  EXPECT_TRUE(replies[0].ok());
-  EXPECT_EQ(replies[1].status().code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(replies[2].ok());
-}
-
-TEST(CallBatchTest, UnreachableDestinationFailsAllEntries) {
-  Network net;
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
-  EchoService echo;
-  net.RegisterService(b, "echo", &echo);
-  net.SetNodeUp(b, false);
-  auto replies = net.CallBatch(a, b, {{"echo", 1, {}}, {"echo", 2, {}}});
-  ASSERT_EQ(replies.size(), 2u);
-  for (const auto& r : replies) {
-    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-  }
-}
-
-TEST(CallBatchTest, SingleEntryDegeneratesToPlainCall) {
-  Network net;
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
-  EchoService echo;
-  net.RegisterService(b, "echo", &echo);
-  uint64_t vcalls_before = C("net.vector_calls")->value();
-  auto replies = net.CallBatch(a, b, {{"echo", 7, {5}}});
-  ASSERT_EQ(replies.size(), 1u);
-  ASSERT_TRUE(replies[0].ok());
-  EXPECT_EQ(*replies[0], (Bytes{5, 7}));
-  EXPECT_EQ(C("net.vector_calls")->value(), vcalls_before);  // no envelope used
-}
-
-TEST(ParallelCallsTest, FusesSameDestinationAndPreservesOrder) {
-  Network net;
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
-  NodeId c = net.AddNode("c");
-  EchoService echo_b;
-  EchoService echo_c;
-  net.RegisterService(b, "echo", &echo_b);
-  net.RegisterService(c, "echo", &echo_c);
-  uint64_t subcalls_before = C("net.vector_subcalls")->value();
-  // Interleaved destinations: fusion groups them per node, results come back
-  // in spec order regardless.
-  std::vector<CallSpec> specs;
-  for (uint8_t i = 0; i < 8; ++i) {
-    specs.push_back({i % 2 == 0 ? b : c, "echo", 1, {i}});
-  }
-  auto results = net.ParallelCalls(a, specs, 4);
-  ASSERT_EQ(results.size(), specs.size());
-  for (uint8_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status();
-    EXPECT_EQ(*results[i], (Bytes{i, 1}));
-  }
-  EXPECT_EQ(echo_b.calls.load(), 4);
-  EXPECT_EQ(echo_c.calls.load(), 4);
-  // Both 4-sub groups traveled as vector calls.
-  EXPECT_EQ(C("net.vector_subcalls")->value(), subcalls_before + 8);
-}
-
-TEST(ParallelCallsTest, FailedSpecDoesNotStopTheOthers) {
-  Network net;
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
-  NodeId c = net.AddNode("c");
-  EchoService echo;
-  net.RegisterService(b, "echo", &echo);
-  net.RegisterService(c, "echo", &echo);
-  net.SetNodeUp(c, false);
-  std::vector<CallSpec> specs = {
-      {b, "echo", 1, {1}}, {c, "echo", 1, {2}}, {b, "echo", 99, {3}}, {b, "echo", 1, {4}}};
-  auto results = net.ParallelCalls(a, specs, 4, {}, 2);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_EQ(results[1].status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(results[2].status().code(), StatusCode::kInternal);
-  EXPECT_TRUE(results[3].ok());
-}
 
 // ---- WAL group commit ----
 
@@ -276,9 +145,9 @@ TEST(GroupCommitTest, LeaderFailureFallsBackToFollowerSelfFlush) {
   ASSERT_TRUE(wal.FlushAll().ok());  // nothing left pending
 }
 
-// ---- cluster-level coalescing ----
+// ---- clerk grant acks ----
 
-TEST(ClerkCoalescingTest, PiggybackedRenewalsAndImplicitRenewalsFlow) {
+TEST(ClerkAckTest, GrantAcksRenewTheLeaseAndLetRevokesThrough) {
   ClusterOptions copts;
   copts.petal_servers = 3;
   copts.disks_per_petal = 1;
@@ -290,11 +159,13 @@ TEST(ClerkCoalescingTest, PiggybackedRenewalsAndImplicitRenewalsFlow) {
   ASSERT_TRUE(cluster.AddFrangipani().ok());
   ASSERT_TRUE(cluster.AddFrangipani().ok());
 
-  uint64_t piggy_before = C("lock.piggybacked_renewals")->value();
   uint64_t implicit_before = C("lockd.implicit_renewals")->value();
-  uint64_t vcalls_before = C("net.vector_calls")->value();
+  uint64_t remote_before = C("lock.acquire.remote")->value();
+  uint64_t ack_errors_before = C("lock.ack_errors")->value();
+  uint64_t revokes_before = C("lock.revoke.count")->value();
 
-  // Write-share a file so grants (and their acks) keep flowing.
+  // Write-share one file: every lap moves the lock between the nodes, so
+  // each grant's ack must land before the peer's revoke can go through.
   FrangipaniFs* fs0 = cluster.fs(0);
   FrangipaniFs* fs1 = cluster.fs(1);
   auto ino0 = fs0->Create("/shared");
@@ -306,13 +177,29 @@ TEST(ClerkCoalescingTest, PiggybackedRenewalsAndImplicitRenewalsFlow) {
     ASSERT_TRUE(fs0->Write(*ino0, lap * 512, data).ok());
     ASSERT_TRUE(fs1->Write(*ino1, (lap + 16) * 512, data).ok());
   }
-  // Acks are asynchronous; wait for the piggybacked renewals to land.
-  for (int i = 0; i < 200 && C("lock.piggybacked_renewals")->value() == piggy_before; ++i) {
+  // Node 0 reads node 1's last write: the revoke of node 1's grant went
+  // through, which the server allows only once that grant was acked.
+  Bytes back;
+  auto n = fs0->Read(*ino0, 18 * 512, data.size(), &back);
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(back, data);
+  EXPECT_GT(C("lock.revoke.count")->value(), revokes_before);
+  // Every request and every ack restamps the sender's lease at the server,
+  // so each remote acquire yields two implicit renewals once its ack, sent
+  // from the IO pool, has landed.
+  uint64_t remote = C("lock.acquire.remote")->value() - remote_before;
+  auto implicit = [&] { return C("lockd.implicit_renewals")->value() - implicit_before; };
+  for (int i = 0; i < 200 && implicit() < 2 * remote; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_GT(C("lock.piggybacked_renewals")->value(), piggy_before);
-  EXPECT_GT(C("lockd.implicit_renewals")->value(), implicit_before);
-  EXPECT_GT(C("net.vector_calls")->value(), vcalls_before);
+  EXPECT_GT(remote, 0u);
+  EXPECT_GE(implicit(), 2 * remote);
+  EXPECT_EQ(C("lock.ack_errors")->value(), ack_errors_before);
+  ASSERT_TRUE(fs0->SyncAll().ok());
+  ASSERT_TRUE(fs1->SyncAll().ok());
+  PetalDevice device(cluster.admin_petal(), cluster.vdisk());
+  FsckReport report = RunFsck(&device, cluster.geometry());
+  EXPECT_TRUE(report.ok) << report.Summary();
 }
 
 }  // namespace

@@ -89,6 +89,11 @@ TEST_F(LockExtraTest, DropIdleZeroReturnsEverythingIdle) {
   a->clerk->DropIdle(Duration(0));
   EXPECT_EQ(a->clerk->cached_lock_count(), 1u);
   EXPECT_EQ(a->clerk->CachedMode(6), LockMode::kExclusive);
+  // Each idle lock went back with its own release message.
+  for (LockId l = 1; l <= 5; ++l) {
+    EXPECT_EQ(server_->HeldMode(a->clerk->slot(), l), LockMode::kNone) << "lock " << l;
+  }
+  EXPECT_EQ(server_->HeldMode(a->clerk->slot(), 6), LockMode::kExclusive);
   a->clerk->Release(6);
 }
 

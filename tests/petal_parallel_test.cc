@@ -131,6 +131,15 @@ TEST_F(PetalParallelTest, PrimaryDownMidTransferFailsOverPerChunk) {
   ASSERT_TRUE(client_->Write(*vd, 0, data2).ok());
   ASSERT_TRUE(client_->Read(*vd, 0, data2.size(), &back).ok());
   EXPECT_EQ(back, data2);
+  // A small transfer straddling the chunk 0/1 boundary: two 4 KB slices on
+  // adjacent chunks, so on different primaries, and chunk 1's primary is the
+  // dead server. Each slice fails over on its own, like a large transfer's.
+  failovers_before = failovers->value();
+  Bytes small = Pattern(8192, 7);
+  ASSERT_TRUE(client_->Write(*vd, kChunkSize - 4096, small).ok());
+  ASSERT_TRUE(client_->Read(*vd, kChunkSize - 4096, small.size(), &back).ok());
+  EXPECT_EQ(back, small);
+  EXPECT_GT(failovers->value(), failovers_before);
 }
 
 TEST_F(PetalParallelTest, PrimaryKilledConcurrentlyWithTransfer) {
