@@ -286,9 +286,37 @@ void WriteTraceDigest(const std::string& name) {
     }
     out << line;
   }
-  std::string slowest = obs::Recorder::Default()->SlowestOpSummary();
+  // Per op: where its time went, by layer, over every traced call.
+  obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
+  std::map<std::string, double> values;
+  reg->SnapshotValues(&values);
+  out << "\n# op.<op>.{lock,petal,net}_us: p50 / mean over the op's calls\n";
+  out << "# op                count      lock_us          petal_us           net_us\n";
+  for (const auto& [metric, count] : values) {
+    // Each op's call counter is "op.<op>.count"; histogram rollups have
+    // more dots ("op.<op>.total_us.count").
+    if (!metric.starts_with("op.") || !metric.ends_with(".count") || count == 0) {
+      continue;
+    }
+    std::string op = metric.substr(3, metric.size() - 3 - 6);
+    if (op.find('.') != std::string::npos) {
+      continue;
+    }
+    std::snprintf(line, sizeof(line), "%-14s %10.0f", op.c_str(), count);
+    out << line;
+    for (const char* layer : {"lock", "petal", "net"}) {
+      Histogram* h = reg->GetHistogram("op." + op + "." + layer + "_us");
+      std::snprintf(line, sizeof(line), "  %7.0f / %7.0f", h->Percentile(0.5), h->Mean());
+      out << line;
+    }
+    out << "\n";
+  }
+  std::vector<obs::Recorder::SlowOp> slowest = obs::Recorder::Default()->SlowestOpPerName();
   if (!slowest.empty()) {
-    out << "\n# slowest captured op (critical path marked with *)\n" << slowest;
+    out << "\n# slowest captured op of each op name (critical path marked with *)\n";
+    for (const obs::Recorder::SlowOp& op : slowest) {
+      out << obs::Recorder::SlowOpTree(op);
+    }
   }
   std::printf("[trace digest written to %s]\n", path.c_str());
 }

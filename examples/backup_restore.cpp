@@ -6,6 +6,7 @@
 //   $ ./examples/backup_restore
 #include <cstdio>
 
+#include "examples/check.h"
 #include "src/fs/backup.h"
 #include "src/fs/fsck.h"
 #include "src/lock/router.h"
@@ -27,11 +28,12 @@ int main() {
   }
 
   // Live workload on two machines.
-  (void)cluster.fs(0)->Mkdir("/payroll");
+  CHECK_OK(cluster.fs(0)->Mkdir("/payroll"));
   auto ledger = cluster.fs(0)->Create("/payroll/ledger");
+  CHECK_OK(ledger);
   std::string v1 = "ledger v1: all accounts balanced\n";
-  (void)cluster.fs(0)->Write(*ledger, 0, Bytes(v1.begin(), v1.end()));
-  (void)cluster.fs(1)->Create("/payroll/notes");
+  CHECK_OK(cluster.fs(0)->Write(*ledger, 0, Bytes(v1.begin(), v1.end())));
+  CHECK_OK(cluster.fs(1)->Create("/payroll/notes"));
 
   // The backup process is an ordinary lock-service client: it takes the
   // global barrier lock exclusively, which forces every server to block new
@@ -47,7 +49,7 @@ int main() {
   }
   ClerkLockProvider backup_provider(&backup_clerk);
   PetalClient backup_petal(cluster.net(), backup_node, cluster.petal_nodes());
-  (void)backup_petal.RefreshMap();
+  CHECK_OK(backup_petal.RefreshMap());
 
   auto snap = SnapshotWithBarrier(&backup_provider, &backup_petal, cluster.vdisk());
   if (!snap.ok()) {
@@ -59,9 +61,9 @@ int main() {
 
   // The live file system keeps changing...
   std::string v2 = "ledger v2: OOPS accidentally overwritten!!\n";
-  (void)cluster.fs(1)->Write(*ledger, 0, Bytes(v2.begin(), v2.end()));
-  (void)cluster.fs(1)->Truncate(*ledger, v2.size());
-  (void)cluster.fs(0)->Unlink("/payroll/notes");
+  CHECK_OK(cluster.fs(1)->Write(*ledger, 0, Bytes(v2.begin(), v2.end())));
+  CHECK_OK(cluster.fs(1)->Truncate(*ledger, v2.size()));
+  CHECK_OK(cluster.fs(0)->Unlink("/payroll/notes"));
 
   // ...but the snapshot is frozen, clean (no recovery needed), and can be
   // kept online for quick access to accidentally deleted files (§1).
@@ -74,14 +76,15 @@ int main() {
   ro.read_only = true;
   ro.fence_writes = false;
   FrangipaniFs snap_fs(&snap_device, &snap_locks, SystemClock::Get(), ro);
-  (void)snap_fs.Mount();
+  CHECK_OK(snap_fs.Mount());
   auto snap_ledger = snap_fs.Lookup("/payroll/ledger");
+  CHECK_OK(snap_ledger);
   Bytes back;
-  (void)snap_fs.Read(*snap_ledger, 0, 4096, &back);
+  CHECK_OK(snap_fs.Read(*snap_ledger, 0, 4096, &back));
   std::printf("from the online backup: %.*s", static_cast<int>(back.size()), back.data());
   auto notes = snap_fs.Stat("/payroll/notes");
   std::printf("deleted file still in backup: %s\n", notes.ok() ? "yes" : "no");
-  (void)snap_fs.Unmount();
+  CHECK_OK(snap_fs.Unmount());
 
   // Crash-consistent variant: snapshot without the barrier, then restore by
   // cloning and running recovery on each log — the same procedure as

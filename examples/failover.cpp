@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "examples/check.h"
 #include "src/fs/fsck.h"
 #include "src/server/cluster.h"
 
@@ -30,16 +31,15 @@ int main() {
   std::printf("server A (log slot %u) creating files...\n", (*a)->slot());
   for (int i = 0; i < 20; ++i) {
     auto ino = cluster.fs(0)->Create("/doc" + std::to_string(i));
-    if (ino.ok()) {
-      (void)cluster.fs(0)->Write(*ino, 0, Bytes(2048, static_cast<uint8_t>(i)));
-    }
+    CHECK_OK(ino);
+    CHECK_OK(cluster.fs(0)->Write(*ino, 0, Bytes(2048, static_cast<uint8_t>(i))));
   }
   // Let the log demon push the records to Petal; the metadata blocks
   // themselves are still dirty in A's cache.
-  (void)cluster.fs(0)->FlushLog();
+  CHECK_OK(cluster.fs(0)->FlushLog());
 
   std::printf("crashing server A (no clean shutdown, dirty cache lost)...\n");
-  (void)cluster.CrashFrangipani(0);
+  CHECK_OK(cluster.CrashFrangipani(0));
 
   std::printf("waiting for A's lease to expire...\n");
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
@@ -53,8 +53,9 @@ int main() {
   std::printf("  %zu files survived A's crash\n", entries->size());
   for (int i = 0; i < 3; ++i) {
     auto ino = cluster.fs(1)->Lookup("/doc" + std::to_string(i));
+    CHECK_OK(ino);
     Bytes back;
-    (void)cluster.fs(1)->Read(*ino, 0, 4, &back);
+    CHECK_OK(cluster.fs(1)->Read(*ino, 0, 4, &back));
     std::printf("  /doc%d first byte = %d\n", i, back.empty() ? -1 : back[0]);
   }
 
@@ -64,10 +65,10 @@ int main() {
   }
   std::printf("  A remounted as slot %u; it can see and extend the namespace\n",
               cluster.node(0)->slot());
-  (void)cluster.fs(0)->Create("/doc-after-restart");
+  CHECK_OK(cluster.fs(0)->Create("/doc-after-restart"));
 
-  (void)cluster.fs(0)->SyncAll();
-  (void)cluster.fs(1)->SyncAll();
+  CHECK_OK(cluster.fs(0)->SyncAll());
+  CHECK_OK(cluster.fs(1)->SyncAll());
   PetalDevice device(cluster.admin_petal(), cluster.vdisk());
   FsckReport report = RunFsck(&device, cluster.geometry());
   std::printf("final fsck: %s\n", report.Summary().c_str());

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "examples/check.h"
 #include "src/fs/alloc.h"
 #include "src/fs/dir.h"
 #include "src/fs/fsck.h"
@@ -96,26 +97,28 @@ int main() {
     return 1;
   }
   // A small mixed workload...
-  (void)cluster.fs(0)->Mkdir("/src");
+  CHECK_OK(cluster.fs(0)->Mkdir("/src"));
   auto main_c = cluster.fs(0)->Create("/src/main.c");
-  (void)cluster.fs(0)->Write(*main_c, 0, Bytes(9000, 'x'));
-  (void)cluster.fs(1)->Mkdir("/docs");
-  (void)cluster.fs(1)->Symlink("/src/main.c", "/docs/main-link");
+  CHECK_OK(main_c);
+  CHECK_OK(cluster.fs(0)->Write(*main_c, 0, Bytes(9000, 'x')));
+  CHECK_OK(cluster.fs(1)->Mkdir("/docs"));
+  CHECK_OK(cluster.fs(1)->Symlink("/src/main.c", "/docs/main-link"));
   auto big = cluster.fs(1)->Create("/docs/big.bin");
-  (void)cluster.fs(1)->Write(*big, 0, Bytes(100 * 1024, 7));
-  (void)cluster.fs(0)->SyncAll();
-  (void)cluster.fs(1)->SyncAll();
+  CHECK_OK(big);
+  CHECK_OK(cluster.fs(1)->Write(*big, 0, Bytes(100 * 1024, 7)));
+  CHECK_OK(cluster.fs(0)->SyncAll());
+  CHECK_OK(cluster.fs(1)->SyncAll());
   // ...then machine 1 crashes with a logged-but-unapplied create.
-  (void)cluster.fs(1)->Create("/docs/unflushed.txt");
-  (void)cluster.fs(1)->FlushLog();
+  CHECK_OK(cluster.fs(1)->Create("/docs/unflushed.txt"));
+  CHECK_OK(cluster.fs(1)->FlushLog());
   uint32_t dead_slot = cluster.node(1)->slot();
-  (void)cluster.CrashFrangipani(1);
+  CHECK_OK(cluster.CrashFrangipani(1));
 
   PetalDevice device(cluster.admin_petal(), cluster.vdisk());
 
   // ---- parameter block ----
   Bytes params;
-  (void)device.Read(0, kBlockSize, &params);
+  CHECK_OK(device.Read(0, kBlockSize, &params));
   Decoder dec(params);
   uint32_t magic = dec.GetU32();
   Geometry geo = Geometry::Decode(dec);

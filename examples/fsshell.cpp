@@ -170,8 +170,9 @@ int main() {
       if (cmd == "append") {
         auto attr = fs->StatIno(*ino);
         off = attr.ok() ? attr->size : 0;
-      } else {
-        (void)fs->Truncate(*ino, 0);
+      } else if (Status st = fs->Truncate(*ino, 0); !st.ok()) {
+        std::printf("write: %s\n", st.ToString().c_str());
+        continue;
       }
       Status st = fs->Write(*ino, off, Bytes(text.begin(), text.end()));
       if (!st.ok()) {
@@ -239,8 +240,11 @@ int main() {
       std::printf("%s\n", st.ToString().c_str());
     } else if (cmd == "fsck") {
       for (size_t i = 0; i < cluster.frangipani_count(); ++i) {
-        if (cluster.net()->IsNodeUp(cluster.frangipani_node(i))) {
-          (void)cluster.fs(i)->SyncAll();
+        if (!cluster.net()->IsNodeUp(cluster.frangipani_node(i))) {
+          continue;
+        }
+        if (Status st = cluster.fs(i)->SyncAll(); !st.ok()) {
+          std::printf("fsck: sync of machine %zu failed: %s\n", i, st.ToString().c_str());
         }
       }
       PetalDevice device(cluster.admin_petal(), cluster.vdisk());

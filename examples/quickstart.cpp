@@ -5,6 +5,7 @@
 //   $ ./examples/quickstart
 #include <cstdio>
 
+#include "examples/check.h"
 #include "src/server/cluster.h"
 
 using namespace frangipani;
@@ -34,8 +35,8 @@ int main() {
   FrangipaniFs* fs_b = (*machine_b)->fs();
 
   // Machine A builds a small project tree.
-  (void)fs_a->Mkdir("/projects");
-  (void)fs_a->Mkdir("/projects/frangipani");
+  CHECK_OK(fs_a->Mkdir("/projects"));
+  CHECK_OK(fs_a->Mkdir("/projects/frangipani"));
   auto readme = fs_a->Create("/projects/frangipani/README");
   if (!readme.ok()) {
     std::fprintf(stderr, "create failed: %s\n", readme.status().ToString().c_str());
@@ -46,15 +47,17 @@ int main() {
       "All machines see one coherent namespace backed by a shared Petal "
       "virtual disk.\n";
   Bytes content(text.begin(), text.end());
-  (void)fs_a->Write(*readme, 0, content);
-  (void)fs_a->Symlink("/projects/frangipani/README", "/README-link");
+  CHECK_OK(fs_a->Write(*readme, 0, content));
+  CHECK_OK(fs_a->Symlink("/projects/frangipani/README", "/README-link"));
 
   // Machine B sees everything immediately — coherence is driven by the
   // distributed lock service, no server-to-server communication needed.
   auto entries = fs_b->Readdir("/projects/frangipani");
+  CHECK_OK(entries);
   std::printf("machine B sees /projects/frangipani:\n");
   for (const DirEntry& e : *entries) {
     auto attr = fs_b->Stat("/projects/frangipani/" + e.name);
+    CHECK_OK(attr);
     std::printf("  %-10s  ino=%llu  %llu bytes\n", e.name.c_str(),
                 static_cast<unsigned long long>(attr->ino),
                 static_cast<unsigned long long>(attr->size));
@@ -62,14 +65,16 @@ int main() {
 
   auto ino = fs_b->Lookup("/README-link");  // follows the symlink
   Bytes back;
-  (void)fs_b->Read(*ino, 0, 4096, &back);
+  CHECK_OK(ino);
+  CHECK_OK(fs_b->Read(*ino, 0, 4096, &back));
   std::printf("\nmachine B reads through /README-link:\n%.*s\n",
               static_cast<int>(back.size()), back.data());
 
   // Writes from B are visible to A just as immediately.
-  (void)fs_b->Write(*ino, back.size(), Bytes{'B', ' ', 'w', 'a', 's', ' ', 'h', 'e', 'r', 'e',
-                                             '\n'});
+  CHECK_OK(fs_b->Write(*ino, back.size(), Bytes{'B', ' ', 'w', 'a', 's', ' ', 'h', 'e', 'r', 'e',
+                                             '\n'}));
   auto attr = fs_a->Stat("/projects/frangipani/README");
+  CHECK_OK(attr);
   std::printf("machine A now sees %llu bytes\n",
               static_cast<unsigned long long>(attr->size));
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "examples/check.h"
 #include "src/server/cluster.h"
 
 using namespace frangipani;
@@ -22,7 +23,8 @@ uint64_t StreamOnce(FrangipaniFs* fs, uint64_t ino, uint64_t file_bytes) {
   Bytes buf;
   for (uint64_t pos = 0; pos < file_bytes;) {
     auto n = fs->Read(ino, pos, 64 * 1024, &buf);
-    if (!n.ok() || *n == 0) {
+    CHECK_OK(n);
+    if (*n == 0) {
       break;
     }
     total += *n;
@@ -56,16 +58,17 @@ int main() {
     // Each machine gets its own large file.
     size_t idx = cluster.frangipani_count() - 1;
     auto ino = cluster.fs(idx)->Create("/stream" + std::to_string(idx));
+    CHECK_OK(ino);
     Bytes chunk(64 * 1024, static_cast<uint8_t>(idx));
     for (uint64_t off = 0; off < kFileBytes; off += chunk.size()) {
-      (void)cluster.fs(idx)->Write(*ino, off, chunk);
+      CHECK_OK(cluster.fs(idx)->Write(*ino, off, chunk));
     }
-    (void)cluster.fs(idx)->SyncAll();
+    CHECK_OK(cluster.fs(idx)->SyncAll());
 
     // Uncached read: every machine invalidates its buffer cache (as the
     // paper does), then all stream their files concurrently.
     for (size_t m = 0; m < cluster.frangipani_count(); ++m) {
-      (void)cluster.fs(m)->DropCaches();
+      CHECK_OK(cluster.fs(m)->DropCaches());
     }
     std::vector<std::thread> readers;
     std::vector<uint64_t> bytes(cluster.frangipani_count());
@@ -73,9 +76,8 @@ int main() {
     for (size_t m = 0; m < cluster.frangipani_count(); ++m) {
       readers.emplace_back([&, m] {
         auto mine = cluster.fs(m)->Lookup("/stream" + std::to_string(m));
-        if (mine.ok()) {
-          bytes[m] = StreamOnce(cluster.fs(m), *mine, kFileBytes);
-        }
+        CHECK_OK(mine);
+        bytes[m] = StreamOnce(cluster.fs(m), *mine, kFileBytes);
       });
     }
     for (auto& t : readers) {

@@ -19,6 +19,20 @@ void SegBitSet(Bytes& block, uint32_t bit, bool value) {
   }
 }
 
+uint32_t SegPendingByteOffset(uint32_t local) { return kSegPendingOff + 4 * local; }
+
+uint32_t SegPendingGet(const Bytes& block, uint32_t local) {
+  const uint8_t* p = block.data() + SegPendingByteOffset(local);
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
+}
+
+void SegPendingSet(Bytes& block, uint32_t local, uint32_t chunks) {
+  uint8_t* p = block.data() + SegPendingByteOffset(local);
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(chunks >> (8 * i));
+  }
+}
+
 std::optional<uint32_t> SegFindFreeInode(const Bytes& block) {
   for (uint32_t i = 0; i < kInodesPerSegment; ++i) {
     if (!SegBitGet(block, kSegInodeBitsOff + i)) {

@@ -24,6 +24,9 @@ void SegBitSet(Bytes& block, uint32_t bit, bool value);
 uint32_t SegBitByteOffset(uint32_t bit);
 
 // ---- bit positions of objects within their segment ----
+inline uint32_t LargeLocal(uint64_t l) {
+  return static_cast<uint32_t>((l - 1) % kLargesPerSegment);
+}
 inline uint32_t InodeBit(uint64_t ino) {
   return kSegInodeBitsOff + static_cast<uint32_t>(ino % kInodesPerSegment);
 }
@@ -31,7 +34,7 @@ inline uint32_t SmallBit(uint64_t b) {
   return kSegSmallBitsOff + static_cast<uint32_t>((b - 1) % kSmallsPerSegment);
 }
 inline uint32_t LargeBit(uint64_t l) {
-  return kSegLargeBitsOff + static_cast<uint32_t>((l - 1) % kLargesPerSegment);
+  return kSegLargeBitsOff + LargeLocal(l);
 }
 inline uint32_t SmallTaintBit(uint64_t b) {
   return kSegTaintBitsOff + static_cast<uint32_t>((b - 1) % kSmallsPerSegment);
@@ -51,6 +54,12 @@ inline uint64_t SmallOfSeg(uint32_t seg, uint32_t local) {
 inline uint64_t LargeOfSeg(uint32_t seg, uint32_t local) {
   return static_cast<uint64_t>(seg) * kLargesPerSegment + local + 1;
 }
+
+// ---- pending-decommit extents (kSegPendingOff) ----
+// `local` is the large block's index within its segment.
+uint32_t SegPendingByteOffset(uint32_t local);
+uint32_t SegPendingGet(const Bytes& block, uint32_t local);
+void SegPendingSet(Bytes& block, uint32_t local, uint32_t chunks);
 
 // ---- free-object search (local index within the segment) ----
 std::optional<uint32_t> SegFindFreeInode(const Bytes& block);

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/base/logging.h"
+#include "src/obs/recorder.h"
 
 namespace frangipani {
 
@@ -158,6 +159,8 @@ FrangipaniFs::FrangipaniFs(BlockDevice* device, LockProvider* locks, Clock* cloc
   m_revoke_flush_bytes_ =
       obs::MetricsRegistry::Default()->GetCounter("lock.revoke_flush_bytes");
   m_sync_errors_ = obs::MetricsRegistry::Default()->GetCounter("fs.sync.errors");
+  m_decommit_deferred_ = obs::MetricsRegistry::Default()->GetCounter("fs.decommit.deferred");
+  m_decommit_adopted_ = obs::MetricsRegistry::Default()->GetCounter("fs.decommit.adopted");
 }
 
 FrangipaniFs::~FrangipaniFs() {
@@ -215,6 +218,8 @@ Status FrangipaniFs::Mount() {
   copts.io_threads = options_.io_threads;
   cache_ = std::make_unique<BlockCache>(device_, wal_.get(), copts, fence);
   prefetch_pool_ = std::make_unique<ThreadPool>(std::max(2, options_.io_threads));
+  decommits_ = std::make_unique<DecommitWorker>(
+      [this](uint32_t seg, bool own) { FinishDecommits(seg, own); }, options_.node_id);
 
   {
     std::lock_guard<std::mutex> guard(alloc_mu_);
@@ -229,9 +234,13 @@ Status FrangipaniFs::Unmount() {
     return OkStatus();
   }
   Status st = OkStatus();
+  decommits_->Hold(false);
   if (!poisoned_ && !options_.read_only) {
     st = SyncAll();
   }
+  // Stopped, not destroyed: a revoke callback racing the unmount may
+  // still call into it.
+  decommits_->Stop();
   prefetch_pool_.reset();
   mounted_ = false;
   return st;
@@ -303,6 +312,8 @@ FsStats FrangipaniFs::Stats() const {
 }
 
 void FrangipaniFs::SetReadahead(bool enabled) { readahead_on_.store(enabled); }
+
+void FrangipaniFs::HoldDecommits(bool hold) { decommits_->Hold(hold); }
 
 // ---------------------------------------------------------------------------
 // Lock plans
@@ -552,6 +563,16 @@ StatusOr<uint64_t> FrangipaniFs::AllocFromSegment(MetaTxn& txn, AllocSeg& alloc,
   uint64_t addr = geometry_.SegmentAddr(seg);
   ASSIGN_OR_RETURN(Bytes * block, txn.GetBlock(addr, BlockKind::kMeta4k, SegmentLockId(seg)));
   const bool small = kind == AllocKind::kSmall;
+  if (!small) {
+    // A block pending decommit keeps its bit, so the search below skips
+    // it. Finish whatever this segment has pending, ours or another's.
+    for (uint32_t i = 0; i < kLargesPerSegment; ++i) {
+      if (SegPendingGet(*block, i) != 0) {
+        decommits_->Add(seg, /*own=*/false);
+        break;
+      }
+    }
+  }
   std::optional<uint32_t> local =
       small ? SegFindFreeSmall(*block, for_metadata) : SegFindFreeLarge(*block, for_metadata);
   if (!local.has_value()) {
@@ -629,14 +650,144 @@ Status FrangipaniFs::FreeInodeAndBlocks(MetaTxn& txn, uint64_t ino, Inode& inode
       FreeInSegment(txn, SegmentOfSmall(b), SmallBit(b));
     }
   }
-  if (inode.large != 0) {
-    FreeInSegment(txn, SegmentOfLarge(inode.large), LargeBit(inode.large));
-  }
+  RETURN_IF_ERROR(FreeLargeIn(txn, inode.large, inode.size));
   FreeInSegment(txn, SegmentOfInode(ino), InodeBit(ino));
   return OkStatus();
 }
 
-Status FrangipaniFs::ForgetFreedInode(const MetaTxn& txn, uint64_t ino, const Inode& freed) {
+namespace {
+// Chunks of the large region a file of `size` bytes may have committed.
+uint64_t LargeChunks(uint64_t size) {
+  return size <= kSmallBytesPerFile ? 0 : (size - kSmallBytesPerFile + kChunkSize - 1) / kChunkSize;
+}
+}  // namespace
+
+Status FrangipaniFs::FreeLargeIn(MetaTxn& txn, uint64_t large, uint64_t size) {
+  if (large == 0) {
+    return OkStatus();
+  }
+  const uint64_t chunks = LargeChunks(size);
+  if (chunks == 0) {
+    FreeInSegment(txn, SegmentOfLarge(large), LargeBit(large));
+    return OkStatus();
+  }
+  const uint32_t seg = SegmentOfLarge(large);
+  const uint64_t addr = geometry_.SegmentAddr(seg);
+  ASSIGN_OR_RETURN(Bytes * block, txn.GetBlock(addr, BlockKind::kMeta4k, SegmentLockId(seg)));
+  SegPendingSet(*block, LargeLocal(large), static_cast<uint32_t>(chunks));
+  txn.Touch(addr, SegPendingByteOffset(LargeLocal(large)), 4);
+  return OkStatus();
+}
+
+void FrangipaniFs::QueueDecommit(uint64_t large, uint64_t size) {
+  if (large == 0 || LargeChunks(size) == 0) {
+    return;
+  }
+  m_decommit_deferred_->Increment();
+  decommits_->Add(SegmentOfLarge(large), /*own=*/true);
+}
+
+void FrangipaniFs::FinishDecommits(uint32_t seg, bool own) {
+  if (!CheckWritable().ok()) {
+    return;  // a poisoned mount leaves its markers to the next reader
+  }
+  const LockId lock = SegmentLockId(seg);
+  const uint64_t addr = geometry_.SegmentAddr(seg);
+  struct Marker {
+    uint32_t local;
+    uint32_t chunks;
+  };
+  std::vector<Marker> markers;
+  uint64_t through_lsn = 0;
+  // Each step runs under the segment lock.
+  auto read = [&]() -> Status {
+    ASSIGN_OR_RETURN(Bytes block, cache_->Read(addr, kBlockSize, lock));
+    markers.clear();
+    for (uint32_t i = 0; i < kLargesPerSegment; ++i) {
+      if (uint32_t n = SegPendingGet(block, i); n != 0) {
+        markers.push_back({i, n});
+      }
+    }
+    // Covers every record of ours that could have set one of the markers;
+    // a marker written elsewhere reached us through write-back, which made
+    // its record durable first (§4).
+    through_lsn = wal_->next_lsn() - 1;
+    return OkStatus();
+  };
+  auto send = [&]() -> Status {
+    uint64_t chunks = 0;
+    for (const Marker& m : markers) {
+      chunks += m.chunks;
+    }
+    obs::SpanScope span(obs::Layer::kFs, "fs.decommit", options_.node_id, "large",
+                        LargeOfSeg(seg, markers.front().local), "chunks", chunks);
+    // Were the freeing record lost in a crash, the file would come back
+    // with its chunks gone.
+    RETURN_IF_ERROR(wal_->FlushTo(through_lsn));
+    for (const Marker& m : markers) {
+      RETURN_IF_ERROR(device_->Decommit(geometry_.LargeBlockAddr(LargeOfSeg(seg, m.local)),
+                                        uint64_t{m.chunks} * kChunkSize));
+    }
+    return OkStatus();
+  };
+  size_t cleared = 0;
+  auto clear = [&]() -> Status {
+    MetaTxn txn(this);
+    ASSIGN_OR_RETURN(Bytes * block, txn.GetBlock(addr, BlockKind::kMeta4k, lock));
+    for (const Marker& m : markers) {
+      const uint64_t large = LargeOfSeg(seg, m.local);
+      SegPendingSet(*block, m.local, 0);
+      txn.Touch(addr, SegPendingByteOffset(m.local), 4);
+      SegBitSet(*block, LargeBit(large), false);
+      txn.Touch(addr, SegBitByteOffset(LargeBit(large)), 1);
+    }
+    RETURN_IF_ERROR(txn.Commit());
+    cleared = markers.size();
+    return OkStatus();
+  };
+
+  // The lock is held to read and to clear the markers, not across the
+  // flush and the calls. A revoke from the read on waits for the calls.
+  Status st = WithLocks({{lock, LockMode::kExclusive}}, [&]() -> Status {
+    RETURN_IF_ERROR(read());
+    if (!markers.empty()) {
+      decommits_->BeginSending();
+    }
+    return OkStatus();
+  });
+  if (st.ok() && !markers.empty()) {
+    st = send();
+  }
+  decommits_->EndSending();
+  if (st.ok() && !markers.empty() && !decommits_->Revoked()) {
+    st = WithLocks({{lock, LockMode::kExclusive}}, [&]() -> Status {
+      // Only this worker clears markers here, and a marked block cannot be
+      // allocated, so the markers are as read unless another server held
+      // the lock meanwhile.
+      return decommits_->Revoked() ? OkStatus() : clear();
+    });
+  }
+  if (st.ok() && !markers.empty() && cleared == 0) {
+    // Another server held the lock since the read. It may have finished
+    // the markers and reused the blocks, so do the visit again holding the
+    // lock throughout: a peer doing the same cannot take it from us
+    // halfway, as it could if both of us retried the short way.
+    st = WithLocks({{lock, LockMode::kExclusive}}, [&]() -> Status {
+      RETURN_IF_ERROR(read());
+      if (markers.empty()) {
+        return OkStatus();
+      }
+      RETURN_IF_ERROR(send());
+      return clear();
+    });
+  }
+  ReportSyncError("decommit worker", st);  // failed: the markers stay for a later visit
+  if (!own) {
+    m_decommit_adopted_->Increment(cleared);
+  }
+}
+
+Status FrangipaniFs::ForgetFreedInode(uint64_t ino, const Inode& freed) {
   // The file's content dies with it: drop, don't flush, its data entries.
   cache_->InvalidateLock(InodeDataLockId(ino));
   {
@@ -659,20 +810,16 @@ Status FrangipaniFs::ForgetFreedInode(const MetaTxn& txn, uint64_t ino, const In
   // and dirty like any logged update (§4): the sync demon writes it home,
   // or a revoke does if another server allocates the inode, and the next
   // create here finds it in the cache.
-  return DecommitLargeTail(txn.lsn(), freed.large, freed.size, 0);
+  QueueDecommit(freed.large, freed.size);
+  return OkStatus();
 }
 
 Status FrangipaniFs::DecommitLargeTail(uint64_t lsn, uint64_t large, uint64_t old_size,
                                        uint64_t new_size) {
   // Small blocks share 64 KB Petal chunks with unrelated blocks, so only
   // the large block's committed range is decommitted.
-  auto extent = [](uint64_t size) -> uint64_t {
-    return size <= kSmallBytesPerFile
-               ? 0
-               : (size - kSmallBytesPerFile + kChunkSize - 1) / kChunkSize * kChunkSize;
-  };
-  uint64_t keep = extent(new_size);
-  uint64_t end = extent(old_size);
+  uint64_t keep = LargeChunks(new_size) * kChunkSize;
+  uint64_t end = LargeChunks(old_size) * kChunkSize;
   if (large == 0 || end <= keep) {
     return OkStatus();
   }

@@ -14,7 +14,9 @@
 //    cache entries are invalidated on release (§5) — wired to the clerk's
 //    revoke callback via OnLockRevoked;
 //  - on lease loss the cache is discarded and the mount is poisoned (§6);
-//  - RecoverSlot replays a crashed peer's log (the recovery demon, §4).
+//  - RecoverSlot replays a crashed peer's log (the recovery demon, §4);
+//  - a freed large block is decommitted from Petal in the background, behind
+//    a logged pending-decommit marker (DecommitWorker).
 //
 // The class is passive: periodic work (sync demon, lease renewal) is driven
 // externally (FrangipaniNode) or by tests calling SyncAll directly.
@@ -32,6 +34,7 @@
 #include "src/base/thread_pool.h"
 #include "src/fs/alloc.h"
 #include "src/fs/block_cache.h"
+#include "src/fs/decommit_worker.h"
 #include "src/fs/device.h"
 #include "src/fs/dir.h"
 #include "src/fs/inode.h"
@@ -110,8 +113,8 @@ class FrangipaniFs {
   Status Truncate(uint64_t ino, uint64_t new_size);
   Status Fsync(uint64_t ino);
 
-  // The update demon's work: the log and all dirty blocks, in one
-  // write-back batch (§4).
+  // The update demon's work: finishes the decommits queued so far, then
+  // writes the log and all dirty blocks in one write-back batch (§4).
   Status SyncAll();
   Status FlushLog();
   // For flushes no caller waits on (the sync and log-flush demons, the
@@ -132,6 +135,9 @@ class FrangipaniFs {
   LogWriter* wal() { return wal_.get(); }
 
   void SetReadahead(bool enabled);
+  // Tests: while held, freed large blocks stay marked pending-decommit and
+  // SyncAll waits. Unmount lifts the hold.
+  void HoldDecommits(bool hold);
 
  private:
   struct PathTarget {
@@ -261,18 +267,27 @@ class FrangipaniFs {
   std::vector<uint32_t> SegmentsOf(uint64_t ino, const Inode& inode) const;
 
   Status FreeInodeAndBlocks(MetaTxn& txn, uint64_t ino, Inode& inode);
+  // Frees large block `large` of a file of `size` bytes in `txn`: a block
+  // with committed chunks keeps its allocation bit and gets a
+  // pending-decommit extent; QueueDecommit hands it to the worker once the
+  // txn has committed and the file's cached data is dropped.
+  Status FreeLargeIn(MetaTxn& txn, uint64_t large, uint64_t size);
+  void QueueDecommit(uint64_t large, uint64_t size);
+  // The worker's visit of segment `seg`: reads its markers under the
+  // segment lock, flushes the log through them and decommits their extents
+  // holding no lock, then clears them under the lock in a second record.
+  // The markers count as adopted unless `own` (a free here queued the visit).
+  void FinishDecommits(uint32_t seg, bool own);
   // Phase two of an op whose committed `txn` freed inode `ino` (`freed` is
   // its image before the free), still under the op's locks: drops the
   // file's data entries and in-memory times, writes home and drops a
-  // directory's blocks, and decommits the large block. A file's or
+  // directory's blocks, and queues the large block's decommit. A file's or
   // symlink's inode block stays cached and dirty.
-  Status ForgetFreedInode(const MetaTxn& txn, uint64_t ino, const Inode& freed);
-  // Returns to Petal the large-region chunks of large block `large` that a
-  // file of `old_size` bytes used and one of `new_size` bytes does not.
-  // The caller holds the lock that keeps the block from being reallocated
-  // (its segment lock, or the file's data lock if the file keeps it). The
-  // log is made durable through `lsn`, the record that freed or shrank the
-  // extent, before anything is decommitted.
+  Status ForgetFreedInode(uint64_t ino, const Inode& freed);
+  // Returns to Petal the chunks of large block `large`, which the file
+  // keeps, past a shrink from `old_size` to `new_size` bytes. The caller
+  // holds the file's data lock. The log is made durable through `lsn`, the
+  // record that shrank the file, before anything is decommitted.
   Status DecommitLargeTail(uint64_t lsn, uint64_t large, uint64_t old_size, uint64_t new_size);
 
   // Shared create/mkdir/symlink implementation.
@@ -300,6 +315,7 @@ class FrangipaniFs {
   std::unique_ptr<LogWriter> wal_;
   std::unique_ptr<BlockCache> cache_;
   std::unique_ptr<ThreadPool> prefetch_pool_;
+  std::unique_ptr<DecommitWorker> decommits_;
 
   std::mutex alloc_mu_;
   uint32_t alloc_seg_ = 0;
@@ -340,6 +356,8 @@ class FrangipaniFs {
   // write sharing; should stay near zero for disjoint-extent writers).
   obs::Counter* m_revoke_flush_bytes_;
   obs::Counter* m_sync_errors_;
+  obs::Counter* m_decommit_deferred_;  // large blocks this mount queued
+  obs::Counter* m_decommit_adopted_;   // markers finished by visits no free here queued
 };
 
 // Parses a path into components; rejects empty names and names over the

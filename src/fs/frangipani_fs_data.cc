@@ -371,7 +371,7 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
         }
       }
       if (node.large != 0 && new_size <= kSmallBytesPerFile) {
-        FreeInSegment(txn, SegmentOfLarge(node.large), LargeBit(node.large));
+        RETURN_IF_ERROR(FreeLargeIn(txn, node.large, node.size));
         node.large = 0;
       }
     }
@@ -401,9 +401,13 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
           RETURN_IF_ERROR(cache_->PutDirty(ref.addr, std::move(unit), dlock, 0, unit_off));
         }
       }
-      // Return the large-region chunks past the new end, all of them if
-      // the large block was freed (reads of a kept block then yield zeros).
-      RETURN_IF_ERROR(DecommitLargeTail(txn.lsn(), large, old_size, new_size));
+      // Return the large-region chunks past the new end (reads of the kept
+      // block then yield zeros); a freed block goes to the worker.
+      if (node.large == 0) {
+        QueueDecommit(large, old_size);
+      } else {
+        RETURN_IF_ERROR(DecommitLargeTail(txn.lsn(), large, old_size, new_size));
+      }
     }
     return OkStatus();
   };
@@ -431,6 +435,7 @@ Status FrangipaniFs::SyncAll() {
   if (!mounted_ || poisoned_) {
     return OkStatus();
   }
+  decommits_->Drain();
   return cache_->FlushAll(wal_->next_lsn() - 1);
 }
 
@@ -482,6 +487,11 @@ void FrangipaniFs::OnLockRevoked(LockId lock, LockMode new_mode, LockRange range
     // failed flush does not hold the barrier).
     ReportSyncError("backup barrier", SyncAll());
     return;
+  }
+  if (IsSegmentLock(lock)) {
+    // A decommit of this segment's blocks must land before another server
+    // can finish the same marker and reuse the block.
+    decommits_->OnSegmentRevoked(SegmentOfLock(lock));
   }
   // §5: write dirty data covered by the lock before it changes hands;
   // invalidate on full release, keep cached data on downgrade. A partial

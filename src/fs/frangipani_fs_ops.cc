@@ -210,7 +210,7 @@ Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
       WriteInodeIn(txn, t.ino, ino_raw, node);
     }
     RETURN_IF_ERROR(txn.Commit());
-    return freed ? ForgetFreedInode(txn, t.ino, node) : OkStatus();
+    return freed ? ForgetFreedInode(t.ino, node) : OkStatus();
   };
   return TwoPhaseOp("remove", /*allocates=*/false, plan, apply);
 }
@@ -333,7 +333,7 @@ Status FrangipaniFs::Rename(const std::string& from, const std::string& to) {
     // DirInsert (through dstp) can change its size, so dstp wins.
     WriteInodeIn(txn, dst.parent, dstp_raw, dstp);
     RETURN_IF_ERROR(txn.Commit());
-    return replaced ? ForgetFreedInode(txn, dst.ino, replaced_inode) : OkStatus();
+    return replaced ? ForgetFreedInode(dst.ino, replaced_inode) : OkStatus();
   };
   return TwoPhaseOp("rename", /*allocates=*/true, plan, apply);
 }

@@ -80,6 +80,9 @@ std::string FsckReport::Summary() const {
      << directories << " dirs, " << files << " files, " << symlinks << " symlinks), "
      << small_blocks_reachable << " small blocks, " << large_blocks_reachable
      << " large blocks";
+  if (large_blocks_pending_decommit > 0) {
+    os << ", " << large_blocks_pending_decommit << " pending decommit";
+  }
   if (!problems.empty()) {
     os << "; " << problems.size() << " problem(s), first: " << problems.front();
   }
@@ -239,7 +242,13 @@ FsckReport RunFsck(BlockDevice* device, const Geometry& geometry) {
         report.large_blocks_allocated++;
       }
       bool reachable = w.large_refs.count(l) > 0;
-      if (allocated && !reachable) {
+      bool pending = SegPendingGet(block, i) != 0;
+      if (pending && allocated && !reachable) {
+        report.large_blocks_pending_decommit++;
+      } else if (pending) {
+        w.Problem("large block " + std::to_string(l) + " pending decommit but " +
+                  (allocated ? "reachable" : "not allocated"));
+      } else if (allocated && !reachable) {
         w.Problem("large block " + std::to_string(l) + " allocated but unreachable");
       } else if (!allocated && reachable) {
         w.Problem("large block " + std::to_string(l) + " in use but not allocated");

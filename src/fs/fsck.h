@@ -6,7 +6,10 @@
 // from the root, then cross-checks reachability against the allocation
 // bitmaps. Detects: unreachable allocated inodes/blocks (leaks), reachable
 // but unallocated objects (corruption), double-referenced blocks, bad
-// directory structure, size/block mismatches, and bad link counts.
+// directory structure, size/block mismatches, and bad link counts. A large
+// block that is allocated, unreachable and carries a pending-decommit
+// extent is a free still in progress (a crash or an unmount of a poisoned
+// mount can leave one): it is counted, not reported.
 #ifndef SRC_FS_FSCK_H_
 #define SRC_FS_FSCK_H_
 
@@ -27,6 +30,7 @@ struct FsckReport {
   uint64_t small_blocks_allocated = 0;
   uint64_t large_blocks_reachable = 0;
   uint64_t large_blocks_allocated = 0;
+  uint64_t large_blocks_pending_decommit = 0;
   uint64_t directories = 0;
   uint64_t files = 0;
   uint64_t symlinks = 0;

@@ -113,7 +113,12 @@ inline constexpr uint32_t kSegLargeBitsOff = kSegSmallBitsOff + kSmallsPerSegmen
 inline constexpr uint32_t kSegAllocBits = kSegLargeBitsOff + kLargesPerSegment;
 inline constexpr uint32_t kSegTaintBitsOff = kSegAllocBits;  // smalls, then larges
 inline constexpr uint32_t kSegTotalBits = kSegAllocBits + kSmallsPerSegment + kLargesPerSegment;
-static_assert(kSegmentHeaderBytes + (kSegTotalBits + 7) / 8 <= kBlockSize);
+// After the bits, one little-endian u32 per large block of the segment: a
+// pending-decommit extent, in 64 KB chunks from the block's start. A freed
+// large block keeps its allocation bit and gets an extent; whoever finishes
+// the decommit clears both in one logged update. 0 = none pending.
+inline constexpr uint32_t kSegPendingOff = kSegmentHeaderBytes + (kSegTotalBits + 7) / 8;
+static_assert(kSegPendingOff + 4 * kLargesPerSegment <= kBlockSize);
 
 // Object-index <-> segment mapping (inodes: index = ino; blocks: 1-based).
 inline uint32_t SegmentOfInode(uint64_t ino) {

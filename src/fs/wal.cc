@@ -173,12 +173,15 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
   // Follower path: someone else owns the flush. Wait for it; if its batch
   // covered our LSN we never touch the device (group commit). If the leader
   // failed or its batch stopped short, fall through and become the leader.
-  while (flushing_) {
-    flush_cv_.wait(lk);
-    if (flushed_lsn_ >= lsn || pending_.empty()) {
-      m_group_commit_batched_->Increment();
-      --flush_waiters_;
-      return OkStatus();
+  if (flushing_) {
+    obs::SpanScope wait(obs::Layer::kWal, "wal.follower_wait", node_id_, "lsn", lsn);
+    while (flushing_) {
+      flush_cv_.wait(lk);
+      if (flushed_lsn_ >= lsn || pending_.empty()) {
+        m_group_commit_batched_->Increment();
+        --flush_waiters_;
+        return OkStatus();
+      }
     }
   }
   flushing_ = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -200,6 +201,12 @@ void Recorder::Emit(const TraceEvent& event) {
   }
 }
 
+namespace {
+bool SameOp(const char* a, const char* b) {
+  return a == b || (a != nullptr && b != nullptr && std::strcmp(a, b) == 0);
+}
+}  // namespace
+
 void Recorder::PromoteSlowOp(uint64_t trace_id, const char* op, uint32_t node,
                              int64_t start_ns, int64_t total_ns) {
   m_slow_ops_->Increment();
@@ -215,19 +222,30 @@ void Recorder::PromoteSlowOp(uint64_t trace_id, const char* op, uint32_t node,
     }
   }
   std::lock_guard<std::mutex> guard(mu_);
-  if (slow_ops_.size() >= kMaxSlowOps) {
-    // Keep-list full: replace the fastest kept op if this one is slower,
-    // else drop the new one (it still counted in obs.slow_ops).
-    auto fastest = std::min_element(
-        slow_ops_.begin(), slow_ops_.end(),
-        [](const SlowOp& a, const SlowOp& b) { return a.total_ns < b.total_ns; });
-    if (fastest->total_ns >= total_ns) {
-      return;
-    }
-    *fastest = std::move(slow);
+  slow_ops_.push_back(std::move(slow));
+  if (slow_ops_.size() <= kMaxSlowOps) {
     return;
   }
-  slow_ops_.push_back(std::move(slow));
+  // Over the bound: drop the fastest op that some other kept op of the same
+  // name outlasts (every name keeps its slowest), or the fastest overall if
+  // each kept op is the only one of its name.
+  auto outlasted = [&](const SlowOp& s) {
+    return std::any_of(slow_ops_.begin(), slow_ops_.end(), [&](const SlowOp& t) {
+      return &t != &s && SameOp(t.op, s.op) && t.total_ns >= s.total_ns;
+    });
+  };
+  auto victim = slow_ops_.end();
+  for (auto it = slow_ops_.begin(); it != slow_ops_.end(); ++it) {
+    if (outlasted(*it) && (victim == slow_ops_.end() || it->total_ns < victim->total_ns)) {
+      victim = it;
+    }
+  }
+  if (victim == slow_ops_.end()) {
+    victim = std::min_element(
+        slow_ops_.begin(), slow_ops_.end(),
+        [](const SlowOp& a, const SlowOp& b) { return a.total_ns < b.total_ns; });
+  }
+  slow_ops_.erase(victim);
 }
 
 std::vector<TraceEvent> Recorder::Snapshot() const {
@@ -407,16 +425,28 @@ std::string Recorder::DumpJson() const {
 }
 
 std::string Recorder::SlowestOpSummary() const {
-  std::vector<SlowOp> slow = SlowOps();
-  if (slow.empty()) {
-    return "";
-  }
-  const SlowOp* worst = &slow[0];
-  for (const SlowOp& s : slow) {
-    if (s.total_ns > worst->total_ns) {
-      worst = &s;
+  std::vector<SlowOp> per_name = SlowestOpPerName();
+  return per_name.empty() ? "" : SlowOpTree(per_name.front());
+}
+
+std::vector<Recorder::SlowOp> Recorder::SlowestOpPerName() const {
+  std::vector<SlowOp> out;
+  for (SlowOp& s : SlowOps()) {
+    auto same =
+        std::find_if(out.begin(), out.end(), [&](const SlowOp& t) { return SameOp(t.op, s.op); });
+    if (same == out.end()) {
+      out.push_back(std::move(s));
+    } else if (s.total_ns > same->total_ns) {
+      *same = std::move(s);
     }
   }
+  std::sort(out.begin(), out.end(),
+            [](const SlowOp& a, const SlowOp& b) { return a.total_ns > b.total_ns; });
+  return out;
+}
+
+std::string Recorder::SlowOpTree(const SlowOp& op) {
+  const SlowOp* worst = &op;
   // Sort spans into a containment tree on the timeline: start ascending,
   // longer-first on ties, so a parent always precedes its children.
   std::vector<TraceEvent> evs = worst->events;

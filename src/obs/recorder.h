@@ -19,9 +19,11 @@
 //    threshold (Recorder::set_slow_op_us), its full span tree — every ring
 //    event carrying that trace id, including spans emitted by IO-pool
 //    threads that inherited the id — is copied into a bounded keep-list
-//    (kMaxSlowOps entries; when full, a new op replaces the fastest kept op
-//    only if it is slower). Kept ops survive later ring overwrites and are
-//    merged into DumpJson; `obs.slow_ops` counts promotions.
+//    (kMaxSlowOps entries). When it is full, the fastest op that is not the
+//    slowest kept op of its name is dropped, so every op name keeps its
+//    slowest capture however many of another name arrive. Kept ops survive
+//    later ring overwrites and are merged into DumpJson; `obs.slow_ops`
+//    counts promotions.
 //  - Exited threads retire their ring instead of freeing it, so a dump still
 //    sees their events; at most kMaxRetiredRings retired rings are kept
 //    (oldest dropped, counted as dropped events).
@@ -136,6 +138,10 @@ class Recorder {
   // ("*" = the longest child at each nesting level). Empty string when no
   // slow op has been captured.
   std::string SlowestOpSummary() const;
+  // The slowest kept op of each op name, slowest first.
+  std::vector<SlowOp> SlowestOpPerName() const;
+  // SlowestOpSummary's span tree for one kept op.
+  static std::string SlowOpTree(const SlowOp& op);
 
   // Names the Perfetto process row for a node id (Network::AddNode wires
   // this automatically).

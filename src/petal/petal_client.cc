@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "src/base/logging.h"
+#include "src/obs/recorder.h"
 #include "src/petal/petal_server.h"
 
 namespace frangipani {
@@ -217,54 +218,74 @@ Status PetalClient::Decommit(VdiskId vdisk, uint64_t offset, uint64_t length) {
   if ((offset & kChunkMask) != 0 || (length & kChunkMask) != 0) {
     return InvalidArgument("decommit range must be chunk aligned");
   }
-  uint64_t first = ChunkIndexOf(offset);
-  uint64_t count = ChunkIndexOf(offset + length) - first;
-  return ForEachChunk(static_cast<size_t>(count), [&](size_t i) -> Status {
-    uint64_t index = first + i;
-    Encoder enc;
-    enc.PutU32(vdisk);
-    enc.PutU64(index);
-    // Decommit must reach both replicas; send to each directly. One ack is
-    // enough to succeed (a lagging replica resyncs on restart); every failed
-    // replica call is counted, and a total miss retries after a map refresh.
-    constexpr int kAttempts = 2;
-    Status last = Unavailable("no replica for decommit");
-    for (int attempt = 0; attempt < kAttempts; ++attempt) {
-      Replicas place;
-      {
-        std::lock_guard<std::mutex> guard(mu_);
-        place = have_map_ ? PlaceChunk(map_, index) : Replicas{};
-      }
-      int acked = 0;
-      for (NodeId server : {place.primary, place.secondary}) {
-        if (server == kInvalidNode) {
-          continue;
-        }
-        Status st = net_->Call(self_, server, PetalServer::kServiceName,
-                               PetalServer::kDecommit, enc.buffer())
-                        .status();
-        if (st.ok()) {
-          ++acked;
-        } else {
-          last = st;
-          m_decommit_errors_->Increment();
-          if (!decommit_error_logged_.exchange(true)) {
-            FLOG(WARN) << "petal decommit RPC failed (further failures only counted in "
-                          "petal.decommit_errors): "
-                       << st;
-          }
-        }
-        if (place.secondary == place.primary) {
-          break;
+  const uint64_t first = ChunkIndexOf(offset);
+  const uint64_t count = ChunkIndexOf(offset + length) - first;
+  if (count == 0) {
+    return OkStatus();
+  }
+  obs::SpanScope span(obs::Layer::kPetal, "petal.decommit", self_, "chunk", first, "chunks",
+                      count);
+  Encoder enc;
+  enc.PutU32(vdisk);
+  enc.PutU64(first);
+  enc.PutU64(count);
+  // One range call to every server holding a replica of some chunk of the
+  // range; each drops the chunks of the range it holds. A chunk is done
+  // once one of its two replicas acked (a lagging replica resyncs on
+  // restart); every failed call is counted, and a chunk no replica acked
+  // retries after a map refresh.
+  constexpr int kAttempts = 2;
+  Status last = Unavailable("no replica for decommit");
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    // Placement repeats every servers.size() chunks (PlaceChunk), so the
+    // first min(count, servers) chunks name every replica holder.
+    std::vector<Replicas> places;
+    {
+      std::lock_guard<std::mutex> guard(mu_);
+      if (have_map_) {
+        uint64_t distinct = std::min<uint64_t>(count, map_.servers.size());
+        for (uint64_t i = 0; i < distinct; ++i) {
+          places.push_back(PlaceChunk(map_, first + i));
         }
       }
-      if (acked > 0) {
-        return OkStatus();
-      }
-      RETURN_IF_ERROR(RefreshMap());
     }
-    return last;
-  });
+    std::vector<NodeId> holders;
+    for (const Replicas& r : places) {
+      for (NodeId server : {r.primary, r.secondary}) {
+        if (server != kInvalidNode &&
+            std::find(holders.begin(), holders.end(), server) == holders.end()) {
+          holders.push_back(server);
+        }
+      }
+    }
+    std::vector<NodeId> acked;
+    for (NodeId server : holders) {
+      Status st = net_->Call(self_, server, PetalServer::kServiceName, PetalServer::kDecommit,
+                             enc.buffer())
+                      .status();
+      if (st.ok()) {
+        acked.push_back(server);
+        continue;
+      }
+      last = st;
+      m_decommit_errors_->Increment();
+      if (!decommit_error_logged_.exchange(true)) {
+        FLOG(WARN) << "petal decommit RPC failed (further failures only counted in "
+                      "petal.decommit_errors): "
+                   << st;
+      }
+    }
+    auto acked_by = [&](NodeId n) {
+      return std::find(acked.begin(), acked.end(), n) != acked.end();
+    };
+    if (!places.empty() && std::all_of(places.begin(), places.end(), [&](const Replicas& r) {
+          return acked_by(r.primary) || acked_by(r.secondary);
+        })) {
+      return OkStatus();
+    }
+    RETURN_IF_ERROR(RefreshMap());
+  }
+  return last;
 }
 
 StatusOr<VdiskId> PetalClient::CreateVdisk() {

@@ -3,7 +3,7 @@
 // locating the correct Petal server for each chunk and failing over to the
 // other replica when one is unreachable.
 //
-// Large transfers are scatter-gathered: Read/Write/Decommit split the range
+// Large transfers are scatter-gathered: Read/Write split the range
 // into 64 KB chunk sub-requests and issue them concurrently through the
 // network's shared IO pool under a bounded in-flight window (io_window,
 // default 8; 1 = serial). Each sub-request independently carries the full
@@ -50,10 +50,12 @@ class PetalClient {
   Status Write(VdiskId vdisk, uint64_t offset, const Bytes& data, int64_t lease_expiry_us = 0);
 
   // Frees physical storage backing [offset, offset+length); both bounds must
-  // be chunk-aligned. Succeeds per chunk if at least one replica acked (the
-  // other resyncs later); fails only when no replica is reachable even after
-  // a map refresh. Individual replica failures are counted in
-  // petal.decommit_errors.
+  // be chunk-aligned. Sends one range call to each server that holds a
+  // replica of some chunk of the range, one after another from the caller's
+  // thread (at most one call per server, whatever the length). Succeeds if
+  // every chunk had at least one replica ack (the other resyncs later);
+  // fails only when some chunk has no reachable replica even after a map
+  // refresh. Failed calls are counted in petal.decommit_errors.
   Status Decommit(VdiskId vdisk, uint64_t offset, uint64_t length);
 
   StatusOr<VdiskId> CreateVdisk();

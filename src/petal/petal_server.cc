@@ -590,13 +590,34 @@ StatusOr<Bytes> PetalServer::DoPullChunk(Decoder& dec) {
 
 StatusOr<Bytes> PetalServer::DoDecommit(Decoder& dec) {
   VdiskId vdisk = dec.GetU32();
-  uint64_t index = dec.GetU64();
-  if (!dec.ok()) {
+  uint64_t first = dec.GetU64();
+  uint64_t count = dec.GetU64();
+  if (!dec.ok() || first + count < first) {
     return InvalidArgument("bad decommit");
   }
-  PetalStoreShard& shard = durable_->ShardFor(index);
-  std::unique_lock<std::mutex> lk = LockShard(shard);
-  DropChunkLocked(shard, {vdisk, index});
+  // Drops every chunk of [first, first + count) this server holds. A shard
+  // owns the indices congruent to its position, so a short range is probed
+  // index by index and a long (sparse) one scans the shard's directory.
+  const uint64_t n = durable_->shards.size();
+  for (uint64_t s = 0; s < n; ++s) {
+    PetalStoreShard& shard = durable_->shards[s];
+    std::unique_lock<std::mutex> lk = LockShard(shard);
+    if (count / n <= shard.chunks.size()) {
+      for (uint64_t index = first + (s + n - first % n) % n; index - first < count; index += n) {
+        DropChunkLocked(shard, {vdisk, index});
+      }
+      continue;
+    }
+    std::vector<ChunkKey> doomed;
+    for (const auto& [key, handle] : shard.chunks) {
+      if (key.vdisk == vdisk && key.index - first < count) {
+        doomed.push_back(key);
+      }
+    }
+    for (const ChunkKey& key : doomed) {
+      DropChunkLocked(shard, key);
+    }
+  }
   return Bytes{};
 }
 

@@ -337,6 +337,29 @@ TEST(RecorderTest, SlowOpPromotionSurvivesWraparound) {
   rec->Clear();
 }
 
+// A flood of slow ops of one name cannot push the only capture of another
+// name off the keep-list: each name keeps its slowest.
+TEST(RecorderTest, KeepListKeepsTheSlowestOpOfEachName) {
+  Recorder* rec = Recorder::Default();
+  rec->Clear();
+  const int64_t n = static_cast<int64_t>(Recorder::kMaxSlowOps);
+  for (int64_t i = 0; i < n; ++i) {
+    rec->PromoteSlowOp(1000 + i, "fsync", 1, 0, 1'000'000 + i);
+  }
+  rec->PromoteSlowOp(5000, "unlink", 1, 0, 10);
+  for (int64_t i = 0; i < n; ++i) {
+    rec->PromoteSlowOp(2000 + i, "fsync", 1, 0, 2'000'000 + i);
+  }
+  EXPECT_EQ(rec->SlowOps().size(), Recorder::kMaxSlowOps);
+  std::vector<Recorder::SlowOp> per_name = rec->SlowestOpPerName();
+  ASSERT_EQ(per_name.size(), 2u);
+  EXPECT_STREQ(per_name[0].op, "fsync");
+  EXPECT_EQ(per_name[0].total_ns, 2'000'000 + n - 1);
+  EXPECT_STREQ(per_name[1].op, "unlink");
+  EXPECT_EQ(per_name[1].trace_id, 5000u);
+  rec->Clear();
+}
+
 // Emitters keep writing while another thread snapshots and dumps: the
 // seqlock skips mid-write slots instead of tearing them. Run under TSan in
 // CI to verify the memory-order protocol.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "src/obs/metrics.h"
@@ -243,6 +244,68 @@ TEST_F(PetalParallelTest, ParallelDecommitFreesAndPropagatesState) {
   Bytes back;
   ASSERT_TRUE(client_->Read(*vd, 0, 4096, &back).ok());
   EXPECT_TRUE(std::all_of(back.begin(), back.end(), [](uint8_t b) { return b == 0; }));
+}
+
+// Forwards to a Petal server and counts the decommit calls it receives.
+class DecommitCounter : public Service {
+ public:
+  explicit DecommitCounter(PetalServer* inner) : inner_(inner) {}
+  StatusOr<Bytes> Handle(uint32_t method, const Bytes& request, NodeId from) override {
+    if (method == PetalServer::kDecommit) {
+      calls.fetch_add(1);
+    }
+    return inner_->Handle(method, request, from);
+  }
+  std::atomic<int> calls{0};
+
+ private:
+  PetalServer* inner_;
+};
+
+// A decommit is one range call to each server holding a replica of some
+// chunk of the range, and it drops nothing outside the range.
+TEST_F(PetalParallelTest, RangeDecommitCallsEachReplicaHolderOnce) {
+  Build(7);
+  auto vd = client_->CreateVdisk();
+  ASSERT_TRUE(vd.ok());
+  constexpr int kChunks = 21;
+  Bytes data = Pattern(kChunks * kChunkSize, 5);
+  ASSERT_TRUE(client_->Write(*vd, 0, data).ok());
+  std::vector<std::unique_ptr<DecommitCounter>> counters;
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    counters.push_back(std::make_unique<DecommitCounter>(servers_[i].get()));
+    net_.RegisterService(nodes_[i], PetalServer::kServiceName, counters.back().get());
+  }
+
+  // Chunks 3..7 live on servers 3,4,5,6,0 with replicas on the next server:
+  // six holders, and server 2 holds none of them.
+  ASSERT_TRUE(client_->Decommit(*vd, 3 * kChunkSize, 5 * kChunkSize).ok());
+  for (size_t i = 0; i < counters.size(); ++i) {
+    EXPECT_EQ(counters[i]->calls.load(), i == 2 ? 0 : 1) << "server " << i;
+  }
+  for (int c = 0; c < kChunks; ++c) {
+    EXPECT_EQ(Holders(*vd, c), c >= 3 && c < 8 ? 0 : 2) << "chunk " << c;
+  }
+  Bytes back;
+  ASSERT_TRUE(client_->Read(*vd, 0, data.size(), &back).ok());
+  for (int c = 0; c < kChunks; ++c) {
+    bool gone = c >= 3 && c < 8;
+    for (uint64_t k = c * kChunkSize; k < (c + 1) * kChunkSize; k += 4096) {
+      ASSERT_EQ(back[k], gone ? 0 : data[k]) << "chunk " << c;
+    }
+  }
+
+  // A range longer than the server count reaches every server, once.
+  ASSERT_TRUE(client_->Decommit(*vd, 8 * kChunkSize, (kChunks - 8) * kChunkSize).ok());
+  for (size_t i = 0; i < counters.size(); ++i) {
+    EXPECT_EQ(counters[i]->calls.load(), i == 2 ? 1 : 2) << "server " << i;
+  }
+  for (int c = 0; c < kChunks; ++c) {
+    EXPECT_EQ(Holders(*vd, c), c < 3 ? 2 : 0) << "chunk " << c;
+  }
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    net_.RegisterService(nodes_[i], PetalServer::kServiceName, servers_[i].get());
+  }
 }
 
 TEST_F(PetalParallelTest, DecommitCountsReplicaErrorsButSucceedsOnOneAck) {

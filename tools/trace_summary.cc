@@ -1,6 +1,8 @@
 // CI smoke check for the flight recorder: runs a tiny in-process cluster
 // with an aggressive slow-op threshold so every op is promoted, then prints
 // the critical path of the slowest captured op and writes a Perfetto trace.
+// It also checks that a large file's unlink leaves the log flush and the
+// Petal decommit to the background fs.decommit span.
 // Exits nonzero if the recorder captured nothing (instrumentation broke) or
 // the trace dump is malformed.
 //
@@ -86,7 +88,30 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Deferred decommit: the unlink of a large file returns without flushing
+  // the log or calling Petal; the worker's fs.decommit span carries both.
+  // SyncAll waits for the worker.
+  auto big = (*node0)->fs()->Create("/big");
+  if (!big.ok() || !(*node0)->fs()->Write(*big, 0, Bytes(256 * 1024, 0xCD)).ok() ||
+      !(*node0)->fs()->Fsync(*big).ok() || !(*node0)->fs()->Unlink("/big").ok() ||
+      !(*node0)->fs()->SyncAll().ok()) {
+    std::fprintf(stderr, "trace_summary: large-file unlink failed\n");
+    return 1;
+  }
+
   obs::Recorder* rec = obs::Recorder::Default();
+  for (const obs::Recorder::SlowOp& op : rec->SlowestOpPerName()) {
+    if (std::string(op.op) != "unlink") {
+      continue;
+    }
+    for (const obs::TraceEvent& e : op.events) {
+      std::string name = e.name;
+      if (name == "wal.flush" || name == "petal.decommit") {
+        std::fprintf(stderr, "trace_summary: unlink's span tree holds %s\n", e.name);
+        return 1;
+      }
+    }
+  }
   std::string summary = rec->SlowestOpSummary();
   if (summary.empty()) {
     std::fprintf(stderr, "trace_summary: no slow op captured (recorder broken?)\n");
@@ -116,6 +141,11 @@ int main(int argc, char** argv) {
   // group commit instant.
   if (json.find("wal.group_commit") == std::string::npos) {
     std::fprintf(stderr, "trace_summary: trace dump missing batching spans\n");
+    return 1;
+  }
+  if (json.find("fs.decommit") == std::string::npos ||
+      json.find("petal.decommit") == std::string::npos) {
+    std::fprintf(stderr, "trace_summary: trace dump missing decommit spans\n");
     return 1;
   }
   if (argc > 1) {
