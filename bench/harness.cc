@@ -290,8 +290,8 @@ void WriteTraceDigest(const std::string& name) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   std::map<std::string, double> values;
   reg->SnapshotValues(&values);
-  out << "\n# op.<op>.{lock,petal,net}_us: p50 / mean over the op's calls\n";
-  out << "# op                count      lock_us          petal_us           net_us\n";
+  out << "\n# op, its calls, then op.<op>.<layer>_us per layer: p50 / mean over the\n"
+         "# op's calls (in parentheses, the calls that reached the layer)\n";
   for (const auto& [metric, count] : values) {
     // Each op's call counter is "op.<op>.count"; histogram rollups have
     // more dots ("op.<op>.total_us.count").
@@ -304,9 +304,10 @@ void WriteTraceDigest(const std::string& name) {
     }
     std::snprintf(line, sizeof(line), "%-14s %10.0f", op.c_str(), count);
     out << line;
-    for (const char* layer : {"lock", "petal", "net"}) {
+    for (const char* layer : {"fs", "lock", "wal", "petal", "net"}) {
       Histogram* h = reg->GetHistogram("op." + op + "." + layer + "_us");
-      std::snprintf(line, sizeof(line), "  %7.0f / %7.0f", h->Percentile(0.5), h->Mean());
+      std::snprintf(line, sizeof(line), "  %s %.0f / %.0f (%llu)", layer, h->Percentile(0.5),
+                    h->Mean(), static_cast<unsigned long long>(h->count()));
       out << line;
     }
     out << "\n";

@@ -96,7 +96,8 @@ void WriteTraceJson(const std::string& name);
 // Writes a compact digest of the flight recorder to
 // bench_results/<name>.trace_digest.txt: per-span counts with total/max
 // duration, instant-event counts, each op's p50 and mean
-// op.<op>.{lock,petal,net}_us, and the critical path of the slowest
+// op.<op>.{fs,lock,wal,petal,net}_us with the number of calls that reached
+// each layer, and the critical path of the slowest
 // captured op of each op name. The raw .trace.json / .timeseries.csv
 // sidecars are multi-MB and gitignored (uploaded as CI artifacts only); the
 // digest is the small committable evidence. Called automatically by

@@ -4,7 +4,7 @@
 #include <chrono>
 
 #include "src/base/logging.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 
 namespace frangipani {
 
@@ -67,7 +67,8 @@ StatusOr<Bytes> BlockCache::Read(uint64_t addr, uint32_t size, LockId lock,
   {
     std::unique_lock<std::mutex> lk = LockShard(shard);
     // Ride an in-flight prefetch rather than duplicating its device read.
-    shard.cv.wait(lk, [&] { return shard.prefetch_inflight.count(addr) == 0; });
+    obs::WaitAsSpan(shard.cv, lk, [&] { return shard.prefetch_inflight.count(addr) == 0; },
+                    obs::Layer::kFs, "fs.cache.prefetch_wait", 0, "addr", addr);
     auto it = shard.entries.find(addr);
     if (it != shard.entries.end()) {
       ++hits_;
@@ -153,6 +154,7 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
     if (dirty.empty()) {
       // Everything dirty is already being flushed; wait for progress. The
       // timeout covers a flush that completed between our scan and the wait.
+      obs::SpanScope wait(obs::Layer::kFs, "fs.cache.throttle_wait");
       std::unique_lock<std::mutex> tlk(throttle_mu_);
       throttle_cv_.wait_for(tlk, std::chrono::milliseconds(1));
       continue;
@@ -263,7 +265,8 @@ void BlockCache::ClaimLocked(Shard& shard, size_t index, const std::vector<uint6
     return it != shard.entries.end() && it->second.dirty && wanted(it->second) ? &it->second
                                                                                 : nullptr;
   };
-  shard.cv.wait(lk, [&] {
+  // Wait out other flushers writing some of these blocks.
+  auto claimable = [&] {
     for (uint64_t addr : addrs) {
       Entry* e = pick(addr);
       if (e != nullptr && e->flushing) {
@@ -271,7 +274,9 @@ void BlockCache::ClaimLocked(Shard& shard, size_t index, const std::vector<uint6
       }
     }
     return true;
-  });
+  };
+  obs::WaitAsSpan(shard.cv, lk, claimable, obs::Layer::kFs, "fs.cache.claim_wait", 0, "blocks",
+                  addrs.size());
   for (uint64_t addr : addrs) {
     if (Entry* e = pick(addr)) {
       e->flushing = true;
@@ -423,7 +428,8 @@ Status BlockCache::WriteBack(const Candidates& candidates, const Wanted& wanted,
   SubmitRuns(std::move(meta), &batch);
 
   std::unique_lock<std::mutex> lk(batch.mu);
-  batch.cv.wait(lk, [&] { return batch.pending == 0; });
+  obs::WaitAsSpan(batch.cv, lk, [&] { return batch.pending == 0; }, obs::Layer::kFs,
+                  "fs.cache.writeback_wait", 0, "bytes", batch.bytes);
   if (st.ok()) {
     st = batch.status;
   }
@@ -460,7 +466,8 @@ void BlockCache::InvalidateLock(LockId lock, uint64_t start, uint64_t end) {
     // Wait out in-flight read-ahead under this lock: the prefetched data
     // will be discarded, and the time to finish reading it delays the
     // handoff.
-    shard.cv.wait(lk, [&] { return shard.prefetch_by_lock.count(lock) == 0; });
+    obs::WaitAsSpan(shard.cv, lk, [&] { return shard.prefetch_by_lock.count(lock) == 0; },
+                    obs::Layer::kFs, "fs.cache.prefetch_wait", 0, "lock", lock);
     auto it = shard.by_lock.find(lock);
     if (it == shard.by_lock.end()) {
       continue;

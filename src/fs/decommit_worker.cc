@@ -33,11 +33,8 @@ void DecommitWorker::Add(uint32_t seg, bool own) {
 void DecommitWorker::Drain() {
   std::unique_lock<std::mutex> lk(mu_);
   const uint64_t target = added_;
-  if (stop_ || done_ >= target) {
-    return;
-  }
-  obs::SpanScope span(obs::Layer::kFs, "fs.decommit.drain", node_, "queued", target - done_);
-  cv_.wait(lk, [&] { return stop_ || done_ >= target; });
+  obs::WaitAsSpan(cv_, lk, [&] { return stop_ || done_ >= target; }, obs::Layer::kFs,
+                  "fs.decommit.drain", node_, "queued", target - done_);
 }
 
 void DecommitWorker::Hold(bool hold) {
@@ -72,11 +69,8 @@ void DecommitWorker::OnSegmentRevoked(uint32_t seg) {
     return;
   }
   revoked_ = true;
-  if (!sending_) {
-    return;
-  }
-  obs::SpanScope span(obs::Layer::kFs, "fs.decommit.revoke_wait", node_, "seg", seg);
-  cv_.wait(lk, [&] { return active_ != seg || !sending_; });
+  obs::WaitAsSpan(cv_, lk, [&] { return active_ != seg || !sending_; }, obs::Layer::kFs,
+                  "fs.decommit.revoke_wait", node_, "seg", seg);
 }
 
 void DecommitWorker::Run() {

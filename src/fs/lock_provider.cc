@@ -1,6 +1,6 @@
 #include "src/fs/lock_provider.h"
 
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 
 namespace frangipani {
 
@@ -9,7 +9,7 @@ namespace frangipani {
 // because the two are mutually exclusive.
 Status LocalLocks::Acquire(LockId lock, LockMode mode, LockRange range) {
   (void)range;  // whole-lock: disjoint-range writers serialize, which is safe
-  obs::LayerTimer timer(obs::Layer::kLock);
+  obs::SpanScope span(obs::Layer::kLock, "lock.local_acquire", 0, "lock", lock);
   std::unique_lock<std::mutex> lk(mu_);
   if (mode == LockMode::kExclusive) {
     cv_.wait(lk, [&] {

@@ -126,7 +126,7 @@ LogWriter::LogWriter(BlockDevice* device, const Geometry& geometry, uint32_t slo
 }
 
 uint64_t LogWriter::Append(LogRecord record) {
-  obs::LayerTimer timer(obs::Layer::kWal);
+  obs::SpanScope span(obs::Layer::kWal, "wal.append", node_id_);
   m_appends_->Increment();
   std::lock_guard<std::mutex> guard(mu_);
   record.lsn = next_lsn_++;
@@ -151,13 +151,13 @@ uint64_t LogWriter::sectors_written() const {
 }
 
 Status LogWriter::FlushTo(uint64_t lsn) {
-  obs::LayerTimer timer(obs::Layer::kWal, m_flush_us_);
+  obs::SpanScope span(obs::Layer::kWal, m_flush_us_, "wal.force", node_id_, "lsn", lsn);
   std::unique_lock<std::mutex> lk(mu_);
   return FlushLocked(lsn, lk);
 }
 
 Status LogWriter::FlushAll() {
-  obs::LayerTimer timer(obs::Layer::kWal, m_flush_us_);
+  obs::SpanScope span(obs::Layer::kWal, m_flush_us_, "wal.force", node_id_);
   std::unique_lock<std::mutex> lk(mu_);
   return FlushLocked(next_lsn_ - 1, lk);
 }
@@ -166,23 +166,20 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
   // Re-entrancy: the reclaim callback flushes metadata blocks, whose flush
   // path calls back into FlushTo for records that are already on disk. Check
   // before waiting so that nested call returns immediately.
-  if (flushed_lsn_ >= lsn || pending_.empty()) {
+  auto covered = [&] { return flushed_lsn_ >= lsn || pending_.empty(); };
+  if (covered()) {
     return OkStatus();
   }
   ++flush_waiters_;
   // Follower path: someone else owns the flush. Wait for it; if its batch
   // covered our LSN we never touch the device (group commit). If the leader
   // failed or its batch stopped short, fall through and become the leader.
-  if (flushing_) {
-    obs::SpanScope wait(obs::Layer::kWal, "wal.follower_wait", node_id_, "lsn", lsn);
-    while (flushing_) {
-      flush_cv_.wait(lk);
-      if (flushed_lsn_ >= lsn || pending_.empty()) {
-        m_group_commit_batched_->Increment();
-        --flush_waiters_;
-        return OkStatus();
-      }
-    }
+  obs::WaitAsSpan(flush_cv_, lk, [&] { return !flushing_ || covered(); }, obs::Layer::kWal,
+                  "wal.follower_wait", node_id_, "lsn", lsn);
+  if (covered()) {
+    m_group_commit_batched_->Increment();
+    --flush_waiters_;
+    return OkStatus();
   }
   flushing_ = true;
   // Opened only once this call owns the flush (the early-outs above are the
@@ -350,11 +347,8 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
     // — the ones it covered skip their own write entirely.
     if (group && flush_waiters_ > 1) {
       m_group_commits_->Increment();
-      if (obs::RecorderEnabled()) {
-        obs::RecordInstant(obs::Layer::kWal, "wal.group_commit", node_id_,
-                           "records", record_sizes.size(), "waiters",
-                           flush_waiters_);
-      }
+      obs::RecordInstant(obs::Layer::kWal, "wal.group_commit", node_id_, "records",
+                         record_sizes.size(), "waiters", flush_waiters_);
     }
   }
   flushing_ = false;

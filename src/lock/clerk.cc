@@ -159,10 +159,13 @@ bool LockClerk::LocalConflict(const Entry& e, LockRange range, LockMode mode) {
 Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
   FGP_CHECK(mode != LockMode::kNone);
   FGP_CHECK(!range.empty());
-  obs::LayerTimer timer(obs::Layer::kLock, m_acquire_us_);
-  obs::SpanScope span(obs::Layer::kLock, "lock.acquire", self_, "lock", lock, "mode",
-                      static_cast<uint64_t>(mode));
+  obs::SpanScope span(obs::Layer::kLock, m_acquire_us_, "lock.acquire", self_, "lock", lock,
+                      "mode", static_cast<uint64_t>(mode));
   std::unique_lock<std::mutex> lk(mu_);
+  auto wait = [&](const char* why) {  // every blocking wait is its own span
+    obs::SpanScope span(obs::Layer::kLock, why, self_, "lock", lock);
+    cv_.wait(lk);
+  };
   for (;;) {
     if (poisoned_ || !open_) {
       return StaleLease("lock table closed or lease lost");
@@ -176,7 +179,7 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
       }
     }
     if (revoking_overlap) {
-      cv_.wait(lk);
+      wait("lock.wait_revoke");
       continue;
     }
     if (RangeSetCovers(e.held, range.start, range.end, mode)) {
@@ -184,7 +187,7 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
       // an overlapping range: an exclusive use on either side must wait, or
       // two threads of one mount would both hold the lock exclusively.
       if (LocalConflict(e, range, mode)) {
-        cv_.wait(lk);
+        wait("lock.wait_local_use");
         continue;
       }
       e.uses.push_back({range, mode});
@@ -197,13 +200,13 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
     }
     if (e.pending) {
       // One server request per lock at a time; the reply may cover us.
-      cv_.wait(lk);
+      wait("lock.wait_pending");
       continue;
     }
     if (mode == LockMode::kExclusive && LocalConflict(e, range, mode)) {
       // Upgrade wanted while another local operation uses the overlapping
       // range: wait for it to finish first.
-      cv_.wait(lk);
+      wait("lock.wait_local_use");
       continue;
     }
     // Need to talk to the server: a fresh acquire, a range extension, or an
@@ -216,9 +219,8 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
     m_remote_acquires_->Increment();
     StatusOr<Bytes> reply = Unavailable("not sent");
     {
-      obs::LayerTimer grant_timer(obs::Layer::kLock, m_grant_wait_us_);
-      obs::SpanScope grant_span(obs::Layer::kLock, "lock.grant_wait", self_, "lock", lock,
-                                "mode", static_cast<uint64_t>(mode));
+      obs::SpanScope grant_span(obs::Layer::kLock, m_grant_wait_us_, "lock.grant_wait", self_,
+                                "lock", lock, "mode", static_cast<uint64_t>(mode));
       reply = ServerCall(kLockRequest, lock, LockModeRequest{slot, lock, mode, range}.Encode());
     }
 
@@ -266,10 +268,7 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
 }
 
 void LockClerk::Release(LockId lock, LockRange range) {
-  obs::LayerTimer timer(obs::Layer::kLock, m_release_us_);
-  if (obs::RecorderEnabled()) {
-    obs::RecordInstant(obs::Layer::kLock, "lock.release", self_, "lock", lock);
-  }
+  obs::SpanScope span(obs::Layer::kLock, m_release_us_, "lock.release", self_, "lock", lock);
   std::lock_guard<std::mutex> guard(mu_);
   auto it = cache_.find(lock);
   if (it == cache_.end()) {
@@ -464,11 +463,10 @@ StatusOr<Bytes> LockClerk::HandleRevoke(const Bytes& request) {
   const LockMode new_mode = req.mode;
   const LockRange range = req.range;
   m_revokes_->Increment();
-  obs::LayerTimer timer(obs::Layer::kLock, m_revoke_us_);
   // Covers wait-for-users, the flush callback, and the downgrade: the
   // clerk-side half of a lock handoff chain.
-  obs::SpanScope span(obs::Layer::kLock, "lock.revoke", self_, "lock", lock, "new_mode",
-                      static_cast<uint64_t>(new_mode));
+  obs::SpanScope span(obs::Layer::kLock, m_revoke_us_, "lock.revoke", self_, "lock", lock,
+                      "new_mode", static_cast<uint64_t>(new_mode));
   std::unique_lock<std::mutex> lk(mu_);
   if (poisoned_ || !open_) {
     // Our dirty data is gone with the lease; the lock must not change hands
@@ -500,15 +498,14 @@ StatusOr<Bytes> LockClerk::HandleRevoke(const Bytes& request) {
   if (holds_outside) {
     // Only part of our cached extents is being taken back.
     m_partial_revokes_->Increment();
-    if (obs::RecorderEnabled()) {
-      obs::RecordInstant(obs::Layer::kLock, "lock.partial_revoke", self_, "lock", lock, "start",
-                        range.start);
-    }
+    obs::RecordInstant(obs::Layer::kLock, "lock.partial_revoke", self_, "lock", lock, "start",
+                       range.start);
   }
   // Wait for local users overlapping the revoked extent to finish, then
   // flush + downgrade. Users of disjoint ranges are unaffected.
   it->second.revoking.push_back(range);
-  cv_.wait(lk, [&] { return !UsesOverlap(cache_[lock], range); });
+  obs::WaitAsSpan(cv_, lk, [&] { return !UsesOverlap(cache_[lock], range); }, obs::Layer::kLock,
+                  "lock.revoke_wait_users", self_, "lock", lock);
   lk.unlock();
   if (callbacks_.on_revoke) {
     callbacks_.on_revoke(lock, new_mode, range);

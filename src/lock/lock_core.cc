@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/logging.h"
+#include "src/obs/recorder.h"
 
 namespace frangipani {
 
@@ -60,7 +61,8 @@ Status LockCore::Request(uint32_t slot, LockId lock, LockMode mode, LockRange ra
   }
   std::unique_lock<std::mutex> lk(mu_);
   uint64_t ticket = locks_[lock].next_ticket++;
-  cv_.wait(lk, [&] { return locks_[lock].serving == ticket; });
+  obs::WaitAsSpan(cv_, lk, [&] { return locks_[lock].serving == ticket; }, obs::Layer::kLock,
+                  "lockd.queue_wait", 0, "lock", lock);
 
   for (;;) {
     LockState& ls = locks_[lock];

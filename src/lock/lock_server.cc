@@ -95,10 +95,7 @@ StatusOr<Bytes> LockServer::DoRequest(const Bytes& request) {
       },
       [this](uint32_t holder) { HandleDeadHolder(holder); }, &reply.range));
   policy_->WriteThrough();
-  if (obs::RecorderEnabled()) {
-    obs::RecordInstant(obs::Layer::kLock, "lockd.grant", self_, "lock", req.lock, "slot",
-                       req.slot);
-  }
+  obs::RecordInstant(obs::Layer::kLock, "lockd.grant", self_, "lock", req.lock, "slot", req.slot);
   return reply.Encode();
 }
 

@@ -102,9 +102,11 @@ void Network::Transmit(Node& src, Node& dst, size_t bytes) {
 StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service,
                               uint32_t method, const Bytes& request) {
   // Whole-RPC span (request wire + handler + reply wire), attributed to the
-  // caller. The interning cost is only paid while the recorder is on.
+  // caller. It opens at the caller's layer and so moves no time: only the
+  // wire (net.tx) is kNet, and the handler, run on this thread, stays with
+  // its own layer. The interning cost is only paid while the recorder is on.
   obs::SpanScope rpc_span(
-      obs::Layer::kNet,
+      obs::CurrentLayer(),
       obs::RecorderEnabled() ? obs::InternString("rpc." + service) : "rpc", from, "dst",
       to, "method", method);
   Service* svc = nullptr;
@@ -126,13 +128,7 @@ StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service
     svc = it->second;
   }
 
-  {
-    // Only the wire time counts as kNet; the handler below runs on this
-    // thread but its time belongs to whatever layer it is part of.
-    obs::LayerTimer timer(obs::Layer::kNet);
-    Transmit(*src, *dst, request.size() + kHeaderBytes);
-  }
-
+  Transmit(*src, *dst, request.size() + kHeaderBytes);
   StatusOr<Bytes> response = svc->Handle(method, request, from);
 
   {
@@ -143,10 +139,7 @@ StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service
     }
   }
   size_t resp_bytes = response.ok() ? response.value().size() : 0;
-  {
-    obs::LayerTimer timer(obs::Layer::kNet);
-    Transmit(*dst, *src, resp_bytes + kHeaderBytes);
-  }
+  Transmit(*dst, *src, resp_bytes + kHeaderBytes);
   return response;
 }
 

@@ -31,6 +31,7 @@
 #define SRC_OBS_RECORDER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -179,63 +180,58 @@ class Recorder {
   Counter* m_slow_ops_;
 };
 
-// RAII span: captures start time at construction, emits one kSpan event at
-// destruction. The disabled path does one relaxed load and leaves every
-// other member untouched. The trace id is sampled at destruction via
-// CurrentTraceId(), so spans on IO-pool threads pick up the submitting op's
-// inherited id.
+// The one instrumentation scope (trace.h has the attribution rule). It feeds
+// `latency_us` (microseconds) if given, traced or not; charges its elapsed
+// time exclusively to `layer` in the OpTrace active on this thread; and,
+// with the recorder on, emits one kSpan event whose trace id is sampled at
+// close, so spans on IO-pool threads join the submitting op. The histogram
+// and the layer charge include the emit. With none of the three to do, it
+// reads no clock.
 class SpanScope {
  public:
   SpanScope(Layer layer, const char* name, uint32_t node = 0, const char* a0_name = nullptr,
             uint64_t a0 = 0, const char* a1_name = nullptr, uint64_t a1 = 0)
-      : armed_(RecorderEnabled()) {
-    if (!armed_) {
-      return;
-    }
-    e_.layer = layer;
-    e_.name = name;
-    e_.node = node;
-    e_.a0_name = a0_name;
-    e_.a0 = a0;
-    e_.a1_name = a1_name;
-    e_.a1 = a1;
-    e_.start_ns = MonotonicNs();
-  }
-
-  ~SpanScope() {
-    if (!armed_) {
-      return;
-    }
-    e_.trace_id = CurrentTraceId();
-    e_.dur_ns = MonotonicNs() - e_.start_ns;
-    Recorder::Default()->Emit(e_);
-  }
+      : SpanScope(layer, nullptr, name, node, a0_name, a0, a1_name, a1) {}
+  SpanScope(Layer layer, Histogram* latency_us, const char* name, uint32_t node = 0,
+            const char* a0_name = nullptr, uint64_t a0 = 0, const char* a1_name = nullptr,
+            uint64_t a1 = 0);
+  ~SpanScope();
 
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
   // Late-bound args for values only known mid-span (e.g. byte counts).
   void arg0(const char* name, uint64_t v) {
-    if (armed_) {
-      e_.a0_name = name;
-      e_.a0 = v;
-    }
+    e_.a0_name = name;
+    e_.a0 = v;
   }
   void arg1(const char* name, uint64_t v) {
-    if (armed_) {
-      e_.a1_name = name;
-      e_.a1 = v;
-    }
+    e_.a1_name = name;
+    e_.a1 = v;
   }
 
  private:
-  bool armed_;
+  Histogram* latency_us_;
+  TraceState* trace_;  // op charged for the elapsed time, or null
+  Layer parent_;       // CurrentLayer() when the scope opened
+  bool armed_;         // recorder on at open: emit the span at close
   TraceEvent e_;
 };
 
-// Emits a zero-duration instant event (grant applied, lock released, ...).
-// Callers gate on RecorderEnabled() only if they want to avoid evaluating
-// the args; the function itself checks too.
+// Blocks on `cv` until `done()` holds; if it has to wait at all, the wait is
+// one span.
+template <typename Pred>
+void WaitAsSpan(std::condition_variable& cv, std::unique_lock<std::mutex>& lk, Pred done,
+                Layer layer, const char* name, uint32_t node = 0, const char* a0_name = nullptr,
+                uint64_t a0 = 0) {
+  if (!done()) {
+    SpanScope span(layer, name, node, a0_name, a0);
+    cv.wait(lk, done);
+  }
+}
+
+// Emits a zero-duration instant event (grant applied, partial revoke, ...);
+// a no-op while the recorder is off.
 void RecordInstant(Layer layer, const char* name, uint32_t node = 0,
                    const char* a0_name = nullptr, uint64_t a0 = 0,
                    const char* a1_name = nullptr, uint64_t a1 = 0);

@@ -12,6 +12,8 @@ namespace obs {
 namespace {
 
 thread_local TraceState* g_active = nullptr;
+// Layer of the innermost open scope on this thread, traced or not.
+thread_local Layer g_layer = Layer::kFs;
 // Set by InheritedTraceScope on pool threads; consulted by CurrentTraceId
 // when no OpTrace is rooted on this thread.
 thread_local uint64_t g_inherited_trace_id = 0;
@@ -63,6 +65,8 @@ int64_t MonotonicNs() {
       .count();
 }
 
+Layer CurrentLayer() { return g_layer; }
+
 uint64_t CurrentTraceId() {
   return g_active != nullptr ? g_active->trace_id : g_inherited_trace_id;
 }
@@ -83,6 +87,9 @@ OpTrace::OpTrace(const OpMetrics* metrics, uint32_t node) : active_(g_active == 
   state_.start_ns = MonotonicNs();
   state_.metrics = metrics;
   g_active = &state_;
+  // Time at the root of an op is fs time, whatever scope it was opened in.
+  saved_layer_ = g_layer;
+  g_layer = Layer::kFs;
 }
 
 OpTrace::~OpTrace() {
@@ -90,6 +97,7 @@ OpTrace::~OpTrace() {
     return;
   }
   g_active = nullptr;
+  g_layer = saved_layer_;
   int64_t total_ns = MonotonicNs() - state_.start_ns;
   const OpMetrics* m = state_.metrics;
   if (RecorderEnabled()) {
@@ -131,30 +139,44 @@ OpTrace::~OpTrace() {
   }
 }
 
-LayerTimer::LayerTimer(Layer layer, Histogram* latency_us)
-    : layer_(layer),
-      parent_(layer),
-      latency_us_(latency_us),
+SpanScope::SpanScope(Layer layer, Histogram* latency_us, const char* name, uint32_t node,
+                     const char* a0_name, uint64_t a0, const char* a1_name, uint64_t a1)
+    : latency_us_(latency_us),
       trace_(g_active),
-      start_ns_(MonotonicNs()) {
-  if (trace_ != nullptr) {
-    parent_ = trace_->current;
-    trace_->current = layer_;
+      parent_(g_layer),
+      armed_(RecorderEnabled()),
+      e_{.node = node, .layer = layer, .name = name, .a0_name = a0_name, .a0 = a0,
+         .a1_name = a1_name, .a1 = a1} {
+  g_layer = layer;
+  if (armed_ || trace_ != nullptr || latency_us_ != nullptr) {
+    e_.start_ns = MonotonicNs();
   }
 }
 
-LayerTimer::~LayerTimer() {
-  int64_t elapsed = MonotonicNs() - start_ns_;
+SpanScope::~SpanScope() {
+  g_layer = parent_;
+  if (!armed_ && trace_ == nullptr && latency_us_ == nullptr) {
+    return;
+  }
+  int64_t end_ns = MonotonicNs();
+  if (armed_) {
+    e_.trace_id = CurrentTraceId();
+    e_.dur_ns = end_ns - e_.start_ns;
+    Recorder::Default()->Emit(e_);
+    if (trace_ != nullptr || latency_us_ != nullptr) {
+      end_ns = MonotonicNs();  // the layer and the histogram also pay the emit
+    }
+  }
+  int64_t elapsed = end_ns - e_.start_ns;
   if (latency_us_ != nullptr) {
     latency_us_->Record(static_cast<double>(elapsed) / 1e3);
   }
   // trace_ == g_active guards against a trace that ended (or moved threads)
-  // while this timer was open.
+  // while this scope was open.
   if (trace_ != nullptr && trace_ == g_active) {
-    trace_->current = parent_;
-    trace_->layer_ns[static_cast<int>(layer_)] += elapsed;
+    trace_->layer_ns[static_cast<int>(e_.layer)] += elapsed;
     trace_->layer_ns[static_cast<int>(parent_)] -= elapsed;
-    trace_->layer_calls[static_cast<int>(layer_)] += 1;
+    trace_->layer_calls[static_cast<int>(e_.layer)] += 1;
   }
 }
 

@@ -8,11 +8,17 @@
 //
 // OpTrace is the RAII root span: it stamps a trace id, times the whole op,
 // and on destruction records the total plus a per-layer breakdown into the
-// op's metrics. LayerTimer is the inner span: each layer's hot path opens
-// one, and the elapsed time is attributed *exclusively* — a LayerTimer adds
-// its elapsed time to its own layer and subtracts it from the enclosing
-// layer, so when the root closes the per-layer times sum exactly to the
-// op total (kFs holds the remainder).
+// op's metrics. obs::SpanScope (recorder.h) is the one inner scope: each
+// instrumented interval opens exactly one, and it feeds the interval's
+// latency histogram, charges the op's layers and emits the flight-recorder
+// span. Attribution is *exclusive*, and the rule is that a scope's own time
+// belongs to its layer: a scope adds its elapsed time to its own layer and
+// subtracts it from the enclosing layer, so when the root closes the
+// per-layer times sum exactly to the op total (kFs holds the remainder). A
+// scope that must move no time (the whole-RPC span) opens at CurrentLayer().
+// So fs work run inside a revoke (fs.revoke_flush, fs.range_revoke_flush,
+// fs.decommit.revoke_wait) is fs time, not lock time, and so is a block-cache
+// wait in the write-back that the log's reclaim runs inside wal.force.
 //
 // Work on threads other than the op's (prefetch pool, background flush
 // demons) simply carries no trace context and is not attributed; that is
@@ -54,13 +60,17 @@ struct TraceState {
   int64_t start_ns = 0;
   int64_t layer_ns[kNumLayers] = {};
   uint64_t layer_calls[kNumLayers] = {};
-  Layer current = Layer::kFs;  // layer charged for time not inside a LayerTimer
   const OpMetrics* metrics = nullptr;
 };
 
 // Monotonic clock for span timing. The simulator models network / disk
 // delays with real sleeps, so wall time is the right measure.
 int64_t MonotonicNs();
+
+// Layer of the innermost scope open on this thread (kFs outside any scope,
+// and at the root of an op). A scope opened at this layer moves no time
+// between layers.
+Layer CurrentLayer();
 
 // Trace id of the op active on this thread: the OpTrace rooted here, or the
 // id inherited from the submitting op (InheritedTraceScope) on pool threads;
@@ -71,10 +81,9 @@ uint64_t CurrentTraceId();
 // Carries a trace id onto a worker thread for the duration of a scope, so
 // spans emitted by IO-pool / prefetch work appear as children of the
 // submitting op in the flight recorder. Deliberately does NOT create a
-// TraceState: LayerTimer exclusive-time attribution still sees no active
-// trace on the worker, so per-op layer breakdowns keep answering "where did
-// this call's latency go" (satellite: parentage changes, attribution
-// doesn't). Nests by save/restore, so chained submits are safe.
+// TraceState: scopes on the worker charge no op, so per-op layer breakdowns
+// keep answering "where did this call's latency go". Nests by save/restore,
+// so chained submits are safe.
 class InheritedTraceScope {
  public:
   explicit InheritedTraceScope(uint64_t trace_id);
@@ -104,6 +113,7 @@ class OpTrace {
 
  private:
   bool active_;
+  Layer saved_layer_ = Layer::kFs;
   TraceState state_;
 };
 
@@ -113,25 +123,6 @@ class OpTrace {
 // how the sharded stores (petal.store_wait_us, fs.cache.shard_wait_us)
 // expose their contention.
 void LockTimed(std::unique_lock<std::mutex>& lk, Histogram* wait_us);
-
-class LayerTimer {
- public:
-  // If `latency_us` is non-null the elapsed time is also recorded there
-  // (in microseconds) whether or not a trace is active — that is how the
-  // standalone per-layer latency histograms are fed.
-  explicit LayerTimer(Layer layer, Histogram* latency_us = nullptr);
-  ~LayerTimer();
-
-  LayerTimer(const LayerTimer&) = delete;
-  LayerTimer& operator=(const LayerTimer&) = delete;
-
- private:
-  Layer layer_;
-  Layer parent_;
-  Histogram* latency_us_;
-  TraceState* trace_;
-  int64_t start_ns_;
-};
 
 }  // namespace obs
 }  // namespace frangipani

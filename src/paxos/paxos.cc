@@ -193,12 +193,22 @@ void PaxosPeer::CatchUp() {
 StatusOr<uint64_t> PaxosPeer::Propose(const Bytes& command) {
   Rng backoff_rng(0xB0FF + self_);
   constexpr int kMaxAttempts = 64;
+  // Slots where this call offered its command: a competitor may adopt it there
+  // and get it chosen, and proposing it again later would apply it twice.
+  std::vector<uint64_t> offered;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     CatchUp();
     // Pick the first locally-unchosen instance.
     uint64_t index;
     {
       std::lock_guard<std::mutex> guard(durable_->mu);
+      for (uint64_t k : offered) {
+        auto it = durable_->instances.find(k);
+        if (it != durable_->instances.end() && it->second.chosen &&
+            it->second.chosen_value == command) {
+          return k;
+        }
+      }
       index = 0;
       while (true) {
         auto it = durable_->instances.find(index);
@@ -267,6 +277,9 @@ StatusOr<uint64_t> PaxosPeer::Propose(const Bytes& command) {
     }
 
     // Phase 2: accept.
+    if (adopted == command) {
+      offered.push_back(index);
+    }
     Encoder acc;
     acc.PutU64(index);
     acc.PutU64(ballot);

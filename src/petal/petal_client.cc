@@ -71,14 +71,8 @@ Status PetalClient::ForEachChunk(size_t count, const std::function<Status(size_t
 
 StatusOr<Bytes> PetalClient::ChunkCall(uint64_t chunk_index, uint32_t method,
                                        const Bytes& request) {
-  int64_t t0 = obs::MonotonicNs();
-  StatusOr<Bytes> result = ChunkCallImpl(chunk_index, method, request);
-  m_chunk_us_->Record(static_cast<double>(obs::MonotonicNs() - t0) / 1000.0);
-  return result;
-}
-
-StatusOr<Bytes> PetalClient::ChunkCallImpl(uint64_t chunk_index, uint32_t method,
-                                           const Bytes& request) {
+  obs::SpanScope span(obs::Layer::kPetal, m_chunk_us_, "petal.chunk", self_, "chunk",
+                      chunk_index, "method", method);
   constexpr int kAttempts = 3;
   Status last = Unavailable("no attempt made");
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
@@ -166,7 +160,7 @@ std::vector<ChunkSpan> SplitIntoChunks(uint64_t offset, uint64_t length) {
 }  // namespace
 
 Status PetalClient::Read(VdiskId vdisk, uint64_t offset, uint64_t length, Bytes* out) {
-  obs::LayerTimer timer(obs::Layer::kPetal, m_read_us_);
+  obs::SpanScope span(obs::Layer::kPetal, m_read_us_, "petal.client_read", self_);
   m_read_bytes_->Increment(length);
   // Preallocate so concurrent sub-reads land in place; reassembly in order
   // is then free (each slice is disjoint).
@@ -193,7 +187,7 @@ Status PetalClient::Read(VdiskId vdisk, uint64_t offset, uint64_t length, Bytes*
 
 Status PetalClient::Write(VdiskId vdisk, uint64_t offset, const Bytes& data,
                           int64_t lease_expiry_us) {
-  obs::LayerTimer timer(obs::Layer::kPetal, m_write_us_);
+  obs::SpanScope span(obs::Layer::kPetal, m_write_us_, "petal.client_write", self_);
   m_write_bytes_->Increment(data.size());
   if (data.empty()) {
     return OkStatus();
@@ -214,17 +208,16 @@ Status PetalClient::Write(VdiskId vdisk, uint64_t offset, const Bytes& data,
 }
 
 Status PetalClient::Decommit(VdiskId vdisk, uint64_t offset, uint64_t length) {
-  obs::LayerTimer timer(obs::Layer::kPetal);
+  const uint64_t first = ChunkIndexOf(offset);
+  const uint64_t count = ChunkIndexOf(offset + length) - first;
+  obs::SpanScope span(obs::Layer::kPetal, "petal.decommit", self_, "chunk", first, "chunks",
+                      count);
   if ((offset & kChunkMask) != 0 || (length & kChunkMask) != 0) {
     return InvalidArgument("decommit range must be chunk aligned");
   }
-  const uint64_t first = ChunkIndexOf(offset);
-  const uint64_t count = ChunkIndexOf(offset + length) - first;
   if (count == 0) {
     return OkStatus();
   }
-  obs::SpanScope span(obs::Layer::kPetal, "petal.decommit", self_, "chunk", first, "chunks",
-                      count);
   Encoder enc;
   enc.PutU32(vdisk);
   enc.PutU64(first);

@@ -76,9 +76,8 @@ class PetalClient {
 
  private:
   // Runs `method` against a replica of `chunk_index`, failing over and
-  // refreshing the map as needed. The wrapper feeds petal.chunk_us.
+  // refreshing the map as needed. Its petal.chunk scope feeds petal.chunk_us.
   StatusOr<Bytes> ChunkCall(uint64_t chunk_index, uint32_t method, const Bytes& request);
-  StatusOr<Bytes> ChunkCallImpl(uint64_t chunk_index, uint32_t method, const Bytes& request);
   // Runs an admin call against any reachable server.
   StatusOr<Bytes> AnyCall(uint32_t method, const Bytes& request);
 

@@ -9,7 +9,6 @@
 
 #include "src/base/logging.h"
 #include "src/obs/recorder.h"
-#include "src/obs/trace.h"
 
 namespace frangipani {
 
@@ -375,8 +374,7 @@ StatusOr<Bytes> PetalServer::Handle(uint32_t method, const Bytes& request, NodeI
 }
 
 StatusOr<Bytes> PetalServer::DoRead(Decoder& dec) {
-  obs::LayerTimer op_timer(obs::Layer::kPetal, m_server_read_us_);
-  obs::SpanScope span(obs::Layer::kPetal, "petal.read", self_);
+  obs::SpanScope span(obs::Layer::kPetal, m_server_read_us_, "petal.read", self_);
   VdiskId vdisk = dec.GetU32();
   uint64_t offset = dec.GetU64();
   uint32_t length = dec.GetU32();
@@ -424,8 +422,7 @@ StatusOr<Bytes> PetalServer::DoRead(Decoder& dec) {
 }
 
 StatusOr<Bytes> PetalServer::DoWrite(Decoder& dec) {
-  obs::LayerTimer op_timer(obs::Layer::kPetal, m_server_write_us_);
-  obs::SpanScope span(obs::Layer::kPetal, "petal.write", self_);
+  obs::SpanScope span(obs::Layer::kPetal, m_server_write_us_, "petal.write", self_);
   VdiskId vdisk = dec.GetU32();
   uint64_t offset = dec.GetU64();
   int64_t lease_expiry_us = dec.GetI64();
@@ -487,8 +484,7 @@ StatusOr<Bytes> PetalServer::DoWrite(Decoder& dec) {
 }
 
 StatusOr<Bytes> PetalServer::DoReplicaWrite(Decoder& dec) {
-  obs::LayerTimer op_timer(obs::Layer::kPetal, m_server_write_us_);
-  obs::SpanScope span(obs::Layer::kPetal, "petal.replica_write", self_);
+  obs::SpanScope span(obs::Layer::kPetal, m_server_write_us_, "petal.replica_write", self_);
   VdiskId vdisk = dec.GetU32();
   uint64_t index = dec.GetU64();
   uint32_t off_in_chunk = dec.GetU32();

@@ -6,11 +6,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <string>
 #include <thread>
 
 #include "src/fs/block_cache.h"
 #include "src/fs/device.h"
 #include "src/fs/wal.h"
+#include "src/obs/recorder.h"
 
 namespace frangipani {
 namespace {
@@ -260,6 +262,9 @@ TEST_F(CacheTest, ShardedConcurrentMixedTraffic) {
 // other while holding claims, or they deadlock.
 TEST_F(CacheTest, OverlappingFlushersFinish) {
   constexpr int kBlocks = 32;  // 128 KB: one shard region
+  obs::Recorder* rec = obs::Recorder::Default();
+  rec->Clear();
+  rec->Enable(true);
   auto work = std::async(std::launch::async, [&] {
     std::atomic<bool> stop{false};
     std::thread flusher([&] {
@@ -290,6 +295,17 @@ TEST_F(CacheTest, OverlappingFlushersFinish) {
   }
   ASSERT_TRUE(cache_->FlushAll().ok());
   EXPECT_EQ(cache_->dirty_bytes(), 0u);
+  // Flushers claiming the same blocks waited each other out, and every such
+  // wait is a span.
+  rec->Enable(false);
+  size_t claim_waits = 0;
+  for (const obs::TraceEvent& e : rec->Snapshot()) {
+    if (std::string(e.name) == "fs.cache.claim_wait") {
+      ++claim_waits;
+    }
+  }
+  rec->Clear();
+  EXPECT_GT(claim_waits, 0u);
 }
 
 TEST_F(CacheTest, FlushPinnedUpToSelectsByLsn) {

@@ -21,10 +21,10 @@ namespace {
 
 using obs::Counter;
 using obs::Layer;
-using obs::LayerTimer;
 using obs::MetricsRegistry;
 using obs::OpMetrics;
 using obs::OpTrace;
+using obs::SpanScope;
 
 TEST(MetricsRegistryTest, FindOrCreateReturnsStablePointers) {
   MetricsRegistry reg;
@@ -149,21 +149,23 @@ TEST(TraceTest, NestedOpTraceIsPassthrough) {
   EXPECT_NE(obs::CurrentTraceId(), first_id);
 }
 
-TEST(TraceTest, LayerTimersAttributeExclusiveTime) {
+constexpr int kFsIdx = static_cast<int>(Layer::kFs);
+constexpr int kLockIdx = static_cast<int>(Layer::kLock);
+constexpr int kPetalIdx = static_cast<int>(Layer::kPetal);
+constexpr int kNetIdx = static_cast<int>(Layer::kNet);
+
+TEST(TraceTest, ScopesAttributeExclusiveTime) {
   MetricsRegistry reg;
   OpMetrics m = OpMetrics::For(&reg, "op");
   {
     OpTrace trace(&m);
-    LayerTimer lock_timer(Layer::kLock);
+    SpanScope lock_scope(Layer::kLock, "test.lock");
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     {
-      LayerTimer petal_timer(Layer::kPetal);
+      SpanScope petal_scope(Layer::kPetal, "test.petal");
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
-  constexpr int kLockIdx = static_cast<int>(Layer::kLock);
-  constexpr int kPetalIdx = static_cast<int>(Layer::kPetal);
-  constexpr int kFsIdx = static_cast<int>(Layer::kFs);
   ASSERT_EQ(m.total_us->count(), 1u);
   ASSERT_EQ(m.layer_us[kLockIdx]->count(), 1u);
   ASSERT_EQ(m.layer_us[kPetalIdx]->count(), 1u);
@@ -184,15 +186,86 @@ TEST(TraceTest, LayerTimersAttributeExclusiveTime) {
   EXPECT_NEAR(lock_us + petal_us + fs_us, total, total * 0.1 + 50);
 }
 
-TEST(TraceTest, LayerTimerWithoutTraceStillFeedsHistogram) {
+// A scope's own time belongs to its layer, even when it nests back into a
+// layer further up: a kFs scope inside a kLock scope (an fs flush run by a
+// revoke) takes its time out of kLock and back into kFs.
+TEST(TraceTest, FsScopeInsideLockScopeChargesFs) {
+  MetricsRegistry reg;
+  OpMetrics m = OpMetrics::For(&reg, "op");
+  {
+    OpTrace trace(&m);
+    SpanScope lock_scope(Layer::kLock, "test.revoke");
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    {
+      SpanScope fs_scope(Layer::kFs, "test.revoke_flush");
+      std::this_thread::sleep_for(std::chrono::milliseconds(6));
+    }
+  }
+  ASSERT_EQ(m.total_us->count(), 1u);
+  ASSERT_EQ(m.layer_us[kLockIdx]->count(), 1u);
+  ASSERT_EQ(m.layer_us[kFsIdx]->count(), 1u);
+  double total = m.total_us->Mean();
+  double lock_us = m.layer_us[kLockIdx]->Mean();
+  double fs_us = m.layer_us[kFsIdx]->Mean();
+  EXPECT_GE(total, 9000);
+  EXPECT_GE(fs_us, 5000);  // the nested 6 ms sleep is fs time, not lock time
+  EXPECT_GE(lock_us, 2000);
+  EXPECT_NEAR(lock_us + fs_us, total, total * 0.1 + 50);
+}
+
+TEST(TraceTest, ScopeWithoutTraceStillFeedsHistogram) {
   MetricsRegistry reg;
   Histogram* lat = reg.GetHistogram("lat_us");
+  ASSERT_FALSE(obs::RecorderEnabled());
   {
-    LayerTimer timer(Layer::kPetal, lat);
+    SpanScope scope(Layer::kPetal, lat, "test.untraced");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_EQ(lat->count(), 1u);
   EXPECT_GE(lat->Mean(), 1000);
+}
+
+// Only wire time is kNet: an RPC handler that sleeps outside any scope is
+// charged to the caller's layer, not to the network.
+TEST(TraceTest, RpcHandlerTimeIsNotNetTime) {
+  class SlowService : public Service {
+   public:
+    StatusOr<Bytes> Handle(uint32_t, const Bytes&, NodeId) override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      return Bytes{};
+    }
+  };
+  Network net;
+  NodeId a = net.AddNode("a");
+  NodeId b = net.AddNode("b");
+  LinkParams link;
+  link.latency = std::chrono::milliseconds(1);
+  net.SetLinkParams(a, link);
+  net.SetLinkParams(b, link);
+  SlowService svc;
+  net.RegisterService(b, "slow", &svc);
+
+  MetricsRegistry reg;
+  OpMetrics m = OpMetrics::For(&reg, "rpc_op");
+  {
+    OpTrace trace(&m);
+    SpanScope lock_scope(Layer::kLock, "test.server_call");
+    ASSERT_TRUE(net.Call(a, b, "slow", 1, Bytes(16, 0)).ok());
+  }
+  ASSERT_EQ(m.layer_us[kNetIdx]->count(), 1u);
+  double net_us = m.layer_us[kNetIdx]->Mean();
+  double lock_us = m.layer_us[kLockIdx]->Mean();
+  // Two 1 ms messages on the wire; the 50 ms handler is the caller's.
+  EXPECT_GE(net_us, 1500);
+  EXPECT_GE(lock_us, 45000);
+  EXPECT_LT(net_us, lock_us / 2);
+  double sum = 0;
+  for (int i = 0; i < obs::kNumLayers; ++i) {
+    if (m.layer_us[i]->count() > 0) {
+      sum += m.layer_us[i]->Mean();
+    }
+  }
+  EXPECT_NEAR(sum, m.total_us->Mean(), m.total_us->Mean() * 0.1 + 50);
 }
 
 // End-to-end: a traced FS op propagates through the clerk, WAL, Petal
@@ -246,7 +319,6 @@ TEST(TracePropagationTest, FsOpsProduceLayerBreakdowns) {
 using obs::EventKind;
 using obs::Recorder;
 using obs::RecordInstant;
-using obs::SpanScope;
 using obs::TraceEvent;
 
 // The disabled path is one relaxed load: no ring is allocated, no event is

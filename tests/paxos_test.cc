@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "src/paxos/paxos.h"
 
@@ -92,6 +94,54 @@ TEST_F(PaxosTest, ConcurrentProposersAllDecideAllAgree) {
   for (size_t i = 1; i < peers_.size(); ++i) {
     std::lock_guard<std::mutex> gi(peers_[i].mu);
     EXPECT_EQ(peers_[i].applied, peers_[0].applied) << "peer " << i << " log differs";
+  }
+}
+
+// Peer 0's accept for slot 0 reaches only its own acceptor; meanwhile peer 1
+// prepares slot 0, adopts peer 0's accepted command and gets it chosen there.
+// Peer 0's Propose must then return slot 0 instead of proposing the same
+// command again at a later slot (which would apply it twice).
+TEST_F(PaxosTest, ProposerWhoseCommandWasAdoptedReturnsThatSlot) {
+  Build(3);
+  // Peer 0 reaches peer 1 only, and peer 1 drops the first accept peer 0
+  // sends it, after running its own proposal to completion.
+  class DropFirstAcceptFrom : public Service {
+   public:
+    DropFirstAcceptFrom(Service* inner, NodeId from, std::function<void()> before_drop)
+        : inner_(inner), from_(from), before_drop_(std::move(before_drop)) {}
+    StatusOr<Bytes> Handle(uint32_t method, const Bytes& request, NodeId from) override {
+      constexpr uint32_t kAccept = 2;
+      if (method == kAccept && from == from_ && !dropped_) {
+        dropped_ = true;
+        before_drop_();
+        return Unavailable("accept dropped");
+      }
+      return inner_->Handle(method, request, from);
+    }
+
+   private:
+    Service* inner_;
+    NodeId from_;
+    std::function<void()> before_drop_;
+    bool dropped_ = false;
+  };
+  net_.SetPartitioned(nodes_[0], nodes_[2], true);
+  StatusOr<uint64_t> competitor = Unavailable("not run");
+  DropFirstAcceptFrom gate(peers_[1].peer.get(), nodes_[0],
+                           [&] { competitor = peers_[1].peer->Propose(Cmd("b")); });
+  net_.RegisterService(nodes_[1], PaxosPeer::kServiceName, &gate);
+
+  StatusOr<uint64_t> idx = peers_[0].peer->Propose(Cmd("a"));
+  net_.RegisterService(nodes_[1], PaxosPeer::kServiceName, peers_[1].peer.get());
+  net_.SetPartitioned(nodes_[0], nodes_[2], false);
+  ASSERT_TRUE(competitor.ok());
+  EXPECT_EQ(*competitor, 1u);  // peer 1 finished "a" at slot 0 first
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ(*idx, 0u);
+  for (auto& p : peers_) {
+    p.peer->CatchUp();
+    std::lock_guard<std::mutex> guard(p.mu);
+    EXPECT_EQ(p.applied, (std::vector<Bytes>{Cmd("a"), Cmd("b")}));
   }
 }
 
