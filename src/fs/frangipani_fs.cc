@@ -155,7 +155,6 @@ FrangipaniFs::FrangipaniFs(BlockDevice* device, LockProvider* locks, Clock* cloc
       clock_(clock),
       options_(options),
       op_metrics_(obs::MetricsRegistry::Default()) {
-  readahead_on_.store(options_.readahead_enabled);
   m_revoke_flush_bytes_ =
       obs::MetricsRegistry::Default()->GetCounter("lock.revoke_flush_bytes");
   m_sync_errors_ = obs::MetricsRegistry::Default()->GetCounter("fs.sync.errors");
@@ -213,7 +212,6 @@ Status FrangipaniFs::Mount() {
       [this](uint64_t lsn) { return cache_->FlushPinnedUpTo(lsn); }, fence,
       options_.node_id, options_.wal);
   BlockCacheOptions copts;
-  copts.capacity_bytes = options_.cache_bytes;
   copts.dirty_hiwater_bytes = options_.dirty_hiwater_bytes;
   copts.io_threads = options_.io_threads;
   cache_ = std::make_unique<BlockCache>(device_, wal_.get(), copts, fence);
@@ -271,8 +269,8 @@ Status FrangipaniFs::CheckWriteLease() const {
     return OkStatus();  // local locks: no lease to guard
   }
   // The paper uses a fixed 15 s margin against a 30 s lease; scale the
-  // configured margin down for installations with shorter leases.
-  Duration margin = std::min(options_.lease_margin, lease / 3);
+  // margin down for installations with shorter leases.
+  Duration margin = std::min(kDefaultLeaseMargin, lease / 3);
   if (!locks_->LeaseValidFor(margin)) {
     return StaleLease("lease expires within the write margin (§6)");
   }

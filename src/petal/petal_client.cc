@@ -26,13 +26,7 @@ PetalClient::PetalClient(Network* net, NodeId self, std::vector<NodeId> bootstra
   m_decommit_errors_ = reg->GetCounter("petal.decommit_errors");
   m_inflight_ = reg->GetGauge("petal.inflight");
   m_inflight_peak_ = reg->GetGauge("petal.inflight_peak");
-  m_io_window_ = reg->GetGauge("petal.io_window");
-  m_io_window_->Set(options.io_window);
-}
-
-void PetalClient::set_io_window(uint32_t window) {
-  io_window_.store(window == 0 ? 1 : window, std::memory_order_relaxed);
-  m_io_window_->Set(io_window_.load(std::memory_order_relaxed));
+  reg->GetGauge("petal.io_window")->Set(io_window_);
 }
 
 Status PetalClient::RefreshMap() {
@@ -66,7 +60,7 @@ Status PetalClient::ForEachChunk(size_t count, const std::function<Status(size_t
   ParallelForOptions pf;
   pf.inflight = m_inflight_;
   pf.inflight_peak = m_inflight_peak_;
-  return net_->ParallelFor(count, io_window_.load(std::memory_order_relaxed), op, pf);
+  return net_->ParallelFor(count, io_window_, op, pf);
 }
 
 StatusOr<Bytes> PetalClient::ChunkCall(uint64_t chunk_index, uint32_t method,

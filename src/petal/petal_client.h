@@ -68,12 +68,6 @@ class PetalClient {
 
   NodeId node() const { return self_; }
 
-  // Runtime control of the scatter-gather window (benches flip this to
-  // compare serial vs parallel on the same cluster). Takes effect on the
-  // next transfer.
-  void set_io_window(uint32_t window);
-  uint32_t io_window() const { return io_window_.load(std::memory_order_relaxed); }
-
  private:
   // Runs `method` against a replica of `chunk_index`, failing over and
   // refreshing the map as needed. Its petal.chunk scope feeds petal.chunk_us.
@@ -81,7 +75,7 @@ class PetalClient {
   // Runs an admin call against any reachable server.
   StatusOr<Bytes> AnyCall(uint32_t method, const Bytes& request);
 
-  // Runs op(0..count-1) with at most io_window() in flight on the network's
+  // Runs op(0..count-1) with at most io_window in flight on the network's
   // IO pool; the caller's thread issues and waits. Stops issuing after the
   // first failure (in-flight ops drain) and returns that first error.
   Status ForEachChunk(size_t count, const std::function<Status(size_t)>& op);
@@ -89,7 +83,7 @@ class PetalClient {
   Network* net_;
   NodeId self_;
   std::vector<NodeId> bootstrap_;
-  std::atomic<uint32_t> io_window_;
+  const uint32_t io_window_;
 
   mutable std::mutex mu_;
   PetalGlobalMap map_;
@@ -107,7 +101,6 @@ class PetalClient {
   obs::Counter* m_decommit_errors_;
   obs::Gauge* m_inflight_;
   obs::Gauge* m_inflight_peak_;
-  obs::Gauge* m_io_window_;
 };
 
 }  // namespace frangipani

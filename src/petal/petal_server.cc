@@ -43,8 +43,7 @@ PetalServer::PetalServer(Network* net, NodeId self, std::vector<NodeId> paxos_gr
       self_(self),
       durable_(durable),
       options_(options),
-      clock_(clock),
-      ready_(options.initially_ready) {
+      clock_(clock) {
   {
     std::lock_guard<std::mutex> guard(durable_->disks_mu);
     if (durable_->disks.empty()) {

@@ -37,7 +37,6 @@ namespace frangipani {
 struct PetalServerOptions {
   int num_disks = 9;          // paper: 9 RZ29 drives per server
   PhysDiskParams disk;
-  bool initially_ready = true;  // false: hold client I/O until ResyncFromPeers
   // Modeled chunk-store service rate (bytes/sec): the time the owning shard
   // is occupied moving a payload into or out of its blob (memory-system
   // occupancy, charged as a real sleep while the shard lock is held — the
@@ -228,7 +227,7 @@ class PetalServer : public Service {
   std::unordered_map<uint64_t, VdiskId> nonce_results_;
   uint64_t next_nonce_ = 1;
 
-  std::atomic<bool> ready_;
+  std::atomic<bool> ready_{true};  // false: hold client I/O until ResyncFromPeers
 
   std::unique_ptr<PaxosPeer> paxos_;
 

@@ -52,12 +52,10 @@ Status Cluster::Start() {
     petal_nodes_.push_back(net_.AddNode("petal" + std::to_string(i)));
   }
   for (int i = 0; i < options_.petal_servers; ++i) {
-    petal_state_.push_back(std::make_unique<PetalServerDurable>(options_.petal_store_shards));
+    petal_state_.push_back(std::make_unique<PetalServerDurable>());
     PetalServerOptions popts;
     popts.num_disks = options_.disks_per_petal;
     popts.disk = options_.disk;
-    popts.store_copy_bps = options_.petal_store_copy_bps;
-    popts.resync_window = options_.petal_resync_window;
     petal_runtime_.push_back(std::make_unique<PetalServer>(
         &net_, petal_nodes_[i], petal_nodes_, petal_nodes_, petal_state_[i].get(), popts,
         clock_));

@@ -26,9 +26,6 @@ namespace frangipani {
 struct ClusterOptions {
   int petal_servers = 7;
   int disks_per_petal = 9;
-  int petal_store_shards = kPetalStoreShardsDefault;
-  double petal_store_copy_bps = 0;  // modeled chunk-store copy rate, 0 = off
-  int petal_resync_window = 8;      // resync/rebalance RPC fan-out, 1 = serial
   int lock_servers = 3;           // 1 for centralized, 2 for primary/backup
   LockServiceKind lock_kind = LockServiceKind::kDistributed;
   Duration lease_duration = kDefaultLeaseDuration;

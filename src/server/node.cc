@@ -107,11 +107,11 @@ void FrangipaniNode::StartDemons() {
       fs_->ReportSyncError("sync demon", fs_->SyncAll());
     }
   });
-  idle_drop_task_ = std::make_unique<PeriodicTask>(
-      std::max(options_.idle_lock_drop / 4, Duration(100'000)), [this, tag] {
-        SetLogNodeTag(tag);
-        clerk_->DropIdle(options_.idle_lock_drop);
-      });
+  constexpr Duration kIdleLockDrop{3600'000'000};  // paper: locks idle for 1 hour
+  idle_drop_task_ = std::make_unique<PeriodicTask>(kIdleLockDrop / 4, [this, tag] {
+    SetLogNodeTag(tag);
+    clerk_->DropIdle(kIdleLockDrop);
+  });
 }
 
 void FrangipaniNode::StopDemons() {

@@ -30,7 +30,6 @@ struct NodeOptions {
   Duration sync_period{1'000'000};       // update demon (paper: 30 s; scaled)
   Duration log_flush_period{200'000};    // periodic log write (§4)
   Duration renew_period{0};              // 0 = lease_duration / 3
-  Duration idle_lock_drop{3600'000'000}; // paper: locks idle for 1 hour
   bool start_demons = true;
 };
 
