@@ -73,7 +73,7 @@ Status LocalDevice::Write(uint64_t offset, const Bytes& data, int64_t lease_expi
   return OkStatus();
 }
 
-Status LocalDevice::Decommit(uint64_t offset, uint64_t length) {
+Status LocalDevice::Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) {
   if ((offset & kChunkMask) != 0 || (length & kChunkMask) != 0) {
     return InvalidArgument("decommit range must be chunk aligned");
   }

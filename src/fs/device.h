@@ -24,7 +24,8 @@ class BlockDevice {
   virtual Status Read(uint64_t offset, uint64_t length, Bytes* out) = 0;
   // lease_expiry_us != 0 fences the write (rejected once the lease expired).
   virtual Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) = 0;
-  virtual Status Decommit(uint64_t offset, uint64_t length) = 0;
+  // Frees [offset, offset+length), chunk aligned; fenced like Write.
+  virtual Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) = 0;
 };
 
 class PetalDevice : public BlockDevice {
@@ -37,8 +38,8 @@ class PetalDevice : public BlockDevice {
   Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override {
     return client_->Write(vdisk_, offset, data, lease_expiry_us);
   }
-  Status Decommit(uint64_t offset, uint64_t length) override {
-    return client_->Decommit(vdisk_, offset, length);
+  Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) override {
+    return client_->Decommit(vdisk_, offset, length, lease_expiry_us);
   }
 
   VdiskId vdisk() const { return vdisk_; }
@@ -60,7 +61,7 @@ class LocalDevice : public BlockDevice {
 
   Status Read(uint64_t offset, uint64_t length, Bytes* out) override;
   Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override;
-  Status Decommit(uint64_t offset, uint64_t length) override;
+  Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) override;
 
   void SetNvram(bool on);
 

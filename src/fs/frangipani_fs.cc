@@ -724,7 +724,7 @@ void FrangipaniFs::FinishDecommits(uint32_t seg, bool own) {
     RETURN_IF_ERROR(wal_->FlushTo(through_lsn));
     for (const Marker& m : markers) {
       RETURN_IF_ERROR(device_->Decommit(geometry_.LargeBlockAddr(LargeOfSeg(seg, m.local)),
-                                        uint64_t{m.chunks} * kChunkSize));
+                                        uint64_t{m.chunks} * kChunkSize, FenceUs()));
     }
     return OkStatus();
   };
@@ -826,7 +826,7 @@ Status FrangipaniFs::DecommitLargeTail(uint64_t lsn, uint64_t large, uint64_t ol
   RETURN_IF_ERROR(wal_->FlushTo(lsn));
   // A failed decommit only leaks physical space; petal.decommit_errors
   // counts it.
-  (void)device_->Decommit(geometry_.LargeBlockAddr(large) + keep, end - keep);
+  (void)device_->Decommit(geometry_.LargeBlockAddr(large) + keep, end - keep, FenceUs());
   return OkStatus();
 }
 

@@ -201,7 +201,8 @@ Status PetalClient::Write(VdiskId vdisk, uint64_t offset, const Bytes& data,
   });
 }
 
-Status PetalClient::Decommit(VdiskId vdisk, uint64_t offset, uint64_t length) {
+Status PetalClient::Decommit(VdiskId vdisk, uint64_t offset, uint64_t length,
+                             int64_t lease_expiry_us) {
   const uint64_t first = ChunkIndexOf(offset);
   const uint64_t count = ChunkIndexOf(offset + length) - first;
   obs::SpanScope span(obs::Layer::kPetal, "petal.decommit", self_, "chunk", first, "chunks",
@@ -216,6 +217,7 @@ Status PetalClient::Decommit(VdiskId vdisk, uint64_t offset, uint64_t length) {
   enc.PutU32(vdisk);
   enc.PutU64(first);
   enc.PutU64(count);
+  enc.PutI64(lease_expiry_us);
   // One range call to every server holding a replica of some chunk of the
   // range; each drops the chunks of the range it holds. A chunk is done
   // once one of its two replicas acked (a lagging replica resyncs on
@@ -260,6 +262,10 @@ Status PetalClient::Decommit(VdiskId vdisk, uint64_t offset, uint64_t length) {
         FLOG(WARN) << "petal decommit RPC failed (further failures only counted in "
                       "petal.decommit_errors): "
                    << st;
+      }
+      if (st.code() == StatusCode::kPermissionDenied ||
+          st.code() == StatusCode::kInvalidArgument) {
+        return st;  // fenced / read-only / malformed: no replica will differ
       }
     }
     auto acked_by = [&](NodeId n) {

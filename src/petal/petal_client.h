@@ -55,8 +55,11 @@ class PetalClient {
   // thread (at most one call per server, whatever the length). Succeeds if
   // every chunk had at least one replica ack (the other resyncs later);
   // fails only when some chunk has no reachable replica even after a map
-  // refresh. Failed calls are counted in petal.decommit_errors.
-  Status Decommit(VdiskId vdisk, uint64_t offset, uint64_t length);
+  // refresh. Failed calls are counted in petal.decommit_errors. Fenced
+  // like Write by lease_expiry_us; a fenced or malformed call
+  // (PermissionDenied, InvalidArgument) fails at once, without a retry.
+  Status Decommit(VdiskId vdisk, uint64_t offset, uint64_t length,
+                  int64_t lease_expiry_us = 0);
 
   StatusOr<VdiskId> CreateVdisk();
   StatusOr<VdiskId> Snapshot(VdiskId src);   // read-only snapshot (§8)

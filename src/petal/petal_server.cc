@@ -12,10 +12,29 @@
 
 namespace frangipani {
 
+int PetalServerDurable::TakeDisk() {
+  std::lock_guard<std::mutex> guard(disks_mu);
+  auto least = std::min_element(disk_blobs.begin(), disk_blobs.end());
+  ++*least;
+  return static_cast<int>(least - disk_blobs.begin());
+}
+
+void PetalServerDurable::FreeDisk(int disk) {
+  std::lock_guard<std::mutex> guard(disks_mu);
+  --disk_blobs[disk];
+}
+
 bool PetalServerDurable::HasChunk(const ChunkKey& key) {
   PetalStoreShard& shard = ShardFor(key.index);
   std::lock_guard<std::mutex> guard(shard.mu);
   return shard.chunks.count(key) > 0;
+}
+
+int PetalServerDurable::DiskOf(const ChunkKey& key) {
+  PetalStoreShard& shard = ShardFor(key.index);
+  std::lock_guard<std::mutex> guard(shard.mu);
+  auto it = shard.chunks.find(key);
+  return it == shard.chunks.end() ? -1 : shard.blobs[it->second].disk;
 }
 
 uint64_t PetalServerDurable::TotalChunks() {
@@ -36,6 +55,11 @@ uint64_t PetalServerDurable::TotalBlobs() {
   return n;
 }
 
+std::vector<uint64_t> PetalServerDurable::DiskBlobCounts() {
+  std::lock_guard<std::mutex> guard(disks_mu);
+  return disk_blobs;
+}
+
 PetalServer::PetalServer(Network* net, NodeId self, std::vector<NodeId> paxos_group,
                          std::vector<NodeId> initial_active, PetalServerDurable* durable,
                          PetalServerOptions options, Clock* clock)
@@ -50,6 +74,7 @@ PetalServer::PetalServer(Network* net, NodeId self, std::vector<NodeId> paxos_gr
       for (int i = 0; i < options_.num_disks; ++i) {
         durable_->disks.push_back(std::make_unique<PhysDisk>(options_.disk));
       }
+      durable_->disk_blobs.assign(durable_->disks.size(), 0);
     }
   }
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
@@ -200,10 +225,6 @@ PetalGlobalMap PetalServer::MapSnapshot() const {
 
 uint64_t PetalServer::chunk_count() const { return durable_->TotalChunks(); }
 
-PhysDisk& PetalServer::DiskFor(uint64_t chunk_index) {
-  return *durable_->disks[chunk_index % durable_->disks.size()];
-}
-
 std::unique_lock<std::mutex> PetalServer::LockShard(PetalStoreShard& shard) {
   std::unique_lock<std::mutex> lk(shard.mu, std::defer_lock);
   obs::LockTimed(lk, m_store_wait_us_);
@@ -226,15 +247,40 @@ BlobMeta* PetalServer::FindChunkLocked(PetalStoreShard& shard, const ChunkKey& k
   return &shard.blobs[it->second];
 }
 
-uint64_t PetalServer::ApplyWriteLocked(PetalStoreShard& shard, const ChunkKey& key,
-                                       uint32_t offset_in_chunk, const Bytes& data,
-                                       uint64_t forced_version) {
+Status PetalServer::CheckLease(int64_t lease_expiry_us) const {
+  if (lease_expiry_us == 0) {
+    return OkStatus();
+  }
+  int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                       clock_->Now().time_since_epoch())
+                       .count();
+  if (now_us > lease_expiry_us) {
+    return PermissionDenied("fenced: lease expired");
+  }
+  return OkStatus();
+}
+
+Status PetalServer::CheckWritableVdiskLocked(VdiskId vdisk) const {
+  auto it = map_.vdisks.find(vdisk);
+  if (it == map_.vdisks.end()) {
+    return Status(StatusCode::kFailedPrecondition, "unknown vdisk");
+  }
+  if (it->second.read_only) {
+    return PermissionDenied("vdisk is a read-only snapshot");
+  }
+  return OkStatus();
+}
+
+const BlobMeta& PetalServer::ApplyWriteLocked(PetalStoreShard& shard, const ChunkKey& key,
+                                              uint32_t offset_in_chunk, const Bytes& data,
+                                              uint64_t forced_version) {
   auto it = shard.chunks.find(key);
   uint64_t handle;
   if (it == shard.chunks.end()) {
     handle = shard.next_handle++;
     BlobMeta& blob = shard.blobs[handle];
     blob.refs = 1;
+    blob.disk = durable_->TakeDisk();
     blob.data.assign(kChunkSize, 0);
     shard.chunks[key] = handle;
   } else {
@@ -245,6 +291,7 @@ uint64_t PetalServer::ApplyWriteLocked(PetalStoreShard& shard, const ChunkKey& k
       uint64_t fresh = shard.next_handle++;
       BlobMeta& copy = shard.blobs[fresh];
       copy.refs = 1;
+      copy.disk = durable_->TakeDisk();
       copy.version = shard.blobs[handle].version;
       copy.data = shard.blobs[handle].data;
       shard.blobs[handle].refs--;
@@ -258,7 +305,7 @@ uint64_t PetalServer::ApplyWriteLocked(PetalStoreShard& shard, const ChunkKey& k
   std::copy(data.begin(), data.end(), blob.data.begin() + offset_in_chunk);
   blob.version = forced_version != 0 ? forced_version : blob.version + 1;
   ChargeStoreLocked(data.size());
-  return blob.version;
+  return blob;
 }
 
 void PetalServer::DropChunkLocked(PetalStoreShard& shard, const ChunkKey& key) {
@@ -270,6 +317,7 @@ void PetalServer::DropChunkLocked(PetalStoreShard& shard, const ChunkKey& key) {
   shard.chunks.erase(it);
   BlobMeta& blob = shard.blobs[handle];
   if (--blob.refs == 0) {
+    durable_->FreeDisk(blob.disk);
     shard.blobs.erase(handle);
   }
 }
@@ -400,23 +448,23 @@ StatusOr<Bytes> PetalServer::DoRead(Decoder& dec) {
   }
   uint32_t off_in_chunk = static_cast<uint32_t>(offset & kChunkMask);
   Bytes out;
-  bool found = false;
+  int disk = -1;
   {
     PetalStoreShard& shard = durable_->ShardFor(index);
     std::unique_lock<std::mutex> lk = LockShard(shard);
     BlobMeta* blob = FindChunkLocked(shard, {vdisk, index});
     if (blob != nullptr) {
-      found = true;
+      disk = blob->disk;
       out.assign(blob->data.begin() + off_in_chunk, blob->data.begin() + off_in_chunk + length);
       ChargeStoreLocked(length);
     }
   }
-  if (!found) {
+  if (disk < 0) {
     // Sparse virtual disk: uncommitted ranges read as zeros, at no disk cost.
     out.assign(length, 0);
     return out;
   }
-  DiskFor(index).ChargeRead(offset, length);
+  Disk(disk).ChargeRead(offset, length);
   return out;
 }
 
@@ -435,48 +483,38 @@ StatusOr<Bytes> PetalServer::DoWrite(Decoder& dec) {
     return Unavailable("petal server resyncing");
   }
   // §6 hazard fix: reject writes whose issuing lease has already expired.
-  if (lease_expiry_us != 0) {
-    int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                         clock_->Now().time_since_epoch())
-                         .count();
-    if (now_us > lease_expiry_us) {
-      return PermissionDenied("write fenced: lease expired");
-    }
-  }
+  RETURN_IF_ERROR(CheckLease(lease_expiry_us));
   uint64_t index = ChunkIndexOf(offset);
   if (ChunkIndexOf(offset + data.size() - 1) != index) {
     return InvalidArgument("write spans chunks");
   }
   {
     std::lock_guard<std::mutex> guard(map_mu_);
-    auto it = map_.vdisks.find(vdisk);
-    if (it == map_.vdisks.end()) {
-      return Status(StatusCode::kFailedPrecondition, "unknown vdisk");
-    }
-    if (it->second.read_only) {
-      return PermissionDenied("vdisk is a read-only snapshot");
-    }
+    RETURN_IF_ERROR(CheckWritableVdiskLocked(vdisk));
     if (!PlaceChunk(map_, index).Contains(self_)) {
       return Status(StatusCode::kFailedPrecondition, "not a replica for this chunk");
     }
   }
   uint32_t off_in_chunk = static_cast<uint32_t>(offset & kChunkMask);
   uint64_t version;
+  int disk;
   {
     PetalStoreShard& shard = durable_->ShardFor(index);
     std::unique_lock<std::mutex> lk = LockShard(shard);
-    version = ApplyWriteLocked(shard, {vdisk, index}, off_in_chunk, data, 0);
+    const BlobMeta& blob = ApplyWriteLocked(shard, {vdisk, index}, off_in_chunk, data, 0);
+    version = blob.version;
+    disk = blob.disk;
   }
   // The modeled disk charge and the synchronous replica forward are
   // independent once the blob is updated: issue both and join, so the ack
   // pays max(disk, RTT) instead of their sum. The extra thread is only
   // worth it when the disk model actually sleeps.
   if (options_.disk.timing_enabled) {
-    std::thread disk_charge([&] { DiskFor(index).ChargeWrite(offset, data.size()); });
+    std::thread disk_charge([&] { Disk(disk).ChargeWrite(offset, data.size()); });
     ForwardToPeer({vdisk, index}, off_in_chunk, data, version);
     disk_charge.join();
   } else {
-    DiskFor(index).ChargeWrite(offset, data.size());
+    Disk(disk).ChargeWrite(offset, data.size());
     ForwardToPeer({vdisk, index}, off_in_chunk, data, version);
   }
   return Bytes{};
@@ -495,15 +533,14 @@ StatusOr<Bytes> PetalServer::DoReplicaWrite(Decoder& dec) {
     return InvalidArgument("bad replica write");
   }
   Encoder enc;
-  bool applied = false;
+  int disk = -1;  // set iff the delta was applied
   {
     PetalStoreShard& shard = durable_->ShardFor(index);
     std::unique_lock<std::mutex> lk = LockShard(shard);
     BlobMeta* blob = FindChunkLocked(shard, {vdisk, index});
     uint64_t local_version = blob != nullptr ? blob->version : 0;
     if (version == local_version + 1) {
-      ApplyWriteLocked(shard, {vdisk, index}, off_in_chunk, data, version);
-      applied = true;
+      disk = ApplyWriteLocked(shard, {vdisk, index}, off_in_chunk, data, version).disk;
       enc.PutU8(1);  // applied
     } else if (version <= local_version) {
       enc.PutU8(1);  // stale duplicate; already have newer
@@ -513,8 +550,8 @@ StatusOr<Bytes> PetalServer::DoReplicaWrite(Decoder& dec) {
   }
   // Only an applied delta touches the disk; stale duplicates and gap
   // replies must not burn modeled disk time.
-  if (applied) {
-    DiskFor(index).ChargeWrite(ChunkBase(index) + off_in_chunk, data.size());
+  if (disk >= 0) {
+    Disk(disk).ChargeWrite(ChunkBase(index) + off_in_chunk, data.size());
   }
   return enc.Take();
 }
@@ -527,7 +564,7 @@ StatusOr<Bytes> PetalServer::DoPushChunk(Decoder& dec) {
   if (!dec.ok() || data.size() != kChunkSize) {
     return InvalidArgument("bad push chunk");
   }
-  bool applied = false;
+  int disk = -1;  // set iff the push was applied
   uint64_t held_version = 0;  // version this server holds after the push
   {
     PetalStoreShard& shard = durable_->ShardFor(index);
@@ -535,15 +572,15 @@ StatusOr<Bytes> PetalServer::DoPushChunk(Decoder& dec) {
     BlobMeta* blob = FindChunkLocked(shard, {vdisk, index});
     uint64_t local_version = blob != nullptr ? blob->version : 0;
     if (version > local_version) {
-      ApplyWriteLocked(shard, {vdisk, index}, 0, data, version);
-      applied = true;
+      disk = ApplyWriteLocked(shard, {vdisk, index}, 0, data, version).disk;
       held_version = version;
     } else {
       held_version = local_version;
     }
   }
+  const bool applied = disk >= 0;
   if (applied) {
-    DiskFor(index).ChargeWrite(ChunkBase(index), data.size());
+    Disk(disk).ChargeWrite(ChunkBase(index), data.size());
   }
   // The reply carries what this server now holds: the pusher must not treat
   // a bare transport OK as proof of replication (see PushChunkConfirmed).
@@ -562,20 +599,21 @@ StatusOr<Bytes> PetalServer::DoPullChunk(Decoder& dec) {
   Encoder enc;
   Bytes data;
   uint64_t version = 0;
-  bool found = false;
+  int disk = -1;
   {
     PetalStoreShard& shard = durable_->ShardFor(index);
     std::unique_lock<std::mutex> lk = LockShard(shard);
     BlobMeta* blob = FindChunkLocked(shard, {vdisk, index});
     if (blob != nullptr) {
-      found = true;
+      disk = blob->disk;
       version = blob->version;
       data = blob->data;
       ChargeStoreLocked(data.size());
     }
   }
+  const bool found = disk >= 0;
   if (found) {
-    DiskFor(index).ChargeRead(ChunkBase(index), data.size());
+    Disk(disk).ChargeRead(ChunkBase(index), data.size());
   }
   enc.PutBool(found);
   enc.PutU64(version);
@@ -587,8 +625,16 @@ StatusOr<Bytes> PetalServer::DoDecommit(Decoder& dec) {
   VdiskId vdisk = dec.GetU32();
   uint64_t first = dec.GetU64();
   uint64_t count = dec.GetU64();
+  int64_t lease_expiry_us = dec.GetI64();
   if (!dec.ok() || first + count < first) {
     return InvalidArgument("bad decommit");
+  }
+  // A decommit destroys data as a write does, so it passes the same fence
+  // and vdisk checks.
+  RETURN_IF_ERROR(CheckLease(lease_expiry_us));
+  {
+    std::lock_guard<std::mutex> guard(map_mu_);
+    RETURN_IF_ERROR(CheckWritableVdiskLocked(vdisk));
   }
   // Drops every chunk of [first, first + count) this server holds. A shard
   // owns the indices congruent to its position, so a short range is probed
@@ -776,7 +822,7 @@ bool PetalServer::PullChunkStriped(const ResyncCandidate& item) {
         m_resync_pull_errors_->Increment();
         continue;
       }
-      bool applied = false;
+      int disk = -1;  // set iff the pull was applied
       {
         // Completion applies under the owning shard's lock only: with the
         // sharded store, concurrent appliers serialize per shard, not
@@ -785,14 +831,13 @@ bool PetalServer::PullChunkStriped(const ResyncCandidate& item) {
         std::unique_lock<std::mutex> lk = LockShard(shard);
         BlobMeta* blob = FindChunkLocked(shard, item.key);
         if (blob == nullptr || blob->version < version) {
-          ApplyWriteLocked(shard, item.key, 0, data, version);
-          applied = true;
+          disk = ApplyWriteLocked(shard, item.key, 0, data, version).disk;
         }
       }
       // A pull discarded as stale never ran ApplyWriteLocked, so it must not
       // burn modeled disk time either (same audit rule as DoReplicaWrite).
-      if (applied) {
-        DiskFor(item.key.index).ChargeWrite(ChunkBase(item.key.index), data.size());
+      if (disk >= 0) {
+        Disk(disk).ChargeWrite(ChunkBase(item.key.index), data.size());
         m_resync_bytes_->Increment(data.size());
       }
       return true;

@@ -4,9 +4,10 @@
 // directory), supports copy-on-write snapshots (§8), resynchronization after
 // restart, and data redistribution after membership changes (§7).
 //
-// Durable state (the "disks" and Paxos promises) lives in an externally owned
-// PetalServerDurable, so the harness can crash a server (destroy the runtime
-// object, mark the node down) and later restart it against the same disks.
+// Durable state (the "disks", their physical map and the Paxos promises)
+// lives in an externally owned PetalServerDurable, so the harness can crash
+// a server (destroy the runtime object, mark the node down) and later
+// restart it against the same disks.
 //
 // Simplifications vs. the original Petal (documented in DESIGN.md):
 //  - membership changes are admin-driven (harness proposes add/remove);
@@ -14,6 +15,14 @@
 //  - data redistribution is an explicit Rebalance() pass rather than a
 //    background transfer,
 //  - no server-side block cache.
+//
+// Physical map: PlaceChunk picks a chunk's two servers; each server picks
+// the disk. When a server creates a blob (first write, replica write, push,
+// resync pull or copy-on-write copy) it puts it on its disk holding the
+// fewest blobs, lowest index on ties, and records the choice in the blob.
+// The disk is fixed for the blob's life and freed with its last reference.
+// A server holding at most num_disks blobs therefore has them all on
+// distinct disks, whatever their virtual addresses (DESIGN.md §10).
 #ifndef SRC_PETAL_PETAL_SERVER_H_
 #define SRC_PETAL_PETAL_SERVER_H_
 
@@ -58,6 +67,7 @@ struct PetalServerOptions {
 struct BlobMeta {
   uint32_t refs = 0;      // how many (vdisk, chunk) slots point at this blob
   uint64_t version = 0;   // monotonically increasing per logical chunk write
+  int disk = 0;           // the physical disk holding it (the physical map)
   Bytes data;             // kChunkSize bytes
 };
 
@@ -85,19 +95,30 @@ struct PetalServerDurable {
 
   PaxosDurableState paxos;
   std::vector<PetalStoreShard> shards;
+  // Guards `disks` (created by the first server started on this durable)
+  // and `disk_blobs`, the number of blobs each disk holds. Taken inside a
+  // shard lock when a blob is created or freed.
   std::mutex disks_mu;
   std::vector<std::unique_ptr<PhysDisk>> disks;
+  std::vector<uint64_t> disk_blobs;
 
   PetalStoreShard& ShardFor(uint64_t chunk_index) {
     return shards[chunk_index % shards.size()];
   }
 
+  // Picks the disk holding the fewest blobs (lowest index on ties) and
+  // counts a new blob on it; FreeDisk gives the slot back.
+  int TakeDisk();
+  void FreeDisk(int disk);
+
   // Cross-shard introspection (tests, assertions). Shards are locked one at
   // a time, so the result is a sum of per-shard snapshots, not an atomic
   // whole-store snapshot.
   bool HasChunk(const ChunkKey& key);
+  int DiskOf(const ChunkKey& key);  // the chunk's disk, -1 if absent
   uint64_t TotalChunks();
   uint64_t TotalBlobs();
+  std::vector<uint64_t> DiskBlobCounts();
 };
 
 class PetalServer : public Service {
@@ -181,14 +202,22 @@ class PetalServer : public Service {
 
   // Store helpers. Caller must hold `shard.mu` for the key's shard.
   BlobMeta* FindChunkLocked(PetalStoreShard& shard, const ChunkKey& key);
-  // Applies a byte-range write; allocates/COWs the blob as needed. Returns
-  // the resulting version. Charges the store copy model for the payload.
-  uint64_t ApplyWriteLocked(PetalStoreShard& shard, const ChunkKey& key,
-                            uint32_t offset_in_chunk, const Bytes& data,
-                            uint64_t forced_version);
+  // Applies a byte-range write; allocates/COWs the blob as needed, placing
+  // a new blob on the least-loaded disk. Returns the written blob (valid
+  // while the shard lock is held). Charges the store copy model for the
+  // payload.
+  const BlobMeta& ApplyWriteLocked(PetalStoreShard& shard, const ChunkKey& key,
+                                   uint32_t offset_in_chunk, const Bytes& data,
+                                   uint64_t forced_version);
+  // Unmaps the chunk; the last reference frees its blob and its disk slot.
   void DropChunkLocked(PetalStoreShard& shard, const ChunkKey& key);
 
-  PhysDisk& DiskFor(uint64_t chunk_index);
+  PhysDisk& Disk(int disk) { return *durable_->disks[disk]; }
+  // The checks a mutating call (write, decommit) passes before it touches
+  // the store: the issuing lease has not expired (§6 fence; 0 = unfenced),
+  // and the vdisk exists and is writable (caller holds map_mu_).
+  Status CheckLease(int64_t lease_expiry_us) const;
+  Status CheckWritableVdiskLocked(VdiskId vdisk) const;
   void ForwardToPeer(const ChunkKey& key, uint32_t offset_in_chunk, const Bytes& data,
                      uint64_t version);
 

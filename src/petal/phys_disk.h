@@ -5,10 +5,13 @@
 //
 // Chunk bytes live in the Petal server's chunk store (an in-memory "disk");
 // this class charges wall-clock time for the mechanical parts (real-time
-// dilation). An access at a position contiguous with the previous access
-// skips the positioning delay, which is what makes contiguously allocated
-// logs cheap (§9.2). With NVRAM enabled, writes complete at cache speed and
-// still survive crashes (battery-backed).
+// dilation). Which of a server's disks a chunk is charged to is the server's
+// physical map: the disk recorded in the chunk's blob when it was created
+// (PetalServer, DESIGN.md §10). An access at a position contiguous with the
+// previous access to the same disk skips the positioning delay, which is
+// what makes contiguously allocated logs cheap (§9.2) — as long as no other
+// hot chunk shares the log's disk. With NVRAM enabled, writes complete at
+// cache speed and still survive crashes (battery-backed).
 #ifndef SRC_PETAL_PHYS_DISK_H_
 #define SRC_PETAL_PHYS_DISK_H_
 
@@ -33,8 +36,9 @@ class PhysDisk {
  public:
   explicit PhysDisk(PhysDiskParams params = {}) : params_(params), xfer_(params.transfer_bps) {}
 
-  // `pos` is a byte position in the disk's (virtual) layout, used only for
-  // sequential-access detection. Both calls block the caller for the modeled
+  // `pos` is the chunk's virtual byte position, used only for
+  // sequential-access detection: consecutive accesses to one chunk are
+  // contiguous, accesses to two chunks on one disk are not. Both calls block the caller for the modeled
   // service time.
   void ChargeWrite(uint64_t pos, size_t bytes);
   void ChargeRead(uint64_t pos, size_t bytes);

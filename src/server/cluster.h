@@ -80,6 +80,7 @@ class Cluster {
   FrangipaniFs* fs(size_t idx) { return nodes_[idx]->fs(); }
   PetalClient* admin_petal() { return admin_petal_.get(); }
   PetalServer* petal_server(size_t idx) { return petal_runtime_[idx].get(); }
+  PetalServerDurable* petal_durable(size_t idx) { return petal_state_[idx].get(); }
   LockServer* lock_server(size_t idx) { return lock_servers_[idx].get(); }
   // Membership administration of the distributed lock service; only valid
   // when lock_kind is kDistributed.

@@ -57,8 +57,8 @@ class FlakyDevice : public BlockDevice {
     }
     return base_->Write(offset, data, lease_expiry_us);
   }
-  Status Decommit(uint64_t offset, uint64_t length) override {
-    return base_->Decommit(offset, length);
+  Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) override {
+    return base_->Decommit(offset, length, lease_expiry_us);
   }
   std::atomic<int> writes{0};
   std::atomic<bool> fail_next{false};

@@ -57,8 +57,8 @@ class CountingDevice : public BlockDevice {
     }
     return inner_->Write(offset, data, lease_expiry_us);
   }
-  Status Decommit(uint64_t offset, uint64_t length) override {
-    return inner_->Decommit(offset, length);
+  Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) override {
+    return inner_->Decommit(offset, length, lease_expiry_us);
   }
 
   void Reset() {
@@ -98,7 +98,7 @@ class GatedDevice : public BlockDevice {
   Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override {
     return inner_->Write(offset, data, lease_expiry_us);
   }
-  Status Decommit(uint64_t offset, uint64_t length) override {
+  Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) override {
     {
       std::unique_lock<std::mutex> lk(mu_);
       if (armed_) {
@@ -107,7 +107,7 @@ class GatedDevice : public BlockDevice {
         cv_.wait_for(lk, std::chrono::milliseconds(200), [&] { return open_; });
       }
     }
-    return inner_->Decommit(offset, length);
+    return inner_->Decommit(offset, length, lease_expiry_us);
   }
 
   void Arm() {
@@ -485,9 +485,9 @@ class PausingDevice : public BlockDevice {
   Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override {
     return inner_->Write(offset, data, lease_expiry_us);
   }
-  Status Decommit(uint64_t offset, uint64_t length) override {
+  Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) override {
     Pause(&decommit_);
-    return inner_->Decommit(offset, length);
+    return inner_->Decommit(offset, length, lease_expiry_us);
   }
 
   struct Gate {

@@ -78,8 +78,8 @@ class LogGatedDevice : public BlockDevice {
     }
     return st;
   }
-  Status Decommit(uint64_t offset, uint64_t length) override {
-    return inner_->Decommit(offset, length);
+  Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) override {
+    return inner_->Decommit(offset, length, lease_expiry_us);
   }
 
   void Arm() {
@@ -227,8 +227,8 @@ class FailingDevice : public BlockDevice {
     }
     return inner_->Write(offset, data, lease_expiry_us);
   }
-  Status Decommit(uint64_t offset, uint64_t length) override {
-    return inner_->Decommit(offset, length);
+  Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) override {
+    return inner_->Decommit(offset, length, lease_expiry_us);
   }
 
   std::atomic<bool> failing{false};

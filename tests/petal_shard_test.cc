@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/petal/petal_client.h"
@@ -18,14 +19,14 @@ namespace {
 
 class PetalShardTest : public ::testing::Test {
  protected:
-  void Build(int n, int store_shards = kPetalStoreShardsDefault) {
+  void Build(int n, int store_shards = kPetalStoreShardsDefault, int disks = 2) {
     for (int i = 0; i < n; ++i) {
       nodes_.push_back(net_.AddNode("petal" + std::to_string(i)));
     }
     for (int i = 0; i < n; ++i) {
       states_.push_back(std::make_unique<PetalServerDurable>(store_shards));
       PetalServerOptions opts;
-      opts.num_disks = 2;
+      opts.num_disks = disks;
       opts.disk.timing_enabled = false;
       servers_.push_back(std::make_unique<PetalServer>(&net_, nodes_[i], nodes_, nodes_,
                                                        states_.back().get(), opts,
@@ -149,6 +150,59 @@ TEST_F(PetalShardTest, ConcurrentWritesAndDecommits) {
           << "chunk " << c;
     }
   }
+}
+
+TEST_F(PetalShardTest, DiskCountsStayExactUnderConcurrentCreatesAndDecommits) {
+  Build(2, kPetalStoreShardsDefault, /*disks=*/9);
+  auto vd = client_->CreateVdisk();
+  ASSERT_TRUE(vd.ok());
+  // Sixteen threads each create and decommit their own chunks, strided so
+  // every shard sees several threads: blobs are created and freed on many
+  // shards at once, and each server's per-disk counts must still add up to
+  // the blobs it holds, disk by disk. TSan target.
+  constexpr int kThreads = 16;
+  constexpr int kChunksPerThread = 6;
+  constexpr int kRounds = 3;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (int c = 0; c < kChunksPerThread; ++c) {
+          uint64_t chunk = static_cast<uint64_t>(c) * kThreads + t;
+          if (!client_->Write(*vd, chunk * kChunkSize, Pattern(512, 1)).ok()) {
+            failed.store(true);
+          }
+          // Keep the last round's odd chunks; drop everything else.
+          if ((round < kRounds - 1 || c % 2 == 0) &&
+              !client_->Decommit(*vd, chunk * kChunkSize, kChunkSize).ok()) {
+            failed.store(true);
+          }
+        }
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  ASSERT_FALSE(failed.load());
+  for (size_t i = 0; i < states_.size(); ++i) {
+    PetalServerDurable& state = *states_[i];
+    std::vector<uint64_t> held(9, 0);
+    for (uint64_t chunk = 0; chunk < uint64_t{kThreads} * kChunksPerThread; ++chunk) {
+      if (int disk = state.DiskOf({*vd, chunk}); disk >= 0) {
+        ++held[disk];
+      }
+    }
+    std::vector<uint64_t> counts = state.DiskBlobCounts();
+    uint64_t sum = 0;
+    for (uint64_t n : counts) {
+      sum += n;
+    }
+    EXPECT_EQ(sum, state.TotalBlobs()) << "server " << i;
+    EXPECT_EQ(counts, held) << "server " << i;
+  }
+  EXPECT_EQ(TotalBlobs(), 2u * kThreads * kChunksPerThread / 2);
 }
 
 TEST_F(PetalShardTest, ConcurrentWritesWithSnapshots) {
