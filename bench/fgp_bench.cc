@@ -1,4 +1,4 @@
-// fgp_bench: the paper's evaluation (§9: Tables 1 and 3, Figures 5–10) plus
+// fgp_bench: the paper's evaluation (§9: Tables 1–3, Figures 5–10) plus
 // the ablations and server-side microbenches, as one table of experiments.
 //
 //   fgp_bench --list          prints the experiment names
@@ -10,8 +10,6 @@
 // had a failed op; otherwise it exits nonzero. One experiment per process
 // keeps each sidecar about that experiment: the metrics registry, flight
 // recorder and time-series sampler are process-wide.
-//
-// Table 2 is bench_table2_ops, on google-benchmark.
 #include <algorithm>
 #include <atomic>
 #include <cstdarg>
@@ -162,6 +160,166 @@ StatusOr<Table> Table1Mab() {
   }
   t.rows.push_back({Fmt("total,%.3f,%.3f,%.3f,%.3f", r[0].Total(), r[1].Total(),
                         r[2].Total(), r[3].Total())});
+  return t;
+}
+
+// ---- Table 2: metadata operation latency, one machine ----
+// Table 1's four configurations. Each op runs a fixed number of times on
+// fresh names spread over 16 directories, so lookups stay short; each call is
+// timed by wall clock. Dropping caches and truncating between calls are not
+// timed. §9.2: Frangipani's metadata latency is good because its updates are
+// logged asynchronously, and NVRAM absorbs the synchronous writes (fsync).
+// ReadSeq1M and WriteSeq1M are not in the paper; they track the Petal
+// client's scatter-gather 1 MB transfers.
+
+// The 12 ops on `fs`, one row each: median and p90 µs per call.
+StatusOr<std::vector<Row>> Table2OpsOn(FrangipaniFs* fs, const char* config) {
+  constexpr int kCalls = 60;
+  constexpr int kCalls1M = 8;
+  constexpr size_t k1M = 1 << 20;
+  RETURN_IF_ERROR(fs->Mkdir("/ops"));
+  for (int d = 0; d < 16; ++d) {
+    RETURN_IF_ERROR(fs->Mkdir("/ops/" + std::to_string(d)));
+  }
+  uint64_t names = 0;
+  auto fresh = [&](const char* stem) {
+    uint64_t n = names++;
+    return "/ops/" + std::to_string(n % 16) + "/" + stem + std::to_string(n);
+  };
+
+  std::vector<Row> rows;
+  Histogram us;  // the current op's calls
+  int failed = 0;
+  auto check = [&](const auto& result) { failed += !result.ok(); };
+  Bytes buf;
+  // A read must succeed and return every byte asked for.
+  auto read = [&](uint64_t ino, size_t n) {
+    StatusOr<size_t> got = fs->Read(ino, 0, n, &buf);
+    failed += !got.ok() || *got != n;
+  };
+  auto timed = [&](const auto& call) {
+    double t0 = NowSeconds();
+    call();
+    us.Record((NowSeconds() - t0) * 1e6);
+  };
+  auto row = [&](const char* op) {
+    rows.push_back(
+        {Fmt("%s,%s,%.1f,%.1f", op, config, us.Percentile(0.5), us.Percentile(0.9)), failed});
+    us.Reset();
+    failed = 0;
+  };
+
+  for (int i = 0; i < kCalls; ++i) {
+    timed([&] { check(fs->Create(fresh("c"))); });
+  }
+  row("Create");
+  for (int i = 0; i < kCalls; ++i) {
+    timed([&] { check(fs->Mkdir(fresh("d"))); });
+  }
+  row("Mkdir");
+  for (int i = 0; i < kCalls; ++i) {
+    timed([&] {
+      std::string path = fresh("u");
+      check(fs->Create(path));
+      check(fs->Unlink(path));
+    });
+  }
+  row("UnlinkCreatePair");
+
+  std::string warm = fresh("w");
+  RETURN_IF_ERROR(fs->Create(warm).status());
+  for (int i = 0; i < kCalls; ++i) {
+    timed([&] { check(fs->Stat(warm)); });
+  }
+  row("StatWarm");
+  std::string cold = fresh("s");
+  RETURN_IF_ERROR(fs->Create(cold).status());
+  for (int i = 0; i < kCalls; ++i) {
+    check(fs->DropCaches());
+    timed([&] { check(fs->Stat(cold)); });
+  }
+  row("StatCold");
+  for (int i = 0; i < kCalls; ++i) {
+    timed([&] { check(fs->Symlink("/ops/target", fresh("l"))); });
+  }
+  row("Symlink");
+  std::string path = fresh("r");
+  RETURN_IF_ERROR(fs->Create(path).status());
+  for (int i = 0; i < kCalls; ++i) {
+    timed([&] {
+      std::string next = fresh("r");
+      check(fs->Rename(path, next));
+      path = next;
+    });
+  }
+  row("Rename");
+
+  ASSIGN_OR_RETURN(uint64_t ino, fs->Create(fresh("rw")));
+  RETURN_IF_ERROR(fs->Write(ino, 0, Bytes(kUnit, 0x5A)));
+  for (int i = 0; i < kCalls; ++i) {
+    timed([&] { read(ino, kUnit); });
+  }
+  row("ReadWarm64K");
+  ASSIGN_OR_RETURN(ino, fs->Create(fresh("rc")));
+  RETURN_IF_ERROR(fs->Write(ino, 0, Bytes(kUnit, 0x5A)));
+  RETURN_IF_ERROR(fs->Fsync(ino));
+  for (int i = 0; i < kCalls; ++i) {
+    check(fs->DropCaches());
+    timed([&] { read(ino, kUnit); });
+  }
+  row("ReadCold64K");
+  ASSIGN_OR_RETURN(ino, fs->Create(fresh("a")));
+  Bytes kilobyte(1024, 0x42);
+  uint64_t off = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    timed([&] {
+      check(fs->Write(ino, off, kilobyte));
+      check(fs->Fsync(ino));
+    });
+    off += kilobyte.size();
+    if (off > 48 * 1024) {
+      check(fs->Truncate(ino, 0));
+      off = 0;
+    }
+  }
+  row("AppendFsync1K");
+
+  ASSIGN_OR_RETURN(ino, fs->Create(fresh("seq")));
+  RETURN_IF_ERROR(fs->Write(ino, 0, Bytes(k1M, 0x5A)));
+  RETURN_IF_ERROR(fs->Fsync(ino));
+  for (int i = 0; i < kCalls1M; ++i) {
+    check(fs->DropCaches());
+    timed([&] { read(ino, k1M); });
+  }
+  row("ReadSeq1M");
+  ASSIGN_OR_RETURN(ino, fs->Create(fresh("seqw")));
+  Bytes megabyte(k1M, 0x6B);
+  for (int i = 0; i < kCalls1M; ++i) {
+    timed([&] {
+      check(fs->Write(ino, 0, megabyte));
+      check(fs->Fsync(ino));
+    });
+    check(fs->Truncate(ino, 0));
+    check(fs->Fsync(ino));
+  }
+  row("WriteSeq1M");
+  return rows;
+}
+
+StatusOr<Table> Table2Ops() {
+  const char* configs[] = {"advfs_raw", "advfs_nvr", "frangipani_raw", "frangipani_nvr"};
+  std::vector<Row> by_config[4];
+  for (int i = 0; i < 4; ++i) {
+    ASSIGN_OR_RETURN(by_config[i],
+                     OnOneMachine(/*advfs=*/i < 2, /*nvram=*/i % 2 == 1,
+                                  [&](FrangipaniFs* fs) { return Table2OpsOn(fs, configs[i]); }));
+  }
+  Table t{"op,config,p50_us,p90_us", {}};
+  for (size_t op = 0; op < by_config[0].size(); ++op) {
+    for (const std::vector<Row>& rows : by_config) {
+      t.rows.push_back(rows[op]);
+    }
+  }
   return t;
 }
 
@@ -1001,6 +1159,7 @@ struct Experiment {
 
 const Experiment kExperiments[] = {
     {"table1_mab", "Table 1: MAB elapsed seconds per phase, one machine", Table1Mab},
+    {"table2_ops", "Table 2: metadata op latency, median and p90 us, one machine", Table2Ops},
     {"table3_throughput", "Table 3: large-file MB/s and CPU, one machine; §9.2 small reads",
      Table3Throughput},
     {"fig5_mab_scaling", "Figure 5: MAB scaling, average seconds per machine", Fig5MabScaling},

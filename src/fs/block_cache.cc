@@ -37,12 +37,13 @@ std::vector<uint64_t> DirtyAddrs(const Map& entries) {
 }  // namespace
 
 BlockCache::BlockCache(BlockDevice* device, LogWriter* wal, BlockCacheOptions options,
-                       std::function<int64_t()> lease_expiry_us)
+                       std::function<int64_t()> lease_expiry_us, uint32_t node)
     : device_(device),
       wal_(wal),
       options_(options),
       lease_expiry_us_(std::move(lease_expiry_us)),
-      shards_(options.shards < 1 ? 1 : options.shards) {
+      node_(node),
+      shards_(kShards) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   m_hits_ = reg->GetCounter("fs.cache.hits");
   m_misses_ = reg->GetCounter("fs.cache.misses");
@@ -68,7 +69,7 @@ StatusOr<Bytes> BlockCache::Read(uint64_t addr, uint32_t size, LockId lock,
     std::unique_lock<std::mutex> lk = LockShard(shard);
     // Ride an in-flight prefetch rather than duplicating its device read.
     obs::WaitAsSpan(shard.cv, lk, [&] { return shard.prefetch_inflight.count(addr) == 0; },
-                    obs::Layer::kFs, "fs.cache.prefetch_wait", 0, "addr", addr);
+                    obs::Layer::kFs, "fs.cache.prefetch_wait", node_, "addr", addr);
     auto it = shard.entries.find(addr);
     if (it != shard.entries.end()) {
       ++hits_;
@@ -154,7 +155,7 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
     if (dirty.empty()) {
       // Everything dirty is already being flushed; wait for progress. The
       // timeout covers a flush that completed between our scan and the wait.
-      obs::SpanScope wait(obs::Layer::kFs, "fs.cache.throttle_wait");
+      obs::SpanScope wait(obs::Layer::kFs, "fs.cache.throttle_wait", node_);
       std::unique_lock<std::mutex> tlk(throttle_mu_);
       throttle_cv_.wait_for(tlk, std::chrono::milliseconds(1));
       continue;
@@ -275,7 +276,7 @@ void BlockCache::ClaimLocked(Shard& shard, size_t index, const std::vector<uint6
     }
     return true;
   };
-  obs::WaitAsSpan(shard.cv, lk, claimable, obs::Layer::kFs, "fs.cache.claim_wait", 0, "blocks",
+  obs::WaitAsSpan(shard.cv, lk, claimable, obs::Layer::kFs, "fs.cache.claim_wait", node_, "blocks",
                   addrs.size());
   for (uint64_t addr : addrs) {
     if (Entry* e = pick(addr)) {
@@ -429,7 +430,7 @@ Status BlockCache::WriteBack(const Candidates& candidates, const Wanted& wanted,
 
   std::unique_lock<std::mutex> lk(batch.mu);
   obs::WaitAsSpan(batch.cv, lk, [&] { return batch.pending == 0; }, obs::Layer::kFs,
-                  "fs.cache.writeback_wait", 0, "bytes", batch.bytes);
+                  "fs.cache.writeback_wait", node_, "bytes", batch.bytes);
   if (st.ok()) {
     st = batch.status;
   }
@@ -467,7 +468,7 @@ void BlockCache::InvalidateLock(LockId lock, uint64_t start, uint64_t end) {
     // will be discarded, and the time to finish reading it delays the
     // handoff.
     obs::WaitAsSpan(shard.cv, lk, [&] { return shard.prefetch_by_lock.count(lock) == 0; },
-                    obs::Layer::kFs, "fs.cache.prefetch_wait", 0, "lock", lock);
+                    obs::Layer::kFs, "fs.cache.prefetch_wait", node_, "lock", lock);
     auto it = shard.by_lock.find(lock);
     if (it == shard.by_lock.end()) {
       continue;

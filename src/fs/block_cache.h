@@ -54,13 +54,13 @@ struct BlockCacheOptions {
   size_t capacity_bytes = 64 << 20;
   size_t dirty_hiwater_bytes = 8 << 20;
   int io_threads = 8;
-  int shards = 16;
 };
 
 class BlockCache {
  public:
+  // `node` tags the cache's wait spans in the flight recorder.
   BlockCache(BlockDevice* device, LogWriter* wal, BlockCacheOptions options,
-             std::function<int64_t()> lease_expiry_us);
+             std::function<int64_t()> lease_expiry_us, uint32_t node = 0);
   ~BlockCache();
 
   // Read-through: returns a copy of the block at `addr` (exactly `size`
@@ -157,6 +157,7 @@ class BlockCache {
   // Shard by 256 KB region, the flush-run bound: SubmitRuns cuts a run
   // where it crosses into another shard.
   static constexpr int kShardRegionShift = 18;
+  static constexpr size_t kShards = 16;
   size_t ShardIndex(uint64_t addr) const {
     return (addr >> kShardRegionShift) % shards_.size();
   }
@@ -225,6 +226,7 @@ class BlockCache {
   LogWriter* wal_;
   BlockCacheOptions options_;
   std::function<int64_t()> lease_expiry_us_;
+  uint32_t node_;
 
   std::vector<Shard> shards_;
 

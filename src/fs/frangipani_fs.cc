@@ -211,11 +211,9 @@ Status FrangipaniFs::Mount() {
       device_, geometry_, locks_->slot(),
       [this](uint64_t lsn) { return cache_->FlushPinnedUpTo(lsn); }, fence,
       options_.node_id, options_.wal);
-  BlockCacheOptions copts;
-  copts.dirty_hiwater_bytes = options_.dirty_hiwater_bytes;
-  copts.io_threads = options_.io_threads;
-  cache_ = std::make_unique<BlockCache>(device_, wal_.get(), copts, fence);
-  prefetch_pool_ = std::make_unique<ThreadPool>(std::max(2, options_.io_threads));
+  cache_ = std::make_unique<BlockCache>(device_, wal_.get(), BlockCacheOptions{}, fence,
+                                        options_.node_id);
+  prefetch_pool_ = std::make_unique<ThreadPool>(/*threads=*/8);
   decommits_ = std::make_unique<DecommitWorker>(
       [this](uint32_t seg, bool own) { FinishDecommits(seg, own); }, options_.node_id);
 

@@ -50,8 +50,6 @@ inline constexpr uint32_t kParamMagic = 0x46524750;  // "FRGP"
 struct FsOptions {
   bool sync_log = false;            // flush the log before returning from metadata ops
   uint32_t readahead_units = 4;     // prefetch window, in cache units
-  size_t dirty_hiwater_bytes = 8 << 20;
-  int io_threads = 8;
   bool fence_writes = true;         // stamp Petal writes with the lease expiry
   bool read_only = false;           // snapshot mounts
   uint32_t node_id = 0;             // simulated machine id for flight-recorder spans

@@ -566,6 +566,44 @@ TEST(RecorderTest, FsyncWriteBackSpansCarryTheFsyncTraceId) {
   rec->Clear();
 }
 
+// The block cache's wait spans carry the mount's node id, so a write-back
+// shows on that machine's row in Perfetto.
+TEST(RecorderTest, BlockCacheWaitSpansCarryTheMountsNode) {
+  ClusterOptions opts;
+  opts.petal_servers = 3;
+  opts.disks_per_petal = 1;
+  opts.node.start_demons = false;
+  // Every Petal write costs a link round trip, so the fsync below waits for
+  // the metadata it submits last.
+  opts.enable_timing = true;
+  opts.link = LinkParams{Duration(500), 0};
+  opts.disk.seek_time = Duration(0);
+  opts.disk.transfer_bps = 1e9;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.AddFrangipani().ok());
+  FrangipaniFs* fs = cluster.fs(0);
+  const NodeId node = cluster.frangipani_node(0);
+  ASSERT_NE(node, 0u);
+  auto ino = fs->Create("/f");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs->Write(*ino, 0, Bytes(256 << 10, 7)).ok());
+
+  Recorder* rec = Recorder::Default();
+  rec->Clear();
+  ASSERT_TRUE(fs->Fsync(*ino).ok());
+  size_t waits = 0;
+  for (const TraceEvent& e : rec->Snapshot()) {
+    if (std::string(e.name) == "fs.cache.writeback_wait") {
+      ++waits;
+      EXPECT_EQ(e.node, node);
+    }
+  }
+  EXPECT_GT(waits, 0u);
+  rec->Enable(false);
+  rec->Clear();
+}
+
 // ---- Windowed snapshots ----
 
 TEST(SamplerTest, WindowedDeltaMath) {
