@@ -239,6 +239,11 @@ StatusOr<std::vector<Row>> Table2OpsOn(FrangipaniFs* fs, const char* config) {
     timed([&] { check(fs->Stat(cold)); });
   }
   row("StatCold");
+  // StatCold's last DropCaches left the directories cold; reading each once
+  // keeps the first symlink into it from timing a directory read.
+  for (int d = 0; d < 16; ++d) {
+    RETURN_IF_ERROR(fs->Readdir("/ops/" + std::to_string(d)).status());
+  }
   for (int i = 0; i < kCalls; ++i) {
     timed([&] { check(fs->Symlink("/ops/target", fresh("l"))); });
   }

@@ -160,6 +160,7 @@ FrangipaniFs::FrangipaniFs(BlockDevice* device, LockProvider* locks, Clock* cloc
   m_sync_errors_ = obs::MetricsRegistry::Default()->GetCounter("fs.sync.errors");
   m_decommit_deferred_ = obs::MetricsRegistry::Default()->GetCounter("fs.decommit.deferred");
   m_decommit_adopted_ = obs::MetricsRegistry::Default()->GetCounter("fs.decommit.adopted");
+  m_name_hint_stale_ = obs::MetricsRegistry::Default()->GetCounter("fs.name_hint.stale");
 }
 
 FrangipaniFs::~FrangipaniFs() {
@@ -378,6 +379,9 @@ Status FrangipaniFs::TwoPhaseOp(const char* op, bool allocates, const PlanFn& pl
         locks->push_back({SegmentLockId(alloc.seg), LockMode::kExclusive});
       }
       st = WithLocks(std::move(*locks), [&] { return apply(alloc); });
+      if (st.code() == StatusCode::kAborted) {
+        obs::MetricsRegistry::Default()->GetCounter(std::string("fs.abort.") + op)->Increment();
+      }
     }
     if (st.code() == StatusCode::kAborted) {
       if (alloc.full) {
@@ -832,7 +836,7 @@ Status FrangipaniFs::DecommitLargeTail(uint64_t lsn, uint64_t large, uint64_t ol
 // Path resolution (phase 1: acquires and releases locks as it walks)
 // ---------------------------------------------------------------------------
 
-Status FrangipaniFs::ResolveDir(const std::string& path, PathTarget* out, int depth) {
+Status FrangipaniFs::ResolveParent(const std::string& path, PathTarget* out, int depth) {
   if (depth > kMaxSymlinkDepth) {
     return InvalidArgument("too many levels of symbolic links");
   }
@@ -875,7 +879,7 @@ Status FrangipaniFs::ResolveDir(const std::string& path, PathTarget* out, int de
       std::string new_path = symlink_target.starts_with("/")
                                  ? symlink_target + rest
                                  : cur_path + "/" + symlink_target + rest;
-      return ResolveDir(new_path, out, depth + 1);
+      return ResolveParent(new_path, out, depth + 1);
     }
     cur = next;
     cur_path += (cur_path.back() == '/' ? "" : "/") + comp;
@@ -884,19 +888,50 @@ Status FrangipaniFs::ResolveDir(const std::string& path, PathTarget* out, int de
   out->leaf = parts.back();
   out->ino = 0;
   out->type = FileType::kFree;
-  Status st = WithLocks({{InodeLockId(cur), LockMode::kShared}}, [&]() -> Status {
-    ASSIGN_OR_RETURN(Inode dir, ReadInode(cur));
+  return OkStatus();
+}
+
+Status FrangipaniFs::LookupLeaf(PathTarget* out) {
+  RETURN_IF_ERROR(WithLocks({{InodeLockId(out->parent), LockMode::kShared}}, [&]() -> Status {
+    ASSIGN_OR_RETURN(Inode dir, ReadInode(out->parent));
     if (dir.type != FileType::kDirectory) {
       return NotFound("not a directory");
     }
-    ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(dir, cur, out->leaf, nullptr));
+    ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(dir, out->parent, out->leaf, nullptr));
     if (hit.has_value()) {
       out->ino = hit->ino;
       out->type = hit->type;
     }
     return OkStatus();
-  });
-  return st;
+  }));
+  if (out->ino != 0) {
+    NoteName(out->parent, out->leaf, out->ino);
+  }
+  return OkStatus();
+}
+
+Status FrangipaniFs::ResolveDir(const std::string& path, PathTarget* out, int depth) {
+  RETURN_IF_ERROR(ResolveParent(path, out, depth));
+  return LookupLeaf(out);
+}
+
+void FrangipaniFs::NoteName(uint64_t parent, const std::string& leaf, uint64_t ino) {
+  std::lock_guard<std::mutex> guard(hint_mu_);
+  if (name_hints_.size() >= kMaxNameHints) {
+    name_hints_.erase(name_hints_.begin());
+  }
+  name_hints_[{parent, leaf}] = ino;
+}
+
+void FrangipaniFs::ForgetName(uint64_t parent, const std::string& leaf) {
+  std::lock_guard<std::mutex> guard(hint_mu_);
+  name_hints_.erase({parent, leaf});
+}
+
+uint64_t FrangipaniFs::HintedIno(uint64_t parent, const std::string& leaf) {
+  std::lock_guard<std::mutex> guard(hint_mu_);
+  auto it = name_hints_.find({parent, leaf});
+  return it == name_hints_.end() ? 0 : it->second;
 }
 
 StatusOr<uint64_t> FrangipaniFs::ResolveIno(const std::string& path, bool follow_leaf,

@@ -200,8 +200,9 @@ class FrangipaniFs {
   // mounts, then runs a bounded number of attempts of plan + apply,
   // retrying on kAborted. When `allocates`, each attempt reads alloc_seg_
   // once after phase one, adds its exclusive lock to the plan and passes it
-  // to apply; an attempt that found it full rotates alloc_seg_. Counts the
-  // op on success; fails with "<op>: too many conflicts".
+  // to apply; an attempt that found it full rotates alloc_seg_. Counts each
+  // retry in fs.retries and each phase-two abort also in fs.abort.<op>,
+  // counts the op on success, and fails with "<op>: too many conflicts".
   Status TwoPhaseOp(const char* op, bool allocates, const PlanFn& plan, const ApplyFn& apply);
   // Moves alloc_seg_ past `full_seg` unless another thread already did.
   void AdvanceAllocSeg(uint32_t full_seg);
@@ -214,6 +215,14 @@ class FrangipaniFs {
   Status CheckWriteLease() const;
 
   // ---- phase-1 helpers (take and drop locks internally) ----
+  // Walks `path` to the directory that holds its last component, looking up
+  // each intermediate component under a shared lock and following symlinks.
+  // Sets parent and leaf; the leaf itself is not looked up (ino = 0).
+  Status ResolveParent(const std::string& path, PathTarget* out, int depth = 0);
+  // Looks out->leaf up in out->parent under the parent's shared lock and
+  // sets ino and type (ino = 0 if absent). A hit is noted as a name hint.
+  Status LookupLeaf(PathTarget* out);
+  // ResolveParent, then LookupLeaf.
   Status ResolveDir(const std::string& path, PathTarget* out, int depth = 0);
   StatusOr<uint64_t> ResolveIno(const std::string& path, bool follow_leaf, int depth = 0);
 
@@ -291,12 +300,26 @@ class FrangipaniFs {
   // Shared unlink/rmdir implementation.
   Status RemoveCommon(const std::string& path, bool dir_expected);
 
+  // Name hints: (parent ino, leaf) -> ino, as this mount last saw it. Its
+  // creates, links and leaf lookups note them; its removes and renames
+  // forget them. RemoveCommon's first attempt takes the target from a hint
+  // instead of looking it up under the parent's shared lock; phase two
+  // re-checks the entry and the inode version, so a stale hint costs one
+  // retry, which ignores it. HintedIno returns 0 without a hint.
+  void NoteName(uint64_t parent, const std::string& leaf, uint64_t ino);
+  void ForgetName(uint64_t parent, const std::string& leaf);
+  uint64_t HintedIno(uint64_t parent, const std::string& leaf);
+
   int64_t FenceUs() const;
   int64_t NowUs() const;
   void NoteRetry();
 
   // Read-ahead.
   void MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read_end);
+  // Reads cache unit `unit_addr` (`unit` bytes at file offset `unit_off`)
+  // into the cache on the prefetch pool, unless it is cached or in flight.
+  // Returns whether it started the read.
+  bool StartPrefetch(uint64_t unit_addr, uint32_t unit, uint64_t unit_off, LockId lock);
 
   BlockDevice* device_;
   LockProvider* locks_;
@@ -314,6 +337,12 @@ class FrangipaniFs {
 
   std::mutex alloc_mu_;
   uint32_t alloc_seg_ = 0;
+
+  // A full map drops an arbitrary hint; that name's next remove then does
+  // the shared lookup, as without hints.
+  static constexpr size_t kMaxNameHints = 4096;
+  std::mutex hint_mu_;
+  std::map<std::pair<uint64_t, std::string>, uint64_t> name_hints_;
 
   std::mutex ra_mu_;
   std::map<uint64_t, uint64_t> ra_last_end_;  // ino -> end of last sequential read
@@ -353,6 +382,7 @@ class FrangipaniFs {
   obs::Counter* m_sync_errors_;
   obs::Counter* m_decommit_deferred_;  // large blocks this mount queued
   obs::Counter* m_decommit_adopted_;   // markers finished by visits no free here queued
+  obs::Counter* m_name_hint_stale_;    // removes whose hint no longer named the entry
 };
 
 // Parses a path into components; rejects empty names and names over the

@@ -211,6 +211,17 @@ StatusOr<size_t> FrangipaniFs::Read(uint64_t ino, uint64_t offset, size_t length
     }
     uint64_t end = std::min<uint64_t>(node.size, offset + length);
     LockId dlock = InodeDataLockId(ino);
+    if (prefetch_pool_ != nullptr && MapOffset(node, offset, end - offset).len < end - offset) {
+      // More than one unit: start the missing ones together on the
+      // prefetch pool; the copy loop below waits on each in turn.
+      for (uint64_t pos = offset; pos < end;) {
+        BlockRef ref = MapOffset(node, pos, end - pos);
+        if (ref.addr != 0) {
+          StartPrefetch(ref.addr, ref.unit, pos - ref.off_in_unit, dlock);
+        }
+        pos += ref.len;
+      }
+    }
     uint64_t pos = offset;
     while (pos < end) {
       BlockRef ref = MapOffset(node, pos, end - pos);
@@ -273,33 +284,38 @@ void FrangipaniFs::MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read
     if (!locks_->CachedCovers(lock, unit_off, unit_off + ref.unit, LockMode::kShared)) {
       break;
     }
-    uint64_t unit_addr = ref.addr;  // MapOffset returns the unit base
-    uint32_t unit = ref.unit;
-    if (!cache_->BeginPrefetch(unit_addr, lock)) {
-      continue;  // already cached or being prefetched
+    if (StartPrefetch(ref.addr, ref.unit, unit_off, lock)) {
+      stats_.prefetches.fetch_add(1, std::memory_order_relaxed);
     }
-    uint64_t epoch = cache_->LockEpoch(lock);
-    stats_.prefetches.fetch_add(1, std::memory_order_relaxed);
-    // Prefetches inherit the reading op's trace id so the recorder shows
-    // them as children of the read that triggered them.
-    uint64_t trace_id = obs::CurrentTraceId();
-    prefetch_pool_->Submit([this, unit_addr, unit, unit_off, lock, epoch, trace_id] {
-      obs::InheritedTraceScope inherit(trace_id);
-      Bytes data;
-      if (!device_->Read(unit_addr, unit, &data).ok()) {
-        cache_->EndPrefetch(unit_addr, lock);
-        return;
-      }
-      if (cache_->LockEpoch(lock) != epoch) {
-        // The lock was revoked while we prefetched: wasted work (Figure 8).
-        cache_->EndPrefetch(unit_addr, lock);
-        stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      cache_->PutPrefetched(unit_addr, std::move(data), lock, epoch, unit_off);
-      cache_->EndPrefetch(unit_addr, lock);
-    });
   }
+}
+
+bool FrangipaniFs::StartPrefetch(uint64_t unit_addr, uint32_t unit, uint64_t unit_off,
+                                 LockId lock) {
+  if (!cache_->BeginPrefetch(unit_addr, lock)) {
+    return false;  // already cached or being prefetched
+  }
+  uint64_t epoch = cache_->LockEpoch(lock);
+  // Prefetches inherit the reading op's trace id so the recorder shows
+  // them as children of the read that triggered them.
+  uint64_t trace_id = obs::CurrentTraceId();
+  prefetch_pool_->Submit([this, unit_addr, unit, unit_off, lock, epoch, trace_id] {
+    obs::InheritedTraceScope inherit(trace_id);
+    Bytes data;
+    if (!device_->Read(unit_addr, unit, &data).ok()) {
+      cache_->EndPrefetch(unit_addr, lock);
+      return;
+    }
+    if (cache_->LockEpoch(lock) != epoch) {
+      // The lock was revoked while we prefetched: wasted work (Figure 8).
+      cache_->EndPrefetch(unit_addr, lock);
+      stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    cache_->PutPrefetched(unit_addr, std::move(data), lock, epoch, unit_off);
+    cache_->EndPrefetch(unit_addr, lock);
+  });
+  return true;
 }
 
 // ---------------------------------------------------------------------------

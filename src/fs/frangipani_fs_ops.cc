@@ -40,11 +40,11 @@ StatusOr<uint64_t> FrangipaniFs::CreateCommon(const std::string& path, FileType 
                                                 : "create";
   PathTarget t;
   uint64_t candidate = 0;
+  // Phase one leaves the leaf alone: phase two looks it up under the
+  // parent's exclusive lock anyway, and a shared lookup here would make a
+  // second request for the same lock when another server holds it.
   auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
-    RETURN_IF_ERROR(ResolveDir(path, &t));
-    if (t.ino != 0) {
-      return AlreadyExists(path);
-    }
+    RETURN_IF_ERROR(ResolveParent(path, &t));
     ASSIGN_OR_RETURN(candidate, PickInodeCandidate());
     return std::vector<PlannedLock>{{kLockBarrier, LockMode::kShared},
                                     {SegmentLockId(SegmentOfInode(candidate)), LockMode::kExclusive},
@@ -56,7 +56,7 @@ StatusOr<uint64_t> FrangipaniFs::CreateCommon(const std::string& path, FileType 
     Bytes* parent_raw = nullptr;
     ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
     if (parent.type != FileType::kDirectory) {
-      return NotFound("parent vanished");
+      return NotFound("not a directory");
     }
     ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
     if (hit.has_value()) {
@@ -90,6 +90,7 @@ StatusOr<uint64_t> FrangipaniFs::CreateCommon(const std::string& path, FileType 
     return txn.Commit();
   };
   RETURN_IF_ERROR(TwoPhaseOp(op, /*allocates=*/true, plan, apply));
+  NoteName(t.parent, t.leaf, candidate);
   return candidate;
 }
 
@@ -99,10 +100,7 @@ Status FrangipaniFs::Link(const std::string& existing, const std::string& path) 
   PathTarget t;
   auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
     ASSIGN_OR_RETURN(ino, ResolveIno(existing, /*follow_leaf=*/false));
-    RETURN_IF_ERROR(ResolveDir(path, &t));
-    if (t.ino != 0) {
-      return AlreadyExists(path);
-    }
+    RETURN_IF_ERROR(ResolveParent(path, &t));  // phase two checks the leaf, as in create
     return std::vector<PlannedLock>{{kLockBarrier, LockMode::kShared},
                                     {InodeLockId(t.parent), LockMode::kExclusive},
                                     {InodeLockId(ino), LockMode::kExclusive}};
@@ -112,7 +110,7 @@ Status FrangipaniFs::Link(const std::string& existing, const std::string& path) 
     Bytes* parent_raw = nullptr;
     ASSIGN_OR_RETURN(Inode parent, ReadInodeIn(txn, t.parent, &parent_raw));
     if (parent.type != FileType::kDirectory) {
-      return NotFound("parent vanished");
+      return NotFound("not a directory");
     }
     ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
     if (hit.has_value()) {
@@ -134,7 +132,9 @@ Status FrangipaniFs::Link(const std::string& existing, const std::string& path) 
     WriteInodeIn(txn, t.parent, parent_raw, parent);
     return txn.Commit();
   };
-  return TwoPhaseOp("link", /*allocates=*/true, plan, apply);
+  RETURN_IF_ERROR(TwoPhaseOp("link", /*allocates=*/true, plan, apply));
+  NoteName(t.parent, t.leaf, ino);
+  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------
@@ -144,17 +144,34 @@ Status FrangipaniFs::Link(const std::string& existing, const std::string& path) 
 Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
   PathTarget t;
   uint64_t expected_version = 0;
+  bool first_attempt = true;
+  bool hinted = false;
+  // An abort on finding that the hint no longer names the entry.
+  auto stale_hint = [&](const char* why) {
+    if (hinted) {
+      m_name_hint_stale_->Increment();
+    }
+    return Aborted(why);
+  };
   auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
-    RETURN_IF_ERROR(ResolveDir(path, &t));
-    if (t.ino == 0) {
-      return NotFound(path);
+    RETURN_IF_ERROR(ResolveParent(path, &t));
+    // With a hint, phase one leaves the parent to phase two's exclusive
+    // lock. A retry ignores the hint: it may be what aborted the attempt.
+    t.ino = first_attempt ? HintedIno(t.parent, t.leaf) : 0;
+    hinted = t.ino != 0;
+    first_attempt = false;
+    if (!hinted) {
+      RETURN_IF_ERROR(LookupLeaf(&t));
+      if (t.ino == 0) {
+        return NotFound(path);
+      }
     }
     // Inspect the target to learn which segments its storage spans.
     std::vector<uint32_t> segs;
     RETURN_IF_ERROR(WithLocks({{InodeLockId(t.ino), LockMode::kShared}}, [&]() -> Status {
       ASSIGN_OR_RETURN(Inode node, ReadInode(t.ino));
       if (node.IsFree()) {
-        return Aborted("target concurrently removed");
+        return stale_hint("target concurrently removed");
       }
       expected_version = node.version;
       segs = SegmentsOf(t.ino, node);
@@ -178,7 +195,7 @@ Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
     }
     ASSIGN_OR_RETURN(std::optional<DirHit> hit, DirFind(parent, t.parent, t.leaf, nullptr));
     if (!hit.has_value() || hit->ino != t.ino) {
-      return Aborted("directory entry changed");
+      return stale_hint("directory entry changed");
     }
     Bytes* ino_raw = nullptr;
     ASSIGN_OR_RETURN(Inode node, ReadInodeIn(txn, t.ino, &ino_raw));
@@ -212,7 +229,11 @@ Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
     RETURN_IF_ERROR(txn.Commit());
     return freed ? ForgetFreedInode(t.ino, node) : OkStatus();
   };
-  return TwoPhaseOp("remove", /*allocates=*/false, plan, apply);
+  Status st = TwoPhaseOp(dir_expected ? "rmdir" : "unlink", /*allocates=*/false, plan, apply);
+  if (t.parent != 0) {
+    ForgetName(t.parent, t.leaf);
+  }
+  return st;
 }
 
 Status FrangipaniFs::Unlink(const std::string& path) {
@@ -335,7 +356,14 @@ Status FrangipaniFs::Rename(const std::string& from, const std::string& to) {
     RETURN_IF_ERROR(txn.Commit());
     return replaced ? ForgetFreedInode(dst.ino, replaced_inode) : OkStatus();
   };
-  return TwoPhaseOp("rename", /*allocates=*/true, plan, apply);
+  Status st = TwoPhaseOp("rename", /*allocates=*/true, plan, apply);
+  if (src.parent != 0) {
+    ForgetName(src.parent, src.leaf);
+  }
+  if (dst.parent != 0) {
+    ForgetName(dst.parent, dst.leaf);
+  }
+  return st;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 // machine are immediately visible on all others."
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "src/fs/fsck.h"
+#include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 #include "src/server/cluster.h"
 
 namespace frangipani {
@@ -32,8 +36,41 @@ class CoherenceTest : public ::testing::Test {
     return out;
   }
 
+  void ExpectFsckClean() {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(cluster_->fs(i)->SyncAll().ok());
+    }
+    PetalDevice device(cluster_->admin_petal(), cluster_->vdisk());
+    FsckReport report = RunFsck(&device, cluster_->geometry());
+    EXPECT_TRUE(report.ok) << report.Summary();
+  }
+
   std::unique_ptr<Cluster> cluster_;
 };
+
+// Server `idx`'s requests to the lock service for `lock` while `op` runs,
+// as "S" (shared) or "X" (exclusive), one letter per request.
+std::string LockRequestsDuring(Cluster* cluster, size_t idx, LockId lock,
+                               const std::function<void()>& op) {
+  obs::Recorder* rec = obs::Recorder::Default();
+  rec->Enable(true);
+  rec->Clear();
+  op();
+  std::string modes;
+  for (const obs::TraceEvent& e : rec->Snapshot()) {
+    if (std::string(e.name) == "lock.grant_wait" && e.node == cluster->node(idx)->node_id() &&
+        e.a0 == lock) {
+      modes += static_cast<LockMode>(e.a1) == LockMode::kExclusive ? "X" : "S";
+    }
+  }
+  rec->Enable(false);
+  rec->Clear();
+  return modes;
+}
+
+uint64_t StaleHints() {
+  return obs::MetricsRegistry::Default()->GetCounter("fs.name_hint.stale")->value();
+}
 
 TEST_F(CoherenceTest, NamespaceChangesVisibleEverywhere) {
   ASSERT_TRUE(cluster_->fs(0)->Mkdir("/shared").ok());
@@ -183,6 +220,100 @@ TEST_F(CoherenceTest, ConcurrentMixedWorkloadStaysConsistent) {
   PetalDevice device(cluster_->admin_petal(), cluster_->vdisk());
   FsckReport report = RunFsck(&device, cluster_->geometry());
   EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// §5 two-phase ops in a directory another server writes: phase two takes
+// the parent's lock exclusive, and phase one no longer asks for it shared
+// first, so a create and an unlink each make one request for it.
+TEST_F(CoherenceTest, CreateAndUnlinkRequestTheParentLockOnce) {
+  FrangipaniFs* a = cluster_->fs(0);
+  FrangipaniFs* b = cluster_->fs(1);
+  ASSERT_TRUE(a->Mkdir("/d").ok());
+  StatusOr<uint64_t> d = a->Lookup("/d");
+  ASSERT_TRUE(d.ok());
+  ASSERT_TRUE(b->Create("/d/b").ok());  // b now holds /d exclusive
+  EXPECT_EQ(LockRequestsDuring(cluster_.get(), 0, InodeLockId(*d),
+                               [&] { ASSERT_TRUE(a->Create("/d/a").ok()); }),
+            "X");
+  ASSERT_TRUE(b->Create("/d/b2").ok());
+  EXPECT_EQ(LockRequestsDuring(cluster_.get(), 0, InodeLockId(*d),
+                               [&] { ASSERT_TRUE(a->Unlink("/d/a").ok()); }),
+            "X");
+  ExpectFsckClean();
+}
+
+// A's hint for /d/f names an inode B has since freed: the unlink retries
+// without the hint and removes the file B created under the same name.
+TEST_F(CoherenceTest, UnlinkWithStaleHintRemovesTheCurrentFile) {
+  FrangipaniFs* a = cluster_->fs(0);
+  FrangipaniFs* b = cluster_->fs(1);
+  ASSERT_TRUE(a->Mkdir("/d").ok());
+  StatusOr<uint64_t> mine = a->Create("/d/f");
+  ASSERT_TRUE(mine.ok());
+  ASSERT_TRUE(b->Unlink("/d/f").ok());
+  StatusOr<uint64_t> theirs = b->Create("/d/f");
+  ASSERT_TRUE(theirs.ok());
+  ASSERT_NE(*mine, *theirs);
+  const uint64_t stale_before = StaleHints();
+  ASSERT_TRUE(a->Unlink("/d/f").ok());
+  EXPECT_EQ(StaleHints(), stale_before + 1);
+  EXPECT_EQ(b->Lookup("/d/f").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(b->StatIno(*theirs).status().code(), StatusCode::kNotFound);
+  ExpectFsckClean();
+}
+
+// A's hint maps /d/f to an inode B has renamed to /d/g: phase two finds no
+// /d/f entry, and the retry reports NotFound rather than running out of
+// attempts.
+TEST_F(CoherenceTest, UnlinkOfRenamedAwayNameIsNotFound) {
+  FrangipaniFs* a = cluster_->fs(0);
+  FrangipaniFs* b = cluster_->fs(1);
+  ASSERT_TRUE(a->Mkdir("/d").ok());
+  StatusOr<uint64_t> ino = a->Create("/d/f");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(b->Rename("/d/f", "/d/g").ok());
+  const uint64_t stale_before = StaleHints();
+  EXPECT_EQ(a->Unlink("/d/f").code(), StatusCode::kNotFound);
+  EXPECT_EQ(StaleHints(), stale_before + 1);
+  StatusOr<uint64_t> g = a->Lookup("/d/g");
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(*g, *ino);
+  ExpectFsckClean();
+}
+
+// Phase one of create and link no longer looks at the leaf or the parent;
+// phase two still reports an existing name and a parent that is a file, and
+// its one request for the parent's lock is the exclusive one.
+TEST_F(CoherenceTest, CreateErrorsComeFromPhaseTwo) {
+  FrangipaniFs* a = cluster_->fs(0);
+  FrangipaniFs* b = cluster_->fs(1);
+  ASSERT_TRUE(a->Mkdir("/d").ok());
+  StatusOr<uint64_t> d = a->Lookup("/d");
+  ASSERT_TRUE(d.ok());
+  ASSERT_TRUE(b->Create("/d/f").ok());  // b holds /d exclusive
+  EXPECT_EQ(LockRequestsDuring(cluster_.get(), 0, InodeLockId(*d),
+                               [&] {
+                                 EXPECT_EQ(a->Create("/d/f").status().code(),
+                                           StatusCode::kAlreadyExists);
+                               }),
+            "X");
+  EXPECT_EQ(a->Mkdir("/d/f").code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(a->Symlink("/x", "/d/f").code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(b->Create("/d/other").ok());
+  EXPECT_EQ(a->Link("/d/other", "/d/f").code(), StatusCode::kAlreadyExists);
+
+  StatusOr<uint64_t> file = b->Create("/file");
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(LockRequestsDuring(cluster_.get(), 0, InodeLockId(*file),
+                               [&] {
+                                 EXPECT_EQ(a->Create("/file/x").status().code(),
+                                           StatusCode::kNotFound);
+                               }),
+            "X");
+  EXPECT_EQ(a->Mkdir("/file/x").code(), StatusCode::kNotFound);
+  EXPECT_EQ(a->Link("/d/other", "/file/x").code(), StatusCode::kNotFound);
+  EXPECT_EQ(a->Create("/nodir/x").status().code(), StatusCode::kNotFound);
+  ExpectFsckClean();
 }
 
 TEST_F(CoherenceTest, ServerAdditionSeesExistingFiles) {

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/fs/alloc.h"
@@ -231,12 +232,13 @@ TEST(LayoutTest, FileSizeLimits) {
 
 // ---- allocation under segment locks (§3) ----
 
-// LocalLocks that records, after every Acquire, the set of locks held
-// exclusively at that moment. Single-threaded use only.
+// LocalLocks that records every Acquire's mode and, after it, the set of
+// locks held exclusively at that moment. Single-threaded use only.
 class RecordingLocks : public LocalLocks {
  public:
   Status Acquire(LockId lock, LockMode mode, LockRange range = LockRange{}) override {
     RETURN_IF_ERROR(LocalLocks::Acquire(lock, mode, range));
+    modes_[lock] += mode == LockMode::kExclusive ? "X" : "S";
     held_[lock] = mode;
     std::set<LockId> exclusive;
     for (const auto& [id, m] : held_) {
@@ -252,7 +254,16 @@ class RecordingLocks : public LocalLocks {
     LocalLocks::Release(lock, range);
   }
 
-  void ClearSnapshots() { snapshots_.clear(); }
+  void ClearSnapshots() {
+    snapshots_.clear();
+    modes_.clear();
+  }
+  // The modes `lock` was acquired in since the last ClearSnapshots, one
+  // letter ("S" or "X") per Acquire.
+  std::string Modes(LockId lock) const {
+    auto it = modes_.find(lock);
+    return it == modes_.end() ? "" : it->second;
+  }
   // True when some Acquire left `a` and `b` both held exclusively.
   bool HeldTogether(LockId a, LockId b) const {
     for (const std::set<LockId>& x : snapshots_) {
@@ -265,6 +276,7 @@ class RecordingLocks : public LocalLocks {
 
  private:
   std::map<LockId, LockMode> held_;
+  std::map<LockId, std::string> modes_;
   std::vector<std::set<LockId>> snapshots_;
 };
 
@@ -322,6 +334,39 @@ TEST_F(SegmentLockTest, RenameGrowingDirectoryHoldsItsSegmentLock) {
   uint32_t seg = SegmentOfSmall(dir.small[1]);
   EXPECT_TRUE(locks_.HeldTogether(InodeLockId(d->ino), SegmentLockId(seg)))
       << "directory grew from segment " << seg << " without holding its lock";
+  ASSERT_TRUE(fs_->Unmount().ok());
+}
+
+// §5: phase one of a create or link does not look at the leaf, and an
+// unlink of a name this mount created takes the target from its name hint,
+// so each acquires the parent's lock once, exclusive, in phase two.
+TEST_F(SegmentLockTest, CreateLinkAndUnlinkAcquireTheParentLockOnce) {
+  MountFs();
+  ASSERT_TRUE(fs_->Mkdir("/d").ok());
+  ASSERT_TRUE(fs_->Mkdir("/e").ok());
+  ASSERT_TRUE(fs_->Create("/e/src").ok());
+  StatusOr<uint64_t> d = fs_->Lookup("/d");
+  ASSERT_TRUE(d.ok());
+  const LockId parent = InodeLockId(*d);
+  locks_.ClearSnapshots();
+  ASSERT_TRUE(fs_->Create("/d/f").ok());
+  EXPECT_EQ(locks_.Modes(parent), "X");
+  locks_.ClearSnapshots();
+  ASSERT_TRUE(fs_->Link("/e/src", "/d/g").ok());
+  EXPECT_EQ(locks_.Modes(parent), "X");
+  locks_.ClearSnapshots();
+  ASSERT_TRUE(fs_->Unlink("/d/f").ok());
+  EXPECT_EQ(locks_.Modes(parent), "X");
+  locks_.ClearSnapshots();
+  ASSERT_TRUE(fs_->Unlink("/d/g").ok());  // the link noted its name too
+  EXPECT_EQ(locks_.Modes(parent), "X");
+  // Without a hint, the unlink looks the name up under a shared lock first.
+  ASSERT_TRUE(fs_->Create("/d/h").ok());
+  ASSERT_TRUE(fs_->Unmount().ok());
+  MountFs();
+  locks_.ClearSnapshots();
+  ASSERT_TRUE(fs_->Unlink("/d/h").ok());
+  EXPECT_EQ(locks_.Modes(parent), "SX");
   ASSERT_TRUE(fs_->Unmount().ok());
 }
 

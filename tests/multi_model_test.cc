@@ -34,7 +34,7 @@ TEST_P(MultiMachineModelTest, SerializedOpsOnRandomMachinesAgreeWithModel) {
 
   for (int step = 0; step < 120; ++step) {
     FrangipaniFs* fs = random_fs();
-    uint64_t op = rng.Below(8);
+    uint64_t op = rng.Below(10);
     if (op < 3) {  // create
       std::string path = "/m" + std::to_string(rng.Below(25));
       auto result = fs->Create(path);
@@ -78,6 +78,30 @@ TEST_P(MultiMachineModelTest, SerializedOpsOnRandomMachinesAgreeWithModel) {
       std::advance(it, rng.Below(files.size()));
       EXPECT_TRUE(fs->Unlink(it->first).ok()) << it->first;
       files.erase(it);
+    } else if (op == 8) {  // rename, possibly over an existing file
+      if (files.empty()) {
+        continue;
+      }
+      auto it = files.begin();
+      std::advance(it, rng.Below(files.size()));
+      std::string from = it->first;
+      std::string to = "/m" + std::to_string(rng.Below(25));
+      ASSERT_TRUE(fs->Rename(from, to).ok()) << from << " -> " << to << " step " << step;
+      if (to != from) {
+        files[to] = std::move(it->second);
+        files.erase(from);
+      }
+    } else if (op == 9) {  // unlink by name, which may be absent
+      // Another machine may have removed or renamed the name since this
+      // one created or looked it up: its name hint must not fool it.
+      std::string path = "/m" + std::to_string(rng.Below(25));
+      Status st = fs->Unlink(path);
+      if (files.count(path) > 0) {
+        EXPECT_TRUE(st.ok()) << path << " step " << step << ": " << st;
+        files.erase(path);
+      } else {
+        EXPECT_EQ(st.code(), StatusCode::kNotFound) << path << " step " << step << ": " << st;
+      }
     } else {  // stat everywhere must agree
       if (files.empty()) {
         continue;
