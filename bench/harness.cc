@@ -55,7 +55,6 @@ AdvFsOptions PaperAdvFsOptions(bool nvram) {
   options.disk.timing_enabled = true;
   options.string_bps = 7.5 * (1 << 20);  // two fast-SCSI strings (see header)
   options.fs.readahead_units = 8;
-  options.fs.fence_writes = false;
   return options;
 }
 

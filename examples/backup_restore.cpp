@@ -74,7 +74,6 @@ int main() {
   LocalLocks snap_locks;
   FsOptions ro;
   ro.read_only = true;
-  ro.fence_writes = false;
   FrangipaniFs snap_fs(&snap_device, &snap_locks, SystemClock::Get(), ro);
   CHECK_OK(snap_fs.Mount());
   auto snap_ledger = snap_fs.Lookup("/payroll/ledger");

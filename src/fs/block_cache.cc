@@ -47,7 +47,7 @@ BlockCache::BlockCache(BlockDevice* device, LogWriter* wal, BlockCacheOptions op
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   m_hits_ = reg->GetCounter("fs.cache.hits");
   m_misses_ = reg->GetCounter("fs.cache.misses");
-  m_cross_shard_evictions_ = reg->GetCounter("fs.cache.cross_shard_evictions");
+  m_evictions_ = reg->GetCounter("fs.cache.evictions");
   m_shard_wait_us_ = reg->GetHistogram("fs.cache.shard_wait_us");
   reg->GetGauge("fs.cache.shards")->Set(static_cast<int64_t>(shards_.size()));
   io_pool_ = std::make_unique<ThreadPool>(options_.io_threads);
@@ -101,9 +101,9 @@ StatusOr<Bytes> BlockCache::Read(uint64_t addr, uint32_t size, LockId lock,
       bytes_ += blob->size();
       shard.entries.emplace(addr, std::move(e));
       shard.by_lock[lock].insert(addr);
-      EvictShardLocked(shard, ShardIndex(addr));
     }
   }
+  EvictClean();
   return *blob;
 }
 
@@ -130,29 +130,17 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
     e.lru_seq = ++lru_counter_;
     bytes_ += e.data->size();
     dirty_bytes_ += e.data->size();
-    EvictShardLocked(home, ShardIndex(addr));
   }
+  EvictClean();
 
   // Write throttling / write-behind: bring dirty data back under control by
   // writing the globally oldest dirty entries, as one batch.
-  while (dirty_bytes_.load() > options_.dirty_hiwater_bytes) {
-    struct Cand {
-      uint64_t lru;
-      uint64_t addr;
-      size_t size;
-      size_t shard;
-    };
-    std::vector<Cand> dirty;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = shards_[s];
-      std::unique_lock<std::mutex> lk = LockShard(shard);
-      for (const auto& [a, entry] : shard.entries) {
-        if (entry.dirty && !entry.flushing) {
-          dirty.push_back({entry.lru_seq, a, entry.data->size(), s});
-        }
-      }
-    }
-    if (dirty.empty()) {
+  for (size_t dirty = dirty_bytes_.load(); dirty > options_.dirty_hiwater_bytes;
+       dirty = dirty_bytes_.load()) {
+    std::vector<std::vector<uint64_t>> oldest =
+        OldestEntries([](const Entry& e) { return e.dirty && !e.flushing; },
+                      dirty - options_.dirty_hiwater_bytes / 2);
+    if (std::all_of(oldest.begin(), oldest.end(), [](const auto& v) { return v.empty(); })) {
       // Everything dirty is already being flushed; wait for progress. The
       // timeout covers a flush that completed between our scan and the wait.
       obs::SpanScope wait(obs::Layer::kFs, "fs.cache.throttle_wait", node_);
@@ -160,20 +148,7 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
       throttle_cv_.wait_for(tlk, std::chrono::milliseconds(1));
       continue;
     }
-    std::sort(dirty.begin(), dirty.end(),
-              [](const Cand& a, const Cand& b) { return a.lru < b.lru; });
-    size_t target = options_.dirty_hiwater_bytes / 2;
-    size_t start_dirty = dirty_bytes_.load();
-    std::vector<std::vector<uint64_t>> per_shard(shards_.size());
-    size_t would_free = 0;
-    for (const Cand& c : dirty) {
-      per_shard[c.shard].push_back(c.addr);
-      would_free += c.size;
-      if (start_dirty - would_free <= target) {
-        break;
-      }
-    }
-    RETURN_IF_ERROR(WriteBack([&](size_t s, const Shard&) { return per_shard[s]; },
+    RETURN_IF_ERROR(WriteBack([&](size_t s, const Shard&) { return oldest[s]; },
                               [](const Entry&) { return true; }, /*log_lsn=*/0));
   }
   return OkStatus();
@@ -183,19 +158,11 @@ void BlockCache::PutPrefetched(uint64_t addr, Bytes data, LockId lock, uint64_t 
                                uint64_t range_off) {
   Shard& shard = ShardFor(addr);
   std::unique_lock<std::mutex> lk = LockShard(shard);
-  {
-    // Epoch check while holding the shard lock: an invalidation bumps the
-    // epoch before it sweeps the shards, so either we see the bump here or
-    // the sweep (which follows the same shard lock) sees our entry.
-    std::lock_guard<std::mutex> eguard(epoch_mu_);
-    auto eit = epochs_.find(lock);
-    uint64_t current = eit == epochs_.end() ? 0 : eit->second;
-    if (current != epoch) {
-      return;  // lock was invalidated since the prefetch was issued
-    }
-  }
-  if (shard.entries.count(addr) > 0) {
-    return;  // raced with a demand read
+  // Epoch check while holding the shard lock: an invalidation bumps the
+  // epoch before it sweeps the shards, so either we see the bump here or
+  // the sweep (which follows the same shard lock) sees our entry.
+  if (LockEpoch(lock) != epoch || shard.entries.count(addr) > 0) {
+    return;  // invalidated since the prefetch was issued, or raced with a demand read
   }
   Entry e;
   e.lock = lock;
@@ -205,7 +172,8 @@ void BlockCache::PutPrefetched(uint64_t addr, Bytes data, LockId lock, uint64_t 
   bytes_ += e.data->size();
   shard.entries.emplace(addr, std::move(e));
   shard.by_lock[lock].insert(addr);
-  EvictShardLocked(shard, ShardIndex(addr));
+  lk.unlock();
+  EvictClean();
 }
 
 bool BlockCache::BeginPrefetch(uint64_t addr, LockId lock) {
@@ -377,18 +345,14 @@ void BlockCache::WriteRun(const std::vector<FlushJob>& run, int64_t fence, Batch
         it->second.dirty = false;
         it->second.pin_lsn = 0;
         dirty_bytes_ -= it->second.data->size();
-        uint64_t adv = shard.oldest_clean_seq.load(std::memory_order_relaxed);
-        if (it->second.lru_seq < adv) {
-          shard.oldest_clean_seq.store(it->second.lru_seq, std::memory_order_relaxed);
-        }
       }
     }
-    // Dirty data can push the cache past its capacity (dirty entries are not
-    // evictable); reclaim now that some entries are clean again.
-    EvictShardLocked(shard, run.front().shard);
     shard.cv.notify_all();
   }
   throttle_cv_.notify_all();
+  // Dirty data can push the cache past its capacity (dirty entries are not
+  // evictable); reclaim now that some entries are clean again.
+  EvictClean();
   std::lock_guard<std::mutex> guard(batch->mu);
   if (!st.ok() && batch->status.ok()) {
     batch->status = st;
@@ -530,7 +494,6 @@ void BlockCache::DiscardAll() {
     }
     shard.entries.clear();
     shard.by_lock.clear();
-    shard.oldest_clean_seq.store(~0ull, std::memory_order_relaxed);
     shard.cv.notify_all();
   }
   throttle_cv_.notify_all();
@@ -548,127 +511,70 @@ void BlockCache::DropClean() {
         ++it;
       }
     }
-    shard.oldest_clean_seq.store(~0ull, std::memory_order_relaxed);
   }
 }
 
-void BlockCache::EvictShardLocked(Shard& shard, size_t self_index) {
-  if (bytes_.load() <= options_.capacity_bytes) {
-    return;
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> clean;  // (lru, addr)
-  for (const auto& [addr, e] : shard.entries) {
-    if (!e.dirty && !e.flushing) {
-      clean.emplace_back(e.lru_seq, addr);
-    }
-  }
-  std::sort(clean.begin(), clean.end());
-  shard.oldest_clean_seq.store(clean.empty() ? ~0ull : clean.front().first,
-                               std::memory_order_relaxed);
-  // Global LRU: if another shard advertises a clean entry colder than our
-  // oldest victim, evicting here would sacrifice younger data just because
-  // it shares a shard with the inserter. Defer to the async sweep instead.
-  uint64_t my_oldest = clean.empty() ? ~0ull : clean.front().first;
+std::vector<std::vector<uint64_t>> BlockCache::OldestEntries(const Wanted& pick, size_t bytes) {
+  struct Cand {
+    uint64_t lru;
+    uint64_t addr;
+    size_t size;
+    size_t shard;
+  };
+  std::vector<Cand> cands;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (s != self_index &&
-        shards_[s].oldest_clean_seq.load(std::memory_order_relaxed) < my_oldest) {
-      ScheduleGlobalSweep();
-      return;
+    std::unique_lock<std::mutex> lk = LockShard(shards_[s]);
+    for (const auto& [addr, e] : shards_[s].entries) {
+      if (pick(e)) {
+        cands.push_back({e.lru_seq, addr, e.data->size(), s});
+      }
     }
   }
-  for (const auto& [lru, addr] : clean) {
-    if (bytes_.load() <= options_.capacity_bytes) {
-      break;
-    }
-    auto it = shard.entries.find(addr);
-    bytes_ -= it->second.data->size();
-    shard.by_lock[it->second.lock].erase(addr);
-    shard.entries.erase(it);
+  std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) { return a.lru < b.lru; });
+  std::vector<std::vector<uint64_t>> per_shard(shards_.size());
+  size_t covered = 0;
+  for (size_t i = 0; i < cands.size() && covered < bytes; ++i) {
+    per_shard[cands[i].shard].push_back(cands[i].addr);
+    covered += cands[i].size;
   }
-  // Re-advertise the new local minimum for future global comparisons.
-  uint64_t min_seq = ~0ull;
-  for (const auto& [addr, e] : shard.entries) {
-    if (!e.dirty && !e.flushing) {
-      min_seq = std::min(min_seq, e.lru_seq);
-    }
-  }
-  shard.oldest_clean_seq.store(min_seq, std::memory_order_relaxed);
+  return per_shard;
 }
 
-void BlockCache::ScheduleGlobalSweep() {
-  if (sweep_scheduled_.exchange(true)) {
-    return;  // a sweep is already queued or running
-  }
-  io_pool_->Submit([this] { SweepGlobalLru(); });
-}
-
-void BlockCache::SweepGlobalLru() {
-  sweep_scheduled_.store(false);
-  bool recomputed = false;
-  while (bytes_.load() > options_.capacity_bytes) {
-    // Pick the shard advertising the globally-coldest clean entry.
-    size_t best = shards_.size();
-    uint64_t best_seq = ~0ull;
+void BlockCache::EvictClean() {
+  const size_t low_water =
+      options_.capacity_bytes - options_.capacity_bytes / kEvictSlackDivisor;
+  for (size_t bytes = bytes_.load(); bytes > options_.capacity_bytes; bytes = bytes_.load()) {
+    std::unique_lock<std::mutex> evicting(evict_mu_, std::try_to_lock);
+    if (!evicting.owns_lock()) {
+      return;  // the running evictor re-checks the size after its pass
+    }
+    // An entry read or rewritten after this point gets a newer lru_seq: it
+    // is no longer among the oldest and is kept.
+    const uint64_t scan_seq = lru_counter_.load();
+    std::vector<std::vector<uint64_t>> oldest = OldestEntries(
+        [](const Entry& e) { return !e.dirty && !e.flushing; }, bytes - low_water);
+    bool any = false;
     for (size_t s = 0; s < shards_.size(); ++s) {
-      uint64_t seq = shards_[s].oldest_clean_seq.load(std::memory_order_relaxed);
-      if (seq < best_seq) {
-        best_seq = seq;
-        best = s;
+      if (oldest[s].empty()) {
+        continue;
       }
-    }
-    if (best == shards_.size()) {
-      // No shard advertises clean entries. Advertisements are approximate,
-      // so recompute them once; if there is still nothing, everything is
-      // dirty or in flight and the sweep cannot help.
-      if (recomputed) {
-        return;
-      }
-      recomputed = true;
-      for (Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lk = LockShard(shard);
-        uint64_t min_seq = ~0ull;
-        for (const auto& [addr, e] : shard.entries) {
-          if (!e.dirty && !e.flushing) {
-            min_seq = std::min(min_seq, e.lru_seq);
-          }
+      any = true;
+      Shard& shard = shards_[s];
+      std::unique_lock<std::mutex> lk = LockShard(shard);
+      for (uint64_t addr : oldest[s]) {
+        auto it = shard.entries.find(addr);
+        if (it == shard.entries.end() || it->second.dirty || it->second.flushing ||
+            it->second.lru_seq > scan_seq) {
+          continue;
         }
-        shard.oldest_clean_seq.store(min_seq, std::memory_order_relaxed);
-      }
-      continue;
-    }
-    Shard& shard = shards_[best];
-    std::unique_lock<std::mutex> lk = LockShard(shard);
-    std::vector<std::pair<uint64_t, uint64_t>> clean;
-    for (const auto& [addr, e] : shard.entries) {
-      if (!e.dirty && !e.flushing) {
-        clean.emplace_back(e.lru_seq, addr);
+        bytes_ -= it->second.data->size();
+        shard.by_lock[it->second.lock].erase(addr);
+        shard.entries.erase(it);
+        m_evictions_->Increment();
       }
     }
-    if (clean.empty()) {
-      shard.oldest_clean_seq.store(~0ull, std::memory_order_relaxed);
-      continue;
-    }
-    std::sort(clean.begin(), clean.end());
-    uint64_t evicted = 0;
-    for (const auto& [lru, addr] : clean) {
-      if (bytes_.load() <= options_.capacity_bytes) {
-        break;
-      }
-      auto it = shard.entries.find(addr);
-      bytes_ -= it->second.data->size();
-      shard.by_lock[it->second.lock].erase(addr);
-      shard.entries.erase(it);
-      ++evicted;
-    }
-    uint64_t min_seq = ~0ull;
-    for (const auto& [addr, e] : shard.entries) {
-      if (!e.dirty && !e.flushing) {
-        min_seq = std::min(min_seq, e.lru_seq);
-      }
-    }
-    shard.oldest_clean_seq.store(min_seq, std::memory_order_relaxed);
-    if (evicted > 0) {
-      m_cross_shard_evictions_->Increment(evicted);
+    if (!any) {
+      return;  // everything cached is dirty or being written
     }
   }
 }

@@ -17,8 +17,14 @@
 // alongside its log write instead of behind it. Write-behind (dirty data
 // above a high-water mark) uses the same batch, which is what pipelines
 // large writes across Petal servers.
-// Prefetch inserts are epoch-guarded: an invalidation bumps the lock's epoch
-// so a read-ahead racing with a revoke cannot repopulate stale data.
+// The cache keeps one LRU across its shards: write-behind picks the globally
+// oldest dirty entries and eviction the globally oldest clean ones, both
+// through OldestEntries. Eviction runs synchronously in the thread whose
+// insert (or completed write run) took the cache over capacity.
+// Prefetch inserts are epoch-guarded: an invalidation bumps the lock's epoch,
+// so a prefetch whose epoch was sampled before the invalidation cannot
+// repopulate stale data. The reader must sample it before it decides the
+// lock covers the block (see FrangipaniFs::MaybePrefetch).
 //
 // The cache is sharded by 256 KB address region (the flush-run coalescing
 // bound), so concurrent hits on different regions never touch the same
@@ -148,16 +154,16 @@ class BlockCache {
     std::map<LockId, std::set<uint64_t>> by_lock;
     std::set<uint64_t> prefetch_inflight;
     std::map<LockId, int> prefetch_by_lock;
-    // Advertised lru_seq of this shard's oldest clean entry (approximate;
-    // UINT64_MAX = none known). Lets EvictShardLocked notice that a colder
-    // victim lives in another shard and defer to the global LRU sweep.
-    std::atomic<uint64_t> oldest_clean_seq{~0ull};
   };
 
   // Shard by 256 KB region, the flush-run bound: SubmitRuns cuts a run
   // where it crosses into another shard.
   static constexpr int kShardRegionShift = 18;
   static constexpr size_t kShards = 16;
+  // Eviction frees down to capacity - capacity / kEvictSlackDivisor, so one
+  // scan of every shard pays for an eighth of a cache's worth of inserts
+  // rather than running again on each insert into a full cache.
+  static constexpr size_t kEvictSlackDivisor = 8;
   size_t ShardIndex(uint64_t addr) const {
     return (addr >> kShardRegionShift) % shards_.size();
   }
@@ -212,15 +218,14 @@ class BlockCache {
   void WriteRun(const std::vector<FlushJob>& run, int64_t fence, Batch* batch);
   // Write-ahead rule: true when the log is durable through `lsn`.
   bool LogDurableTo(uint64_t lsn) const;
-  // Evicts clean LRU entries from `shard` while the cache as a whole is over
-  // capacity. Caller holds `shard.mu`. When another shard advertises a
-  // colder clean entry, eviction is deferred to an async global-LRU sweep
-  // instead of sacrificing this shard's younger entries (global LRU, lazily).
-  void EvictShardLocked(Shard& shard, size_t self_index);
-  void ScheduleGlobalSweep();
-  // Runs on the IO pool: evicts the globally-coldest clean entries, one
-  // shard at a time, until the cache fits.
-  void SweepGlobalLru();
+  // The one LRU: the addresses, per shard, of the globally oldest entries
+  // that `pick` accepts, until they cover `bytes`. Locks one shard at a time.
+  std::vector<std::vector<uint64_t>> OldestEntries(const Wanted& pick, size_t bytes);
+  // While the cache is over capacity, drops the globally oldest clean
+  // entries, down to kEvictSlackDivisor below capacity. Called with no shard
+  // lock held; a thread that finds another evictor running leaves the work
+  // to it.
+  void EvictClean();
 
   BlockDevice* device_;
   LogWriter* wal_;
@@ -248,11 +253,13 @@ class BlockCache {
   // Registry aggregates (process-wide, across all fs instances).
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;
-  obs::Counter* m_cross_shard_evictions_;
+  obs::Counter* m_evictions_;
   Histogram* m_shard_wait_us_;
 
-  std::atomic<bool> sweep_scheduled_{false};
+  // Held (try-lock) by the one thread running EvictClean.
+  std::mutex evict_mu_;
 
+  // Runs write runs only.
   std::unique_ptr<ThreadPool> io_pool_;
 };
 

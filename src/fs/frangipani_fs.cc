@@ -276,12 +276,7 @@ Status FrangipaniFs::CheckWriteLease() const {
   return OkStatus();
 }
 
-int64_t FrangipaniFs::FenceUs() const {
-  if (!options_.fence_writes) {
-    return 0;
-  }
-  return locks_->LeaseExpiryUs();
-}
+int64_t FrangipaniFs::FenceUs() const { return locks_->LeaseExpiryUs(); }
 
 int64_t FrangipaniFs::NowUs() const {
   return std::chrono::duration_cast<std::chrono::microseconds>(

@@ -50,7 +50,6 @@ inline constexpr uint32_t kParamMagic = 0x46524750;  // "FRGP"
 struct FsOptions {
   bool sync_log = false;            // flush the log before returning from metadata ops
   uint32_t readahead_units = 4;     // prefetch window, in cache units
-  bool fence_writes = true;         // stamp Petal writes with the lease expiry
   bool read_only = false;           // snapshot mounts
   uint32_t node_id = 0;             // simulated machine id for flight-recorder spans
   WalOptions wal{};                 // group-commit window etc., passed to LogWriter
@@ -318,8 +317,11 @@ class FrangipaniFs {
   void MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read_end);
   // Reads cache unit `unit_addr` (`unit` bytes at file offset `unit_off`)
   // into the cache on the prefetch pool, unless it is cached or in flight.
-  // Returns whether it started the read.
-  bool StartPrefetch(uint64_t unit_addr, uint32_t unit, uint64_t unit_off, LockId lock);
+  // The data is dropped if `lock`'s epoch has moved past `epoch`, which the
+  // caller samples before it decides the lock covers the unit. Returns
+  // whether it started the read.
+  bool StartPrefetch(uint64_t unit_addr, uint32_t unit, uint64_t unit_off, LockId lock,
+                     uint64_t epoch);
 
   BlockDevice* device_;
   LockProvider* locks_;

@@ -214,10 +214,11 @@ StatusOr<size_t> FrangipaniFs::Read(uint64_t ino, uint64_t offset, size_t length
     if (prefetch_pool_ != nullptr && MapOffset(node, offset, end - offset).len < end - offset) {
       // More than one unit: start the missing ones together on the
       // prefetch pool; the copy loop below waits on each in turn.
+      const uint64_t epoch = cache_->LockEpoch(dlock);
       for (uint64_t pos = offset; pos < end;) {
         BlockRef ref = MapOffset(node, pos, end - pos);
         if (ref.addr != 0) {
-          StartPrefetch(ref.addr, ref.unit, pos - ref.off_in_unit, dlock);
+          StartPrefetch(ref.addr, ref.unit, pos - ref.off_in_unit, dlock, epoch);
         }
         pos += ref.len;
       }
@@ -258,8 +259,6 @@ void FrangipaniFs::MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read
   {
     std::lock_guard<std::mutex> guard(ra_mu_);
     auto it = ra_last_end_.find(ino);
-    uint64_t read_start = read_end;  // only used when found
-    (void)read_start;
     sequential = it != ra_last_end_.end() || read_end <= 256 * 1024;
     if (it != ra_last_end_.end() && read_end < it->second) {
       sequential = false;  // backwards seek
@@ -270,6 +269,11 @@ void FrangipaniFs::MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read
     return;
   }
   LockId lock = InodeDataLockId(ino);
+  // The epoch is sampled before the coverage checks below. The clerk reports
+  // a revoked extent as not covered from the moment the revoke begins, so a
+  // revoke that the check misses invalidates after this sample: it bumps the
+  // epoch and the prefetch's data is dropped instead of cached.
+  const uint64_t epoch = cache_->LockEpoch(lock);
   uint64_t pos = read_end;
   for (uint32_t i = 0; i < options_.readahead_units && pos < inode.size; ++i) {
     BlockRef ref = MapOffset(inode, pos, inode.size - pos);
@@ -284,18 +288,17 @@ void FrangipaniFs::MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read
     if (!locks_->CachedCovers(lock, unit_off, unit_off + ref.unit, LockMode::kShared)) {
       break;
     }
-    if (StartPrefetch(ref.addr, ref.unit, unit_off, lock)) {
+    if (StartPrefetch(ref.addr, ref.unit, unit_off, lock, epoch)) {
       stats_.prefetches.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
 
 bool FrangipaniFs::StartPrefetch(uint64_t unit_addr, uint32_t unit, uint64_t unit_off,
-                                 LockId lock) {
+                                 LockId lock, uint64_t epoch) {
   if (!cache_->BeginPrefetch(unit_addr, lock)) {
     return false;  // already cached or being prefetched
   }
-  uint64_t epoch = cache_->LockEpoch(lock);
   // Prefetches inherit the reading op's trace id so the recorder shows
   // them as children of the read that triggered them.
   uint64_t trace_id = obs::CurrentTraceId();

@@ -24,8 +24,9 @@ class LockProvider {
   virtual Status Acquire(LockId lock, LockMode mode, LockRange range = LockRange{}) = 0;
   virtual void Release(LockId lock, LockRange range = LockRange{}) = 0;
   // True when [start, end) of `lock` is locally cached at `mode` or
-  // stronger. Used to bound read-ahead to held extents; a provider without
-  // revocation (LocalLocks) may simply return true.
+  // stronger and not being revoked. Used to bound read-ahead to held
+  // extents; a provider without revocation (LocalLocks) may simply return
+  // true.
   virtual bool CachedCovers(LockId lock, uint64_t start, uint64_t end, LockMode mode) const = 0;
   virtual bool LeaseValidFor(Duration margin) const = 0;
   virtual int64_t LeaseExpiryUs() const = 0;

@@ -146,6 +146,11 @@ bool LockClerk::UsesOverlap(const Entry& e, LockRange range) {
   return false;
 }
 
+bool LockClerk::RevokeOverlaps(const Entry& e, LockRange range) {
+  return std::any_of(e.revoking.begin(), e.revoking.end(),
+                     [&](const LockRange& r) { return r.Overlaps(range); });
+}
+
 bool LockClerk::LocalConflict(const Entry& e, LockRange range, LockMode mode) {
   for (const Use& u : e.uses) {
     if (u.range.Overlaps(range) &&
@@ -171,14 +176,7 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
       return StaleLease("lock table closed or lease lost");
     }
     Entry& e = cache_[lock];
-    bool revoking_overlap = false;
-    for (const LockRange& r : e.revoking) {
-      if (r.Overlaps(range)) {
-        revoking_overlap = true;
-        break;
-      }
-    }
-    if (revoking_overlap) {
+    if (RevokeOverlaps(e, range)) {
       wait("lock.wait_revoke");
       continue;
     }
@@ -430,7 +428,10 @@ LockMode LockClerk::CachedModeAt(LockId lock, uint64_t off) const {
 bool LockClerk::CachedCovers(LockId lock, uint64_t start, uint64_t end, LockMode mode) const {
   std::lock_guard<std::mutex> guard(mu_);
   auto it = cache_.find(lock);
-  return it != cache_.end() && RangeSetCovers(it->second.held, start, end, mode);
+  // An extent being revoked is still in `held` until the downgrade, but its
+  // cached blocks may already be invalidated: report it as not covered.
+  return it != cache_.end() && !RevokeOverlaps(it->second, LockRange{start, end}) &&
+         RangeSetCovers(it->second.held, start, end, mode);
 }
 
 size_t LockClerk::cached_lock_count() const {

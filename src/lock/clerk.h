@@ -84,7 +84,8 @@ class LockClerk : public Service {
   // Mode cached at byte `off` of `lock`.
   LockMode CachedModeAt(LockId lock, uint64_t off) const;
   // True when the cached interval set covers [start, end) at `mode` or
-  // stronger (used to bound read-ahead to held extents).
+  // stronger and no revoke overlapping it is under way (used to bound
+  // read-ahead to held extents).
   bool CachedCovers(LockId lock, uint64_t start, uint64_t end, LockMode mode) const;
   size_t cached_lock_count() const;
 
@@ -105,6 +106,8 @@ class LockClerk : public Service {
   };
 
   static bool UsesOverlap(const Entry& e, LockRange range);
+  // True when a revoke being processed overlaps `range`.
+  static bool RevokeOverlaps(const Entry& e, LockRange range);
   // True when a local use overlaps `range` and it or the wanted `mode` is
   // exclusive.
   static bool LocalConflict(const Entry& e, LockRange range, LockMode mode);

@@ -144,7 +144,7 @@ StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service
 }
 
 ThreadPool* Network::IoPool() {
-  std::call_once(io_pool_once_, [this] { io_pool_ = std::make_unique<ThreadPool>(io_threads_); });
+  std::call_once(io_pool_once_, [this] { io_pool_ = std::make_unique<ThreadPool>(kIoThreads); });
   return io_pool_.get();
 }
 

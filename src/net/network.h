@@ -68,8 +68,7 @@ struct ParallelForOptions {
 
 class Network {
  public:
-  explicit Network(LinkParams defaults = {}, int io_threads = 32)
-      : defaults_(defaults), io_threads_(io_threads) {}
+  explicit Network(LinkParams defaults = {}) : defaults_(defaults) {}
 
   // Joins the IO pool before the rest of the members are torn down: a still
   // queued or running SubmitIo/CallAsync task (e.g. a CallAsync whose future
@@ -147,7 +146,7 @@ class Network {
 
   mutable std::mutex mu_;
   LinkParams defaults_;
-  int io_threads_;
+  static constexpr int kIoThreads = 32;  // threads of the IO pool
   std::once_flag io_pool_once_;
   std::unique_ptr<ThreadPool> io_pool_;
   std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1

@@ -116,7 +116,7 @@ StatusOr<FrangipaniNode*> Cluster::AddFrangipani(NodeOptions node_options) {
   frangipani_nodes_.push_back(id);
   auto node = std::make_unique<FrangipaniNode>(&net_, id, petal_nodes_, lock_nodes_,
                                                options_.lock_kind, vdisk_, clock_, node_options);
-  RETURN_IF_ERROR(node->Mount(options_.lock_table));
+  RETURN_IF_ERROR(node->Mount());
   nodes_.push_back(std::move(node));
   return nodes_.back().get();
 }
@@ -139,7 +139,7 @@ Status Cluster::RestartFrangipani(size_t idx) {
   auto node = std::make_unique<FrangipaniNode>(&net_, frangipani_nodes_[idx], petal_nodes_,
                                                lock_nodes_, options_.lock_kind, vdisk_, clock_,
                                                options_.node);
-  RETURN_IF_ERROR(node->Mount(options_.lock_table));
+  RETURN_IF_ERROR(node->Mount());
   nodes_[idx] = std::move(node);
   return OkStatus();
 }

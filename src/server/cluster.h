@@ -37,7 +37,6 @@ struct ClusterOptions {
 
   Geometry geometry{};
   NodeOptions node{};
-  std::string lock_table = "fs";
 
   // ---- flight recorder ----
   // Start() enables the process-wide event recorder; spans from every layer

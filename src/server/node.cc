@@ -48,9 +48,9 @@ FrangipaniNode::~FrangipaniNode() {
   }
 }
 
-Status FrangipaniNode::Mount(const std::string& lock_table) {
+Status FrangipaniNode::Mount() {
   RETURN_IF_ERROR(petal_->RefreshMap());
-  RETURN_IF_ERROR(clerk_->Open(lock_table));
+  RETURN_IF_ERROR(clerk_->Open("fs"));
   fs_ = std::make_unique<FrangipaniFs>(device_.get(), provider_.get(), clock_, options_.fs);
   Status st = fs_->Mount();
   if (!st.ok()) {

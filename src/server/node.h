@@ -40,7 +40,8 @@ class FrangipaniNode {
                  Clock* clock, NodeOptions options);
   ~FrangipaniNode();
 
-  Status Mount(const std::string& lock_table);
+  // Opens the cluster's one lock table and mounts the file system.
+  Status Mount();
   Status Unmount();
 
   // Simulated process death: demons stop, nothing is flushed. The caller

@@ -12,6 +12,7 @@
 #include "src/fs/block_cache.h"
 #include "src/fs/device.h"
 #include "src/fs/wal.h"
+#include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 
 namespace frangipani {
@@ -156,6 +157,107 @@ TEST_F(CacheTest, EvictionKeepsCacheBounded) {
   }
   EXPECT_LE(cached, 16);  // 64 KB / 4 KB
   EXPECT_GT(cached, 0);
+}
+
+TEST_F(CacheTest, EvictionPicksTheGloballyOldestBeforeTheInsertReturns) {
+  // Capacity 64 KB = 16 blocks. The oldest block lives in the 256 KB region
+  // of shard 1; shard 0 then fills the cache, and its first block is read
+  // again, so it is the newest.
+  constexpr uint64_t kOtherShard = 256 * 1024;
+  ASSERT_TRUE(cache_->Read(kOtherShard, 4096, 8).ok());
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(cache_->Read(i * 4096, 4096, 7).ok());
+  }
+  ASSERT_TRUE(cache_->Read(0, 4096, 7).ok());
+  EXPECT_TRUE(cache_->Cached(kOtherShard));
+  // The 17th block takes the cache over capacity; eviction is done when the
+  // read returns.
+  ASSERT_TRUE(cache_->Read(15 * 4096, 4096, 7).ok());
+  EXPECT_FALSE(cache_->Cached(kOtherShard));  // the oldest, in another shard
+  EXPECT_FALSE(cache_->Cached(4096));         // the oldest of shard 0
+  EXPECT_TRUE(cache_->Cached(0));             // touched recently
+  EXPECT_TRUE(cache_->Cached(15 * 4096));     // just inserted
+}
+
+TEST_F(CacheTest, EvictionsAreCounted) {
+  obs::Counter* evictions = obs::MetricsRegistry::Default()->GetCounter("fs.cache.evictions");
+  const uint64_t before = evictions->value();
+  // 32 clean blocks in two shards, then 16 dirty ones whose write-behind
+  // and final flush make them evictable too.
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(cache_->Read(i * 4096, 4096, 7).ok());
+  }
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(cache_->PutDirty((64 + i) * 4096, Block(static_cast<uint8_t>(i)), 9, 0).ok());
+  }
+  ASSERT_TRUE(cache_->FlushAll().ok());
+  uint64_t gone = 0;
+  for (int i = 0; i < 80; ++i) {
+    if ((i < 32 || i >= 64) && !cache_->Cached(i * 4096)) {
+      ++gone;
+    }
+  }
+  EXPECT_GE(gone, 32u);  // 48 blocks inserted, at most 16 fit
+  EXPECT_EQ(evictions->value() - before, gone);
+}
+
+TEST_F(CacheTest, EvictionUnderConcurrentReadersAndWriteBehind) {
+  // Readers of clean blocks, each in its own shard and each alone larger
+  // than the cache, and a writer past the dirty high-water mark (whose write
+  // runs evict as they complete) all run the evictor at once. TSan target.
+  constexpr int kReaders = 3;
+  constexpr int kBlocks = 24;
+  constexpr int kRounds = 20;
+  constexpr uint64_t kRegion = 256 * 1024;
+  for (int t = 0; t < kReaders; ++t) {
+    for (int i = 0; i < kBlocks; ++i) {
+      ASSERT_TRUE(device_.Write(t * kRegion + i * 4096, Block(static_cast<uint8_t>(t + 1)), 0).ok());
+    }
+  }
+  std::vector<std::thread> workers;
+  std::vector<Status> results(kReaders + 1, Unavailable("not run"));
+  for (int t = 0; t < kReaders; ++t) {
+    workers.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (int i = 0; i < kBlocks; ++i) {
+          auto back = cache_->Read(t * kRegion + i * 4096, 4096, 100 + t);
+          if (!back.ok() || (*back)[0] != t + 1) {
+            results[t] = back.ok() ? Internal("read mismatch") : back.status();
+            return;
+          }
+        }
+      }
+      results[t] = OkStatus();
+    });
+  }
+  workers.emplace_back([&] {
+    const uint64_t base = kReaders * kRegion;
+    for (int r = 0; r < kRounds; ++r) {
+      for (int i = 0; i < kBlocks; ++i) {
+        Status st = cache_->PutDirty(base + i * 4096, Block(static_cast<uint8_t>(r)), 200, 0);
+        if (!st.ok()) {
+          results[kReaders] = st;
+          return;
+        }
+      }
+    }
+    results[kReaders] = OkStatus();
+  });
+  for (auto& w : workers) {
+    w.join();
+  }
+  for (size_t t = 0; t < results.size(); ++t) {
+    ASSERT_TRUE(results[t].ok()) << "thread " << t << ": " << results[t];
+  }
+  ASSERT_TRUE(cache_->FlushAll().ok());
+  size_t cached = 0;
+  for (int t = 0; t <= kReaders; ++t) {
+    for (int i = 0; i < kBlocks; ++i) {
+      cached += cache_->Cached(t * kRegion + i * 4096) ? 4096 : 0;
+    }
+  }
+  EXPECT_LE(cached, 64u * 1024);
+  EXPECT_GT(cached, 0u);
 }
 
 TEST_F(CacheTest, DirtyHiwaterThrottlesViaWriteback) {

@@ -289,7 +289,6 @@ class SegmentLockTest : public ::testing::Test {
 
   void MountFs() {
     FsOptions opts;
-    opts.fence_writes = false;
     fs_ = std::make_unique<FrangipaniFs>(&device_, &locks_, SystemClock::Get(), opts);
     ASSERT_TRUE(fs_->Mount().ok());
   }

@@ -144,7 +144,6 @@ class LocalFsTest : public ::testing::Test {
 
   void MountOn(BlockDevice* device, bool sync_log) {
     FsOptions opts;
-    opts.fence_writes = false;
     opts.sync_log = sync_log;
     fs_ = std::make_unique<FrangipaniFs>(device, &locks_, SystemClock::Get(), opts);
     ASSERT_TRUE(fs_->Mount().ok());

@@ -1,7 +1,14 @@
 // Edge cases and error paths of the file-system API.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
+
+#include "src/fs/device.h"
 #include "src/fs/fsck.h"
+#include "src/fs/inode.h"
+#include "src/fs/layout.h"
+#include "src/fs/lock_provider.h"
 #include "src/server/cluster.h"
 
 namespace frangipani {
@@ -250,6 +257,84 @@ TEST_F(FsEdgeTest, UnmountedAndRemountedStatePersists) {
   Bytes out;
   ASSERT_TRUE((*node)->fs()->Read(*found, 0, 5000, &out).ok());
   EXPECT_EQ(out, Bytes(5000, 0x99));
+}
+
+// Local locks whose first coverage check of a data lock first runs the fs's
+// revoke of the checked extent (flush and invalidate, as the clerk's revoke
+// callback does): a revoke that lands just after read-ahead's check.
+class RevokeDuringCoverageCheck : public LocalLocks {
+ public:
+  bool CachedCovers(LockId lock, uint64_t start, uint64_t end, LockMode mode) const override {
+    if (fs != nullptr && IsInodeDataLock(lock) && !fired.exchange(true)) {
+      fs->OnLockRevoked(lock, LockMode::kNone, LockRange{start, end});
+    }
+    return true;
+  }
+
+  FrangipaniFs* fs = nullptr;
+  mutable std::atomic<bool> fired{false};
+};
+
+// Signals after the first read of `watch` has returned its bytes.
+class WatchedDevice : public BlockDevice {
+ public:
+  explicit WatchedDevice(BlockDevice* base) : base_(base) {}
+  Status Read(uint64_t offset, uint64_t length, Bytes* out) override {
+    Status st = base_->Read(offset, length, out);
+    if (offset == watch.load() && !read.exchange(true)) {
+      read_done.set_value();
+    }
+    return st;
+  }
+  Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override {
+    return base_->Write(offset, data, lease_expiry_us);
+  }
+  Status Decommit(uint64_t offset, uint64_t length, int64_t lease_expiry_us) override {
+    return base_->Decommit(offset, length, lease_expiry_us);
+  }
+
+  std::atomic<uint64_t> watch{~0ull};  // nothing watched
+  std::atomic<bool> read{false};
+  std::promise<void> read_done;
+
+ private:
+  BlockDevice* base_;
+};
+
+// A read-ahead whose unit is revoked between the coverage check and the
+// prefetch must not cache the unit's old bytes: another node writes the unit
+// once the revoke has handed the lock over, and the next read must see it.
+TEST(ReadaheadRaceTest, RevokeDuringTheCoverageCheckCachesNoStaleUnit) {
+  LocalDevice disk(1, PhysDiskParams{.timing_enabled = false});
+  Geometry geometry;
+  geometry.num_segments = 16;
+  ASSERT_TRUE(FrangipaniFs::Mkfs(&disk, geometry).ok());
+  WatchedDevice device(&disk);
+  RevokeDuringCoverageCheck locks;
+  FrangipaniFs fs(&device, &locks, SystemClock::Get());
+  ASSERT_TRUE(fs.Mount().ok());
+  auto ino = fs.Create("/f");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs.Write(*ino, 0, Bytes(2 * kBlockSize, 0x11)).ok());
+  ASSERT_TRUE(fs.SyncAll().ok());
+  ASSERT_TRUE(fs.DropCaches().ok());
+  Bytes raw;
+  ASSERT_TRUE(disk.Read(geometry.InodeAddr(*ino), kInodeSize, &raw).ok());
+  auto node = Inode::Decode(raw);
+  ASSERT_TRUE(node.ok());
+  ASSERT_NE(node->small[1], 0u);
+  const uint64_t unit1 = geometry.SmallBlockAddr(node->small[1]);
+
+  std::future<void> prefetched = device.read_done.get_future();
+  device.watch = unit1;
+  locks.fs = &fs;
+  Bytes out;
+  ASSERT_TRUE(fs.Read(*ino, 0, kBlockSize, &out).ok());  // reads ahead into unit 1
+  ASSERT_EQ(prefetched.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  ASSERT_TRUE(disk.Write(unit1, Bytes(kBlockSize, 0x22), 0).ok());
+  ASSERT_TRUE(fs.Read(*ino, kBlockSize, kBlockSize, &out).ok());
+  EXPECT_EQ(out, Bytes(kBlockSize, 0x22));
+  ASSERT_TRUE(fs.Unmount().ok());
 }
 
 }  // namespace

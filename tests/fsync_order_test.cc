@@ -133,7 +133,6 @@ TEST(FsyncOrderTest, DataGoesOutWithTheLogAndTheInodeAfterIt) {
   LogGatedDevice gate(&disk, geometry);
   LocalLocks locks;
   FsOptions opts;
-  opts.fence_writes = false;
   opts.sync_log = false;
   auto fs = std::make_unique<FrangipaniFs>(&gate, &locks, SystemClock::Get(), opts);
   ASSERT_TRUE(fs->Mount().ok());
@@ -247,7 +246,6 @@ TEST(FsyncOrderTest, FailedBarrierFlushIsCounted) {
   FailingDevice device(&disk);
   LocalLocks locks;
   FsOptions opts;
-  opts.fence_writes = false;
   auto fs = std::make_unique<FrangipaniFs>(&device, &locks, SystemClock::Get(), opts);
   ASSERT_TRUE(fs->Mount().ok());
   auto ino = fs->Create("/f");

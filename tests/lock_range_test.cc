@@ -4,7 +4,9 @@
 // disjoint writers through the full FS stack.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <deque>
+#include <functional>
 #include <thread>
 
 #include "src/fs/block_cache.h"
@@ -171,6 +173,8 @@ struct TestClerk {
   std::unique_ptr<LockClerk> clerk;
   std::mutex mu;
   std::vector<std::tuple<LockId, LockMode, LockRange>> revokes;
+  // Runs inside on_revoke, after the revoke is recorded.
+  std::function<void(LockId, LockRange)> in_revoke;
 };
 
 class LockRangeClerkTest : public ::testing::Test {
@@ -188,8 +192,13 @@ class LockRangeClerkTest : public ::testing::Test {
     tc->node = net_.AddNode("clerk" + std::to_string(clerks_.size()));
     LockClerk::Callbacks cb;
     cb.on_revoke = [tc](LockId lock, LockMode mode, LockRange range) {
-      std::lock_guard<std::mutex> guard(tc->mu);
-      tc->revokes.emplace_back(lock, mode, range);
+      {
+        std::lock_guard<std::mutex> guard(tc->mu);
+        tc->revokes.emplace_back(lock, mode, range);
+      }
+      if (tc->in_revoke) {
+        tc->in_revoke(lock, range);
+      }
     };
     tc->clerk = std::make_unique<LockClerk>(
         &net_, tc->node, std::make_unique<StaticLockRouter>(std::vector<NodeId>{server_node_}),
@@ -241,6 +250,29 @@ TEST_F(LockRangeClerkTest, PartialRevokeSplitsTheCachedExtent) {
   LockRange r = std::get<2>(a->revokes[0]);
   EXPECT_TRUE(r.Contains(LockRange{100, 200}));
   EXPECT_FALSE(r.full());
+  b->clerk->Release(9, {100, 200});
+}
+
+// The fs invalidates a revoked extent's blocks inside on_revoke, before the
+// clerk downgrades its cached extents; read-ahead must not see the extent as
+// covered in between.
+TEST_F(LockRangeClerkTest, RevokedExtentIsNotCoveredWhileTheRevokeRuns) {
+  TestClerk* a = NewClerk();
+  TestClerk* b = NewClerk();
+  ASSERT_TRUE(a->clerk->Acquire(9, LockMode::kExclusive, {0, 300}).ok());
+  a->clerk->Release(9, {0, 300});
+  std::atomic<int> revokes{0};
+  std::atomic<bool> revoked_covered{true};
+  std::atomic<bool> disjoint_covered{false};
+  a->in_revoke = [&](LockId lock, LockRange range) {
+    ++revokes;
+    revoked_covered = a->clerk->CachedCovers(lock, range.start, range.end, LockMode::kShared);
+    disjoint_covered = a->clerk->CachedCovers(lock, 0, 50, LockMode::kShared);
+  };
+  ASSERT_TRUE(b->clerk->Acquire(9, LockMode::kExclusive, {100, 200}).ok());
+  EXPECT_EQ(revokes.load(), 1);
+  EXPECT_FALSE(revoked_covered.load());
+  EXPECT_TRUE(disjoint_covered.load());
   b->clerk->Release(9, {100, 200});
 }
 

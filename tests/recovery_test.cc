@@ -253,7 +253,6 @@ TEST_F(RecoveryTest, BarrierSnapshotMountsCleanReadOnly) {
   // Mount it read-only and read the data.
   FsOptions ro;
   ro.read_only = true;
-  ro.fence_writes = false;
   FrangipaniFs snap_fs(&snap_device, &backup_locks, SystemClock::Get(), ro);
   ASSERT_TRUE(snap_fs.Mount().ok());
   auto sino = snap_fs.Lookup("/snapfile");
@@ -289,7 +288,6 @@ TEST_F(RecoveryTest, CrashConsistentSnapshotRestoresViaLogRecovery) {
 
   LocalLocks locks;
   FsOptions opts;
-  opts.fence_writes = false;
   FrangipaniFs restored_fs(&restored_device, &locks, SystemClock::Get(), opts);
   ASSERT_TRUE(restored_fs.Mount().ok());
   auto entries = restored_fs.Readdir("/");
