@@ -2,9 +2,12 @@
 
 namespace frangipani {
 
-Bytes InitSegmentBlock() { return Bytes(kBlockSize, 0); }
-
+namespace {
 uint32_t SegBitByteOffset(uint32_t bit) { return kSegmentHeaderBytes + bit / 8; }
+uint32_t SegPendingByteOffset(uint32_t local) { return kSegPendingOff + 4 * local; }
+}  // namespace
+
+Bytes InitSegmentBlock() { return Bytes(kBlockSize, 0); }
 
 bool SegBitGet(const Bytes& block, uint32_t bit) {
   return (block[SegBitByteOffset(bit)] >> (bit % 8)) & 1;
@@ -18,8 +21,6 @@ void SegBitSet(Bytes& block, uint32_t bit, bool value) {
     byte = static_cast<uint8_t>(byte & ~(1u << (bit % 8)));
   }
 }
-
-uint32_t SegPendingByteOffset(uint32_t local) { return kSegPendingOff + 4 * local; }
 
 uint32_t SegPendingGet(const Bytes& block, uint32_t local) {
   const uint8_t* p = block.data() + SegPendingByteOffset(local);

@@ -20,8 +20,6 @@ Bytes InitSegmentBlock();
 
 bool SegBitGet(const Bytes& block, uint32_t bit);
 void SegBitSet(Bytes& block, uint32_t bit, bool value);
-// Byte offset of `bit` within the block (for log-record deltas).
-uint32_t SegBitByteOffset(uint32_t bit);
 
 // ---- bit positions of objects within their segment ----
 inline uint32_t LargeLocal(uint64_t l) {
@@ -57,7 +55,6 @@ inline uint64_t LargeOfSeg(uint32_t seg, uint32_t local) {
 
 // ---- pending-decommit extents (kSegPendingOff) ----
 // `local` is the large block's index within its segment.
-uint32_t SegPendingByteOffset(uint32_t local);
 uint32_t SegPendingGet(const Bytes& block, uint32_t local);
 void SegPendingSet(Bytes& block, uint32_t local, uint32_t chunks);
 

@@ -127,6 +127,9 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
     e.dirty = true;
     e.dirty_gen++;
     e.pin_lsn = std::max(e.pin_lsn, pin_lsn);
+    if (e.first_pin == 0) {
+      e.first_pin = pin_lsn;
+    }
     e.lru_seq = ++lru_counter_;
     bytes_ += e.data->size();
     dirty_bytes_ += e.data->size();
@@ -344,6 +347,7 @@ void BlockCache::WriteRun(const std::vector<FlushJob>& run, int64_t fence, Batch
       if (st.ok() && it->second.dirty_gen == j.gen) {
         it->second.dirty = false;
         it->second.pin_lsn = 0;
+        it->second.first_pin = 0;
         dirty_bytes_ -= it->second.data->size();
       }
     }
@@ -379,16 +383,12 @@ Status BlockCache::WriteBack(const Candidates& candidates, const Wanted& wanted,
     return lsn;
   };
   Status st = OkStatus();
-  uint64_t need = std::max(log_lsn, newest_pin(meta));
-  while (!LogDurableTo(need)) {
+  if (const uint64_t need = std::max(log_lsn, newest_pin(meta)); !LogDurableTo(need)) {
+    st = wal_->FlushTo(need);
+  }
+  if (!st.ok()) {
     ReleaseClaims(meta);
     meta.clear();
-    st = wal_->FlushTo(need);
-    if (!st.ok()) {
-      break;
-    }
-    meta = ClaimAll(candidates, [&](const Entry& e) { return e.pin_lsn != 0 && wanted(e); });
-    need = newest_pin(meta);
   }
   SubmitRuns(std::move(meta), &batch);
 
@@ -473,7 +473,7 @@ Status BlockCache::FlushAll(uint64_t log_lsn) {
 
 Status BlockCache::FlushPinnedUpTo(uint64_t lsn) {
   return WriteBack([](size_t, const Shard& shard) { return DirtyAddrs(shard.entries); },
-                   [&](const Entry& e) { return e.pin_lsn != 0 && e.pin_lsn <= lsn; },
+                   [&](const Entry& e) { return e.first_pin != 0 && e.first_pin <= lsn; },
                    /*log_lsn=*/0);
 }
 

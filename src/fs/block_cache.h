@@ -118,9 +118,11 @@ class BlockCache {
   // Flushes every dirty block, and with `log_lsn` > 0 the log through that
   // lsn, in one batch (SyncAll, the sync demon).
   Status FlushAll(uint64_t log_lsn = 0);
-  // Flushes all metadata blocks pinned by log records with lsn <= bound
-  // (log reclaim callback). Blocks re-dirtied past the bound stay dirty: the
-  // reclaim runs inside a log flush, so it must not wait on one.
+  // Flushes every metadata block holding an update from a log record with
+  // lsn <= bound that the disk may not hold, making the log durable through
+  // each block's newest record first (log reclaim callback; it runs outside
+  // any log flush). A block re-dirtied past the bound is written too: its
+  // later records are diffs against the image the reclaimed ones left.
   Status FlushPinnedUpTo(uint64_t lsn);
 
   // Drops everything without writing (lease lost: the paper discards the
@@ -144,6 +146,9 @@ class BlockCache {
     bool flushing = false;
     uint64_t dirty_gen = 0;  // bumped on each PutDirty; detects overlap
     uint64_t pin_lsn = 0;
+    // The oldest log record whose update this entry holds and the disk may
+    // not (0 = none): the log reclaims that record only after writing it.
+    uint64_t first_pin = 0;
     uint64_t lru_seq = 0;
   };
 
@@ -191,12 +196,9 @@ class BlockCache {
   // The one write-back routine behind every flush. Claims the selected
   // entries of all shards, puts the unpinned (data) runs on the IO pool at
   // once, makes the log durable through max(`log_lsn`, newest pin), then
-  // writes the pinned (metadata) runs. Claims on pinned entries are never
-  // held across the log write: the log writer's space reclaim
-  // (FlushPinnedUpTo) waits for claimed pinned entries, so a claimant waiting
-  // on the log writer would deadlock with it. The batch therefore drops its
-  // pinned claims, flushes the log, and claims them again. Unpinned claims
-  // stay held: they are already being written and reclaim never needs them.
+  // writes the pinned (metadata) runs. The claims stay held across the log
+  // write: a log flush never calls back into the cache (the log's space
+  // reclaim runs from an append, not from a flush).
   Status WriteBack(const Candidates& candidates, const Wanted& wanted, uint64_t log_lsn,
                    size_t* flushed_bytes = nullptr);
   // Claims the candidate entries that `wanted` accepts, shard by shard in

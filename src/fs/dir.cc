@@ -25,9 +25,9 @@ bool IsDirBlock(const Bytes& block) {
   return magic == kDirBlockMagic;
 }
 
-uint32_t DirEntryOffset(uint32_t slot) { return kDirBlockHeader + slot * kDirEntrySize; }
-
 namespace {
+
+uint32_t DirEntryOffset(uint32_t slot) { return kDirBlockHeader + slot * kDirEntrySize; }
 
 uint64_t EntryIno(const Bytes& block, uint32_t slot) {
   uint32_t off = DirEntryOffset(slot);

@@ -44,8 +44,6 @@ std::optional<DirHit> DirBlockFind(const Bytes& block, const std::string& name);
 // Writes entry `slot`; used for both insert and erase (ino = 0 erases).
 void DirBlockSetEntry(Bytes& block, uint32_t slot, const std::string& name, uint64_t ino,
                       FileType type);
-// Byte range of entry `slot` within the block (for log-record deltas).
-uint32_t DirEntryOffset(uint32_t slot);
 
 // First free slot, or nullopt when the block is full.
 std::optional<uint32_t> DirBlockFreeSlot(const Bytes& block);

@@ -52,6 +52,7 @@ StatusOr<Bytes*> FrangipaniFs::MetaTxn::GetBlock(uint64_t addr, BlockKind kind, 
   Block b;
   b.kind = kind;
   b.lock = lock;
+  b.base = data;
   b.data = std::move(data);
   auto [pos, inserted] = blocks_.emplace(addr, std::move(b));
   return &pos->second.data;
@@ -62,65 +63,48 @@ Bytes* FrangipaniFs::MetaTxn::PutBlock(uint64_t addr, BlockKind kind, LockId loc
   b.kind = kind;
   b.lock = lock;
   b.data = std::move(data);
-  b.whole = true;
   auto [pos, inserted] = blocks_.insert_or_assign(addr, std::move(b));
   return &pos->second.data;
 }
 
-void FrangipaniFs::MetaTxn::Touch(uint64_t addr, uint32_t off, uint32_t len) {
-  auto it = blocks_.find(addr);
-  FGP_CHECK(it != blocks_.end()) << "Touch on unknown block";
-  it->second.ranges.emplace_back(off, len);
-}
-
-void FrangipaniFs::MetaTxn::TouchAll(uint64_t addr) {
-  auto it = blocks_.find(addr);
-  FGP_CHECK(it != blocks_.end()) << "TouchAll on unknown block";
-  it->second.whole = true;
-}
-
 Status FrangipaniFs::MetaTxn::Commit() {
-  if (blocks_.empty()) {
-    return OkStatus();
-  }
+  // A diff replays correctly because the image it is taken against is what
+  // the disk and the log rebuild for the block's current version: every
+  // metadata change commits here, the block stays cached while its lock is
+  // held and is written back (or our log replayed) before another server
+  // changes it, and our log reuses a record's space only once the disk holds
+  // the blocks it updated (LogWriter). The diff is taken before the version
+  // bump; replay sets the version from the record.
   LogRecord record;
+  std::vector<std::pair<uint64_t, Block*>> logged;
   for (auto& [addr, b] : blocks_) {
-    if (!b.whole && b.ranges.empty()) {
-      continue;  // read but not modified
-    }
-    uint64_t version = BlockVersionOf(b.kind, b.data) + 1;
-    SetBlockVersion(b.kind, b.data, version);
     LogBlockUpdate update;
-    update.addr = addr;
-    update.kind = b.kind;
-    update.version = version;
-    if (b.whole) {
-      LogBlockUpdate::Range r;
-      r.off = 0;
-      r.data = b.data;
-      update.ranges.push_back(std::move(r));
+    if (b.base.empty()) {
+      update.ranges.push_back({0, b.data});
     } else {
-      for (const auto& [off, len] : b.ranges) {
-        LogBlockUpdate::Range r;
-        r.off = off;
-        r.data.assign(b.data.begin() + off, b.data.begin() + off + len);
-        update.ranges.push_back(std::move(r));
+      update.ranges = DiffRanges(b.base, b.data);
+      if (update.ranges.empty()) {
+        continue;  // read but not modified
       }
     }
+    update.addr = addr;
+    update.kind = b.kind;
+    update.version = BlockVersionOf(b.kind, b.data) + 1;
+    SetBlockVersion(b.kind, b.data, update.version);
     record.updates.push_back(std::move(update));
+    logged.emplace_back(addr, &b);
   }
   if (record.updates.empty()) {
     return OkStatus();
   }
   RETURN_IF_ERROR(fs_->CheckWriteLease());
-  lsn_ = fs_->wal_->Append(std::move(record));
-  fs_->stats_.log_records.fetch_add(1, std::memory_order_relaxed);
-  for (auto& [addr, b] : blocks_) {
-    if (!b.whole && b.ranges.empty()) {
-      continue;
+  ASSIGN_OR_RETURN(lsn_, fs_->wal_->Append(std::move(record), [&](uint64_t lsn) -> Status {
+    for (auto& [addr, b] : logged) {
+      RETURN_IF_ERROR(fs_->cache_->PutDirty(addr, b->data, b->lock, lsn));
     }
-    RETURN_IF_ERROR(fs_->cache_->PutDirty(addr, b.data, b.lock, lsn_));
-  }
+    return OkStatus();
+  }));
+  fs_->stats_.log_records.fetch_add(1, std::memory_order_relaxed);
   if (fs_->options_.sync_log) {
     RETURN_IF_ERROR(fs_->wal_->FlushTo(lsn_));
   }
@@ -422,7 +406,6 @@ void FrangipaniFs::WriteInodeIn(MetaTxn& txn, uint64_t ino, Bytes* raw, const In
   uint64_t version = BlockVersionOf(BlockKind::kInode, *raw);
   *raw = std::move(encoded);
   SetBlockVersion(BlockKind::kInode, *raw, version);
-  txn.TouchAll(geometry_.InodeAddr(ino));
 }
 
 FrangipaniFs::BlockRef FrangipaniFs::MapOffset(const Inode& inode, uint64_t off,
@@ -487,7 +470,6 @@ Status FrangipaniFs::DirInsert(MetaTxn& txn, AllocSeg& alloc, uint64_t dir_ino, 
     std::optional<uint32_t> slot = DirBlockFreeSlot(*block);
     if (slot.has_value()) {
       DirBlockSetEntry(*block, *slot, name, ino, type);
-      txn.Touch(ref.addr, DirEntryOffset(*slot), kDirEntrySize);
       return OkStatus();
     }
   }
@@ -526,7 +508,6 @@ Status FrangipaniFs::DirRemove(MetaTxn& txn, uint64_t dir_ino, Inode& dir,
     std::optional<DirHit> hit = DirBlockFind(*block, name);
     if (hit.has_value()) {
       DirBlockSetEntry(*block, hit->slot, "", 0, FileType::kFree);
-      txn.Touch(ref.addr, DirEntryOffset(hit->slot), kDirEntrySize);
       return OkStatus();
     }
   }
@@ -576,11 +557,9 @@ StatusOr<uint64_t> FrangipaniFs::AllocFromSegment(MetaTxn& txn, AllocSeg& alloc,
   }
   uint32_t bit = (small ? kSegSmallBitsOff : kSegLargeBitsOff) + *local;
   SegBitSet(*block, bit, true);
-  txn.Touch(addr, SegBitByteOffset(bit), 1);
   if (for_metadata) {
     uint32_t taint = kSegTaintBitsOff + (small ? 0 : kSmallsPerSegment) + *local;
     SegBitSet(*block, taint, true);
-    txn.Touch(addr, SegBitByteOffset(taint), 1);
   }
   return small ? SmallOfSeg(seg, *local) : LargeOfSeg(seg, *local);
 }
@@ -592,7 +571,6 @@ void FrangipaniFs::FreeInSegment(MetaTxn& txn, uint32_t seg, uint32_t bit) {
     return;
   }
   SegBitSet(**block, bit, false);
-  txn.Touch(addr, SegBitByteOffset(bit), 1);
 }
 
 StatusOr<uint64_t> FrangipaniFs::PickInodeCandidate() {
@@ -670,7 +648,6 @@ Status FrangipaniFs::FreeLargeIn(MetaTxn& txn, uint64_t large, uint64_t size) {
   const uint64_t addr = geometry_.SegmentAddr(seg);
   ASSIGN_OR_RETURN(Bytes * block, txn.GetBlock(addr, BlockKind::kMeta4k, SegmentLockId(seg)));
   SegPendingSet(*block, LargeLocal(large), static_cast<uint32_t>(chunks));
-  txn.Touch(addr, SegPendingByteOffset(LargeLocal(large)), 4);
   return OkStatus();
 }
 
@@ -732,9 +709,7 @@ void FrangipaniFs::FinishDecommits(uint32_t seg, bool own) {
     for (const Marker& m : markers) {
       const uint64_t large = LargeOfSeg(seg, m.local);
       SegPendingSet(*block, m.local, 0);
-      txn.Touch(addr, SegPendingByteOffset(m.local), 4);
       SegBitSet(*block, LargeBit(large), false);
-      txn.Touch(addr, SegBitByteOffset(LargeBit(large)), 1);
     }
     RETURN_IF_ERROR(txn.Commit());
     cleared = markers.size();

@@ -142,18 +142,18 @@ class FrangipaniFs {
   };
 
   // A metadata transaction: mutates block images read through the cache and
-  // commits them as one atomic log record.
+  // commits them as one atomic log record. The record carries, per block,
+  // only the byte spans that differ from the image read (§4); a block whose
+  // image did not change is neither logged nor re-dirtied.
   class MetaTxn {
    public:
     explicit MetaTxn(FrangipaniFs* fs) : fs_(fs) {}
     // Returns a mutable image of the block; reads through the cache. The
     // caller must hold `lock` in exclusive mode.
     StatusOr<Bytes*> GetBlock(uint64_t addr, BlockKind kind, LockId lock);
-    // Seeds a block image without reading the device (freshly allocated).
+    // Seeds a block image without reading the device (freshly allocated);
+    // the block is logged whole.
     Bytes* PutBlock(uint64_t addr, BlockKind kind, LockId lock, Bytes data);
-    // Marks [off, off+len) of the block as modified (logged as a delta).
-    void Touch(uint64_t addr, uint32_t off, uint32_t len);
-    void TouchAll(uint64_t addr);
     Status Commit();
     // The committed record's lsn (0 before Commit, or if nothing changed).
     uint64_t lsn() const { return lsn_; }
@@ -163,8 +163,9 @@ class FrangipaniFs {
       BlockKind kind;
       LockId lock;
       Bytes data;
-      std::vector<std::pair<uint32_t, uint32_t>> ranges;
-      bool whole = false;
+      // The image as read, which Commit diffs `data` against; empty for a
+      // block from PutBlock.
+      Bytes base;
     };
     FrangipaniFs* fs_;
     std::map<uint64_t, Block> blocks_;

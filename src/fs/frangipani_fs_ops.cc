@@ -70,7 +70,6 @@ StatusOr<uint64_t> FrangipaniFs::CreateCommon(const std::string& path, FileType 
       return Aborted("inode candidate taken");
     }
     SegBitSet(*seg_block, InodeBit(candidate), true);
-    txn.Touch(geometry_.SegmentAddr(seg), SegBitByteOffset(InodeBit(candidate)), 1);
 
     Bytes* ino_raw = nullptr;
     ASSIGN_OR_RETURN(Inode fresh, ReadInodeIn(txn, candidate, &ino_raw));

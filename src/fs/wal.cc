@@ -1,7 +1,9 @@
 #include "src/fs/wal.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <iterator>
 
 #include "src/base/crc32.h"
 #include "src/base/logging.h"
@@ -33,6 +35,56 @@ void SetBlockVersion(BlockKind kind, Bytes& block, uint64_t version) {
   }
 }
 
+std::vector<LogBlockUpdate::Range> DiffRanges(const Bytes& before, const Bytes& after) {
+  FGP_CHECK(before.size() == after.size() && after.size() % 8 == 0)
+      << "DiffRanges needs equal images, a multiple of 8 bytes";
+  // Equal stretches are skipped with memcmp, kStride bytes at a time; a
+  // stretch that differs is scanned a word at a time, where the XOR of two
+  // words locates their first and last differing bytes.
+  constexpr uint32_t kStride = 128;
+  auto first_byte = [](uint64_t x) {
+    return std::endian::native == std::endian::little ? std::countr_zero(x) / 8
+                                                      : std::countl_zero(x) / 8;
+  };
+  auto last_byte = [](uint64_t x) {
+    return std::endian::native == std::endian::little ? 7 - std::countl_zero(x) / 8
+                                                      : 7 - std::countr_zero(x) / 8;
+  };
+  std::vector<std::pair<uint32_t, uint32_t>> spans;  // [begin, end)
+  const uint32_t size = static_cast<uint32_t>(after.size());
+  for (uint32_t stretch = 0; stretch < size; stretch += kStride) {
+    const uint32_t stretch_end = std::min(stretch + kStride, size);
+    if (std::memcmp(before.data() + stretch, after.data() + stretch, stretch_end - stretch) == 0) {
+      continue;
+    }
+    for (uint32_t w = stretch; w < stretch_end; w += 8) {
+      uint64_t a;
+      uint64_t b;
+      std::memcpy(&a, before.data() + w, 8);
+      std::memcpy(&b, after.data() + w, 8);
+      if (a == b) {
+        continue;
+      }
+      const uint32_t begin = w + first_byte(a ^ b);
+      const uint32_t end = w + last_byte(a ^ b) + 1;
+      if (!spans.empty() && begin - spans.back().second < kLogRangeHeader) {
+        spans.back().second = end;
+      } else {
+        spans.emplace_back(begin, end);
+      }
+    }
+  }
+  std::vector<LogBlockUpdate::Range> ranges;
+  ranges.reserve(spans.size());
+  for (const auto& [begin, end] : spans) {
+    LogBlockUpdate::Range r;
+    r.off = begin;
+    r.data.assign(after.begin() + begin, after.begin() + end);
+    ranges.push_back(std::move(r));
+  }
+  return ranges;
+}
+
 Bytes LogRecord::Encode() const {
   Encoder body;
   body.PutU64(lsn);
@@ -56,7 +108,21 @@ Bytes LogRecord::Encode() const {
   return framed.Take();
 }
 
+size_t LogRecord::EncodedSize() const {
+  size_t body = 8 + 4;  // lsn, update count
+  for (const LogBlockUpdate& u : updates) {
+    body += 8 + 1 + 8 + 4;  // addr, kind, version, range count
+    for (const LogBlockUpdate::Range& r : u.ranges) {
+      body += kLogRangeHeader + r.data.size();
+    }
+  }
+  return 4 + 4 + body + 4;  // magic, length, body, crc
+}
+
 namespace {
+
+// Sectors a flush of `bytes` of records can take on its own.
+uint64_t SectorsFor(size_t bytes) { return (bytes + kLogSectorPayload - 1) / kLogSectorPayload; }
 
 // Attempts to parse one framed record at the front of `buf`. Returns bytes
 // consumed; 0 = need more data; -1 = garbage (resync at next sector).
@@ -125,14 +191,86 @@ LogWriter::LogWriter(BlockDevice* device, const Geometry& geometry, uint32_t slo
   m_group_commit_records_ = reg->GetHistogram("wal.group_commit_records");
 }
 
-uint64_t LogWriter::Append(LogRecord record) {
+StatusOr<uint64_t> LogWriter::Append(LogRecord record,
+                                     const std::function<Status(uint64_t)>& apply) {
   obs::SpanScope span(obs::Layer::kWal, "wal.append", node_id_);
   m_appends_->Increment();
-  std::lock_guard<std::mutex> guard(mu_);
-  record.lsn = next_lsn_++;
-  uint64_t lsn = record.lsn;
-  pending_.emplace_back(lsn, record.Encode());
+  const uint64_t sectors = SectorsFor(record.EncodedSize());
+  uint64_t lsn = 0;
+  {
+    std::unique_lock<std::mutex> reclaim_lk(reclaim_mu_, std::defer_lock);
+    std::unique_lock<std::mutex> lk(mu_);
+    if (!FitsLocked(sectors)) {
+      lk.unlock();
+      reclaim_lk.lock();
+      lk.lock();
+      RETURN_IF_ERROR(MakeRoomLocked(sectors, lk));
+    }
+    pending_sectors_ += sectors;
+    lsn = next_lsn_++;
+    record.lsn = lsn;
+    pending_.emplace_back(lsn, record.Encode());
+    if (!apply) {
+      return lsn;
+    }
+    unapplied_.insert(lsn);
+  }
+  Status st = apply(lsn);
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    unapplied_.erase(lsn);
+  }
+  applied_cv_.notify_all();
+  RETURN_IF_ERROR(st);
   return lsn;
+}
+
+Status LogWriter::MakeRoomLocked(uint64_t sectors, std::unique_lock<std::mutex>& lk) {
+  while (!FitsLocked(sectors)) {
+    // Reclaim the oldest 25% of the log, or enough for this record. A pass
+    // packs records back to back, and replay finds a record only from the
+    // start of a sector or right after the record before it, so records
+    // sharing a sector are reclaimed together. The reclaim writes out what
+    // the owner's cache holds, so it stops short of the oldest record whose
+    // blocks are not in the cache yet.
+    const uint64_t target = std::max<uint64_t>(num_sectors_ / 4, sectors);
+    const uint64_t limit = unapplied_.empty() ? next_lsn_ : *unapplied_.begin();
+    uint64_t reclaim_lsn = 0;
+    for (auto it = live_.begin(); it != live_.end() && it->lsn < limit; ++it) {
+      const auto next = std::next(it);
+      if (next != live_.end() && next->first_seq == it->last_seq) {
+        continue;  // shares its last sector with the next record
+      }
+      reclaim_lsn = it->lsn;
+      if (it->last_seq - tail_seq_ + 1 >= target) {
+        break;
+      }
+    }
+    if (reclaim_lsn == 0 && pending_.empty()) {
+      if (unapplied_.empty()) {
+        return ResourceExhausted("single log record larger than the whole log");
+      }
+      applied_cv_.wait(lk, [&] { return unapplied_.empty() || *unapplied_.begin() != limit; });
+      continue;
+    }
+    lk.unlock();
+    Status st = OkStatus();
+    if (reclaim_lsn == 0) {
+      st = FlushAll();  // only pending records hold the space: make them reclaimable
+    } else if (reclaim_) {
+      st = reclaim_(reclaim_lsn);
+    }
+    lk.lock();
+    RETURN_IF_ERROR(st);
+    while (!live_.empty() && live_.front().lsn <= reclaim_lsn) {
+      tail_seq_ = live_.front().last_seq + 1;
+      live_.pop_front();
+    }
+    if (live_.empty()) {
+      tail_seq_ = next_seq_;
+    }
+  }
+  return OkStatus();
 }
 
 uint64_t LogWriter::next_lsn() const {
@@ -163,9 +301,6 @@ Status LogWriter::FlushAll() {
 }
 
 Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
-  // Re-entrancy: the reclaim callback flushes metadata blocks, whose flush
-  // path calls back into FlushTo for records that are already on disk. Check
-  // before waiting so that nested call returns immediately.
   auto covered = [&] { return flushed_lsn_ >= lsn || pending_.empty(); };
   if (covered()) {
     return OkStatus();
@@ -232,45 +367,9 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
   span.arg1("bytes", stream.size());
   uint32_t sectors_needed =
       static_cast<uint32_t>((stream.size() + kLogSectorPayload - 1) / kLogSectorPayload);
-  if (sectors_needed > num_sectors_) {
-    flushing_ = false;
-    --flush_waiters_;
-    flush_cv_.notify_all();
-    return ResourceExhausted("single log record larger than the whole log");
-  }
-
-  // Reclaim space if the circular log would overflow (§4: oldest 25%).
-  while (next_seq_ - tail_seq_ + sectors_needed > num_sectors_) {
-    uint64_t reclaim_lsn = 0;
-    uint64_t target = std::max<uint64_t>(num_sectors_ / 4, sectors_needed);
-    uint64_t freed = 0;
-    for (const LiveRecord& r : live_) {
-      reclaim_lsn = r.lsn;
-      freed = r.last_seq - tail_seq_ + 1;
-      if (freed >= target) {
-        break;
-      }
-    }
-    if (reclaim_lsn == 0) {
-      break;  // nothing live; the arithmetic below advances the tail
-    }
-    lk.unlock();
-    Status st = reclaim_ ? reclaim_(reclaim_lsn) : OkStatus();
-    lk.lock();
-    if (!st.ok()) {
-      flushing_ = false;
-      --flush_waiters_;
-      flush_cv_.notify_all();
-      return st;
-    }
-    while (!live_.empty() && live_.front().lsn <= reclaim_lsn) {
-      tail_seq_ = live_.front().last_seq + 1;
-      live_.pop_front();
-    }
-    if (live_.empty()) {
-      tail_seq_ = next_seq_;
-    }
-  }
+  // Append reserved at least this much for the gathered records.
+  FGP_CHECK(next_seq_ - tail_seq_ + sectors_needed <= num_sectors_)
+      << "wal: a flush found less room than its records reserved";
 
   uint64_t first_seq = next_seq_;
   next_seq_ += sectors_needed;
@@ -338,6 +437,7 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
   if (st.ok()) {
     flushed_lsn_ = std::max(flushed_lsn_, flush_bound);
     while (!pending_.empty() && pending_.front().first <= flush_bound) {
+      pending_sectors_ -= SectorsFor(pending_.front().second.size());
       pending_.pop_front();
     }
     // Group-commit accounting happens after the write, not at gather time:

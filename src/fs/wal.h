@@ -10,9 +10,15 @@
 // safe under multiple logs. Records are CRC-protected so a torn tail is
 // detected and ignored.
 //
-// When the log fills, the oldest 25% is reclaimed: the owner first writes
-// out any metadata blocks those records cover (via the reclaim callback),
-// then the window advances.
+// Log space is reserved when a record is appended, so a flush always has
+// room for what is pending. An append that would overfill the log first
+// reclaims the oldest 25%: the owner writes out every metadata block those
+// records updated that the disk does not yet hold (via the reclaim
+// callback), and only then does the window advance. A later record of a
+// block may be a diff against the image an older one left, so the older
+// record's space is reused only once the disk holds the block; and since
+// the owner finds those blocks through its cache, a reclaim stops short of
+// any record whose blocks are not in the cache yet.
 #ifndef SRC_FS_WAL_H_
 #define SRC_FS_WAL_H_
 
@@ -20,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include "src/base/serial.h"
@@ -55,11 +62,21 @@ struct LogBlockUpdate {
   std::vector<Range> ranges;
 };
 
+// Encoded size of a Range besides its bytes: offset and length.
+inline constexpr uint32_t kLogRangeHeader = 8;
+
+// The ranges that turn `before` into `after` (equal sizes, a multiple of 8):
+// the byte spans where they differ, with spans less than kLogRangeHeader
+// apart merged, since the header of a second range would cost more than
+// the equal bytes between them. Empty when the images are equal.
+std::vector<LogBlockUpdate::Range> DiffRanges(const Bytes& before, const Bytes& after);
+
 struct LogRecord {
   uint64_t lsn = 0;  // assigned by LogWriter::Append
   std::vector<LogBlockUpdate> updates;
 
   Bytes Encode() const;  // framed: magic, length, payload, crc
+  size_t EncodedSize() const;
 };
 
 struct WalOptions {
@@ -78,9 +95,11 @@ inline constexpr uint32_t kLogRecordMagic = 0x46474C52;  // "FGLR"
 
 class LogWriter {
  public:
-  // `reclaim` is invoked when the log is about to overflow: the callee must
-  // write out all metadata blocks pinned by records with lsn <= the argument
-  // (after which those records are dead weight and their space is reused).
+  // `reclaim` is invoked, outside any flush, when an append would overflow
+  // the log: the callee must write out every metadata block that a record
+  // with lsn <= the argument updated and the disk does not yet hold (after
+  // which those records are dead weight and their space is reused). It may
+  // flush the log.
   // `lease_expiry_us` supplies the write-fencing timestamp (may return 0).
   // `node_id` tags this writer's flight-recorder spans with the owning
   // simulated machine (0 = unattributed).
@@ -90,8 +109,15 @@ class LogWriter {
             WalOptions options = {});
 
   // Buffers the record in memory and returns its lsn. The record is not
-  // durable until FlushTo/FlushAll (or immediately when sync mode is on).
-  uint64_t Append(LogRecord record);
+  // durable until FlushTo/FlushAll. Reclaims space first if the log cannot
+  // hold it after what is pending; if that fails, the record is dropped and
+  // the error returned. `apply(lsn)`, when given, runs once the lsn is
+  // assigned, outside the writer's locks: the caller puts the blocks the
+  // record updated into its cache there, marked with the lsn. Until it
+  // returns, no reclaim passes the record. Its error is returned, but the
+  // record stays appended.
+  StatusOr<uint64_t> Append(LogRecord record,
+                            const std::function<Status(uint64_t lsn)>& apply = {});
 
   // Writes buffered records with lsn <= `lsn` to the log region in Petal.
   Status FlushTo(uint64_t lsn);
@@ -109,6 +135,15 @@ class LogWriter {
   };
 
   Status FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk);
+  // Reclaims the oldest records until `sectors` more fit, waiting for an
+  // unapplied record when only it holds the space (caller holds
+  // reclaim_mu_, and mu_ through `lk`, which is dropped while reclaiming).
+  Status MakeRoomLocked(uint64_t sectors, std::unique_lock<std::mutex>& lk);
+  // True when the live span, the sectors reserved for pending records and
+  // `sectors` more fit in the log (caller holds mu_).
+  bool FitsLocked(uint64_t sectors) const {
+    return next_seq_ - tail_seq_ + pending_sectors_ + sectors <= num_sectors_;
+  }
 
   BlockDevice* device_;
   Geometry geometry_;
@@ -121,7 +156,10 @@ class LogWriter {
 
   mutable std::mutex mu_;
   std::deque<std::pair<uint64_t, Bytes>> pending_;  // (lsn, encoded record)
-  std::deque<LiveRecord> live_;                     // flushed, not yet reclaimed
+  uint64_t pending_sectors_ = 0;  // reserved by pending_: one sector run per record
+  std::deque<LiveRecord> live_;   // flushed, not yet reclaimed
+  std::set<uint64_t> unapplied_;  // appended, their Append's `apply` still running
+  std::condition_variable applied_cv_;  // an lsn left unapplied_
   uint64_t next_lsn_ = 1;
   uint64_t flushed_lsn_ = 0;
   uint64_t next_seq_ = 1;   // next sector sequence number
@@ -129,6 +167,7 @@ class LogWriter {
   bool flushing_ = false;
   int flush_waiters_ = 0;  // FlushTo callers inside FlushLocked (incl. leader)
   std::condition_variable flush_cv_;
+  std::mutex reclaim_mu_;  // one reclaim at a time; taken before mu_
 
   // Registry handles, resolved once at construction.
   obs::Counter* m_appends_;

@@ -505,17 +505,14 @@ StatusOr<Bytes> PetalServer::DoWrite(Decoder& dec) {
     version = blob.version;
     disk = blob.disk;
   }
-  // The modeled disk charge and the synchronous replica forward are
-  // independent once the blob is updated: issue both and join, so the ack
-  // pays max(disk, RTT) instead of their sum. The extra thread is only
-  // worth it when the disk model actually sleeps.
-  if (options_.disk.timing_enabled) {
-    std::thread disk_charge([&] { Disk(disk).ChargeWrite(offset, data.size()); });
-    ForwardToPeer({vdisk, index}, off_in_chunk, data, version);
-    disk_charge.join();
-  } else {
-    Disk(disk).ChargeWrite(offset, data.size());
-    ForwardToPeer({vdisk, index}, off_in_chunk, data, version);
+  // The modeled disk access and the synchronous replica forward are
+  // independent once the blob is updated: reserve the disk, forward, then
+  // wait out whatever is left of the disk's time, so the ack pays
+  // max(disk, RTT) instead of their sum.
+  const TimePoint disk_done = Disk(disk).ReserveWrite(offset, data.size());
+  ForwardToPeer({vdisk, index}, off_in_chunk, data, version);
+  if (disk_done > std::chrono::steady_clock::now()) {
+    std::this_thread::sleep_until(disk_done);
   }
   return Bytes{};
 }

@@ -4,7 +4,7 @@
 
 namespace frangipani {
 
-void PhysDisk::Charge(uint64_t pos, size_t bytes, bool is_write) {
+TimePoint PhysDisk::Reserve(uint64_t pos, size_t bytes, bool is_write) {
   bool timing_enabled;
   {
     std::lock_guard<std::mutex> guard(mu_);
@@ -16,7 +16,7 @@ void PhysDisk::Charge(uint64_t pos, size_t bytes, bool is_write) {
     timing_enabled = params_.timing_enabled;
   }
   if (!timing_enabled) {
-    return;
+    return TimePoint{};
   }
   if (is_write && params_.nvram) {
     // NVRAM write-behind: the card absorbs bursts up to its capacity and
@@ -26,10 +26,7 @@ void PhysDisk::Charge(uint64_t pos, size_t bytes, bool is_write) {
     TimePoint deadline = xfer_.Acquire(bytes);
     auto burst = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
         std::chrono::duration<double>(params_.nvram_bytes / params_.transfer_bps));
-    if (deadline - burst > std::chrono::steady_clock::now()) {
-      std::this_thread::sleep_until(deadline - burst);
-    }
-    return;
+    return deadline - burst;
   }
   bool sequential;
   {
@@ -44,13 +41,21 @@ void PhysDisk::Charge(uint64_t pos, size_t bytes, bool is_write) {
   if (!sequential) {
     deadline += params_.seek_time;
   }
-  if (deadline > std::chrono::steady_clock::now()) {
-    std::this_thread::sleep_until(deadline);
-  }
+  return deadline;
 }
 
-void PhysDisk::ChargeWrite(uint64_t pos, size_t bytes) { Charge(pos, bytes, true); }
-void PhysDisk::ChargeRead(uint64_t pos, size_t bytes) { Charge(pos, bytes, false); }
+namespace {
+void SleepUntil(TimePoint t) {
+  if (t > std::chrono::steady_clock::now()) {
+    std::this_thread::sleep_until(t);
+  }
+}
+}  // namespace
+
+void PhysDisk::ChargeWrite(uint64_t pos, size_t bytes) { SleepUntil(Reserve(pos, bytes, true)); }
+void PhysDisk::ChargeRead(uint64_t pos, size_t bytes) { SleepUntil(Reserve(pos, bytes, false)); }
+
+TimePoint PhysDisk::ReserveWrite(uint64_t pos, size_t bytes) { return Reserve(pos, bytes, true); }
 
 void PhysDisk::set_nvram(bool on) {
   std::lock_guard<std::mutex> guard(mu_);

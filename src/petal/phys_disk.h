@@ -38,10 +38,14 @@ class PhysDisk {
 
   // `pos` is the chunk's virtual byte position, used only for
   // sequential-access detection: consecutive accesses to one chunk are
-  // contiguous, accesses to two chunks on one disk are not. Both calls block the caller for the modeled
-  // service time.
+  // contiguous, accesses to two chunks on one disk are not. Both calls block
+  // the caller for the modeled service time.
   void ChargeWrite(uint64_t pos, size_t bytes);
   void ChargeRead(uint64_t pos, size_t bytes);
+  // Reserves the modeled write without waiting and returns when it
+  // completes (a past time when the model is off). A caller that overlaps
+  // other work with the disk sleeps until then itself.
+  TimePoint ReserveWrite(uint64_t pos, size_t bytes);
 
   void set_nvram(bool on);
   bool nvram() const;
@@ -55,7 +59,7 @@ class PhysDisk {
   uint64_t bytes_read() const;
 
  private:
-  void Charge(uint64_t pos, size_t bytes, bool is_write);
+  TimePoint Reserve(uint64_t pos, size_t bytes, bool is_write);
 
   PhysDiskParams params_;
   RateLimiter xfer_;

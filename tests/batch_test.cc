@@ -80,7 +80,9 @@ TEST(GroupCommitTest, ConcurrentFlushersShareOneWrite) {
   constexpr int kThreads = 4;
   std::vector<uint64_t> lsns;
   for (int t = 0; t < kThreads; ++t) {
-    lsns.push_back(wal.Append(MakeRecord(g, static_cast<uint32_t>(t + 1), 1, 0xA0 + t)));
+    StatusOr<uint64_t> lsn = wal.Append(MakeRecord(g, static_cast<uint32_t>(t + 1), 1, 0xA0 + t));
+    ASSERT_TRUE(lsn.ok());
+    lsns.push_back(*lsn);
   }
   std::vector<std::thread> threads;
   std::vector<Status> results(kThreads, OkStatus());
@@ -107,8 +109,10 @@ TEST(GroupCommitTest, WindowZeroKeepsStrictFlushBehavior) {
   LocalDevice local(1, PhysDiskParams{.timing_enabled = false});
   Geometry g = SmallLogGeometry();
   LogWriter wal(&local, g, 0, nullptr, nullptr);  // defaults: group_commit_us = 0
-  uint64_t l1 = wal.Append(MakeRecord(g, 1, 1, 0xAA));
-  wal.Append(MakeRecord(g, 2, 1, 0xBB));
+  StatusOr<uint64_t> l1_or = wal.Append(MakeRecord(g, 1, 1, 0xAA));
+  ASSERT_TRUE(l1_or.ok());
+  uint64_t l1 = *l1_or;
+  ASSERT_TRUE(wal.Append(MakeRecord(g, 2, 1, 0xBB)).ok());
   ASSERT_TRUE(wal.FlushTo(l1).ok());
   // Strict mode flushes only what was asked: lsn 2 still pending.
   EXPECT_EQ(wal.flushed_lsn(), l1);
@@ -124,13 +128,17 @@ TEST(GroupCommitTest, LeaderFailureFallsBackToFollowerSelfFlush) {
   wopts.group_commit_us = 5'000;
   LogWriter wal(&device, g, 0, nullptr, nullptr, 0, wopts);
 
-  uint64_t l1 = wal.Append(MakeRecord(g, 1, 1, 0xAA));
+  StatusOr<uint64_t> l1_or = wal.Append(MakeRecord(g, 1, 1, 0xAA));
+  ASSERT_TRUE(l1_or.ok());
+  uint64_t l1 = *l1_or;
   device.fail_next.store(true);
   Status leader_result = OkStatus();
   std::thread leader([&] { leader_result = wal.FlushTo(l1); });
   // Queue behind the leader; give it time to take ownership first.
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  uint64_t l2 = wal.Append(MakeRecord(g, 2, 1, 0xBB));
+  StatusOr<uint64_t> l2_or = wal.Append(MakeRecord(g, 2, 1, 0xBB));
+  ASSERT_TRUE(l2_or.ok());
+  uint64_t l2 = *l2_or;
   Status follower_result = wal.FlushTo(l2);
   leader.join();
 

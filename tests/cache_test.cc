@@ -71,7 +71,9 @@ TEST_F(CacheTest, WalFlushedBeforePinnedBlock) {
   u.version = 1;
   u.ranges.push_back({0, Bytes(16, 0xCC)});
   rec.updates.push_back(u);
-  uint64_t lsn = wal_->Append(std::move(rec));
+  StatusOr<uint64_t> lsn_or = wal_->Append(std::move(rec));
+  ASSERT_TRUE(lsn_or.ok());
+  uint64_t lsn = *lsn_or;
   ASSERT_TRUE(cache_->PutDirty(8192, Block(0xCC), 9, lsn).ok());
   EXPECT_EQ(wal_->flushed_lsn(), 0u);
   ASSERT_TRUE(cache_->FlushLock(9).ok());
@@ -420,8 +422,12 @@ TEST_F(CacheTest, FlushPinnedUpToSelectsByLsn) {
   r1.updates.push_back(u);
   u.addr = 4096;
   r2.updates.push_back(u);
-  uint64_t lsn1 = wal_->Append(std::move(r1));
-  uint64_t lsn2 = wal_->Append(std::move(r2));
+  StatusOr<uint64_t> lsn1_or = wal_->Append(std::move(r1));
+  ASSERT_TRUE(lsn1_or.ok());
+  uint64_t lsn1 = *lsn1_or;
+  StatusOr<uint64_t> lsn2_or = wal_->Append(std::move(r2));
+  ASSERT_TRUE(lsn2_or.ok());
+  uint64_t lsn2 = *lsn2_or;
   ASSERT_TRUE(cache_->PutDirty(0, Block(1), 7, lsn1).ok());
   ASSERT_TRUE(cache_->PutDirty(4096, Block(2), 7, lsn2).ok());
   ASSERT_TRUE(cache_->FlushPinnedUpTo(lsn1).ok());

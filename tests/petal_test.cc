@@ -70,6 +70,45 @@ TEST_F(PetalTest, CreateWriteRead) {
   EXPECT_EQ(back, data);
 }
 
+// A primary charges its disk while it forwards the write to the replica,
+// so the write pays the larger of the two, not their sum.
+TEST_F(PetalTest, ReplicatedWriteOverlapsTheDiskWithTheForward) {
+  constexpr Duration kSeek(150'000);    // every access here seeks
+  constexpr Duration kLatency(30'000);  // one way
+  for (int i = 0; i < 2; ++i) {
+    nodes_.push_back(net_.AddNode("petal" + std::to_string(i)));
+  }
+  for (int i = 0; i < 2; ++i) {
+    states_.emplace_back(std::make_unique<PetalServerDurable>());
+    PetalServerOptions opts;
+    opts.num_disks = 1;
+    opts.disk.seek_time = kSeek;
+    opts.disk.transfer_bps = 1e9;
+    servers_.push_back(std::make_unique<PetalServer>(&net_, nodes_[i], nodes_, nodes_,
+                                                     states_[i].get(), opts,
+                                                     SystemClock::Get()));
+  }
+  client_node_ = net_.AddNode("client");
+  client_ = std::make_unique<PetalClient>(&net_, client_node_, nodes_);
+  ASSERT_TRUE(client_->RefreshMap().ok());
+  auto vd = client_->CreateVdisk();
+  ASSERT_TRUE(vd.ok()) << vd.status();
+  for (NodeId n : {nodes_[0], nodes_[1], client_node_}) {
+    net_.SetLinkParams(n, LinkParams{.latency = kLatency});
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client_->Write(*vd, 0, Pattern(512)).ok());
+  const auto took = std::chrono::steady_clock::now() - start;
+  // The client's round trip, then the primary's disk beside the forward
+  // (a round trip and the replica's disk).
+  const Duration forward = 2 * kLatency + kSeek;
+  const Duration overlapped = 2 * kLatency + std::max(kSeek, forward);  // 270 ms
+  const Duration serial = 2 * kLatency + kSeek + forward;               // 420 ms
+  EXPECT_GE(took, overlapped - Duration(5'000));
+  EXPECT_LT(took, (overlapped + serial) / 2);
+}
+
 TEST_F(PetalTest, SparseReadsZero) {
   Build(3);
   auto vd = client_->CreateVdisk();

@@ -42,7 +42,7 @@ TEST_P(WalFuzzTest, RandomWorkloadRecoversConsistently) {
     r.data = Bytes(1 + rng.Below(200), static_cast<uint8_t>(u.version));
     u.ranges.push_back(r);
     rec.updates.push_back(u);
-    wal.Append(std::move(rec));
+    ASSERT_TRUE(wal.Append(std::move(rec)).ok());
     if (rng.OneIn(4)) {
       ASSERT_TRUE(wal.FlushAll().ok());
     }
@@ -87,7 +87,7 @@ TEST_P(WalFuzzTest, RandomCorruptionNeverBreaksParsing) {
     u.version = i + 1;
     u.ranges.push_back({16, Bytes(64, static_cast<uint8_t>(i))});
     rec.updates.push_back(u);
-    wal.Append(std::move(rec));
+    ASSERT_TRUE(wal.Append(std::move(rec)).ok());
   }
   ASSERT_TRUE(wal.FlushAll().ok());
 

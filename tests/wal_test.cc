@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <set>
+#include <thread>
+
+#include "src/base/rng.h"
 #include "src/fs/device.h"
 #include "src/fs/wal.h"
 
@@ -42,12 +50,62 @@ TEST_F(WalTest, BlockVersionHelpers) {
   EXPECT_EQ(BlockVersionOf(BlockKind::kMeta4k, meta), 7u);
 }
 
+// DiffRanges: the spans where two images differ, split only where the gap
+// is at least a range header long, including across word boundaries.
+TEST_F(WalTest, DiffRangesCoverExactlyTheChangedBytes) {
+  const Bytes before(kBlockSize, 0x11);
+  EXPECT_TRUE(DiffRanges(before, before).empty());
+
+  Bytes after = before;
+  after[13] = 0x22;                    // one byte
+  after[21] = 0x22;                    // 7 equal bytes after it: merged
+  after[100] = 0x33;                   // 8 equal bytes before the next: split
+  after[109] = 0x33;
+  after[kBlockSize - 1] = 0x44;        // the last byte
+  std::vector<LogBlockUpdate::Range> ranges = DiffRanges(before, after);
+  ASSERT_EQ(ranges.size(), 4u);
+  EXPECT_EQ(ranges[0].off, 13u);
+  EXPECT_EQ(ranges[0].data.size(), 9u);
+  EXPECT_EQ(ranges[1].off, 100u);
+  EXPECT_EQ(ranges[1].data.size(), 1u);
+  EXPECT_EQ(ranges[2].off, 109u);
+  EXPECT_EQ(ranges[2].data.size(), 1u);
+  EXPECT_EQ(ranges[3].off, kBlockSize - 1);
+  EXPECT_EQ(ranges[3].data, Bytes{0x44});
+
+  // Applying the ranges to `before` gives `after`.
+  Bytes rebuilt = before;
+  for (const LogBlockUpdate::Range& r : ranges) {
+    std::copy(r.data.begin(), r.data.end(), rebuilt.begin() + r.off);
+  }
+  EXPECT_EQ(rebuilt, after);
+
+  // A wholly rewritten image is one range.
+  const Bytes other(kInodeSize, 0x55);
+  ranges = DiffRanges(Bytes(kInodeSize, 0), other);
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0].off, 0u);
+  EXPECT_EQ(ranges[0].data, other);
+}
+
+TEST_F(WalTest, EncodedSizeMatchesTheEncoding) {
+  Geometry g = TestGeometry();
+  LogRecord rec = MakeRecord(g.InodeAddr(5), 3, 0xAB);
+  EXPECT_EQ(rec.EncodedSize(), rec.Encode().size());
+  Bytes after(kBlockSize, 0);
+  after[100] = 1;
+  after[2000] = 2;
+  rec.updates.push_back(
+      {g.SegmentAddr(0), BlockKind::kMeta4k, 9, DiffRanges(Bytes(kBlockSize, 0), after)});
+  EXPECT_EQ(rec.EncodedSize(), rec.Encode().size());
+}
+
 TEST_F(WalTest, AppendFlushReplay) {
   Geometry g = TestGeometry();
   LogWriter wal(&device_, g, 0, nullptr, nullptr);
   uint64_t target = g.InodeAddr(5);
-  wal.Append(MakeRecord(target, 1, 0xAA));
-  wal.Append(MakeRecord(target, 2, 0xBB));
+  ASSERT_TRUE(wal.Append(MakeRecord(target, 1, 0xAA)).ok());
+  ASSERT_TRUE(wal.Append(MakeRecord(target, 2, 0xBB)).ok());
   ASSERT_TRUE(wal.FlushAll().ok());
 
   auto applied = ReplayLog(&device_, g, 0, 0);
@@ -63,7 +121,7 @@ TEST_F(WalTest, ReplayIsIdempotent) {
   Geometry g = TestGeometry();
   LogWriter wal(&device_, g, 0, nullptr, nullptr);
   uint64_t target = g.InodeAddr(5);
-  wal.Append(MakeRecord(target, 1, 0xAA));
+  ASSERT_TRUE(wal.Append(MakeRecord(target, 1, 0xAA)).ok());
   ASSERT_TRUE(wal.FlushAll().ok());
   ASSERT_TRUE(ReplayLog(&device_, g, 0, 0).ok());
   // Second replay applies nothing (version check, §4).
@@ -76,7 +134,7 @@ TEST_F(WalTest, ReplaySkipsUpdatesAlreadyOnDisk) {
   Geometry g = TestGeometry();
   LogWriter wal(&device_, g, 0, nullptr, nullptr);
   uint64_t target = g.InodeAddr(5);
-  wal.Append(MakeRecord(target, 1, 0xAA));
+  ASSERT_TRUE(wal.Append(MakeRecord(target, 1, 0xAA)).ok());
   ASSERT_TRUE(wal.FlushAll().ok());
   // The block was already written at a NEWER version (e.g. by the server
   // before crashing, or by a later log record already applied).
@@ -101,7 +159,7 @@ TEST_F(WalTest, EmptyLogReplaysNothing) {
 TEST_F(WalTest, EraseLogFreesIt) {
   Geometry g = TestGeometry();
   LogWriter wal(&device_, g, 0, nullptr, nullptr);
-  wal.Append(MakeRecord(g.InodeAddr(5), 1, 0xAA));
+  ASSERT_TRUE(wal.Append(MakeRecord(g.InodeAddr(5), 1, 0xAA)).ok());
   ASSERT_TRUE(wal.FlushAll().ok());
   ASSERT_TRUE(EraseLog(&device_, g, 0, 0).ok());
   auto applied = ReplayLog(&device_, g, 0, 0);
@@ -112,8 +170,8 @@ TEST_F(WalTest, EraseLogFreesIt) {
 TEST_F(WalTest, TornTailIsIgnored) {
   Geometry g = TestGeometry();
   LogWriter wal(&device_, g, 0, nullptr, nullptr);
-  wal.Append(MakeRecord(g.InodeAddr(5), 1, 0xAA));
-  wal.Append(MakeRecord(g.InodeAddr(6), 1, 0xBB));
+  ASSERT_TRUE(wal.Append(MakeRecord(g.InodeAddr(5), 1, 0xAA)).ok());
+  ASSERT_TRUE(wal.Append(MakeRecord(g.InodeAddr(6), 1, 0xBB)).ok());
   ASSERT_TRUE(wal.FlushAll().ok());
   // Corrupt the tail: flip bytes in the last written sector.
   uint64_t sectors = wal.sectors_written();
@@ -140,7 +198,7 @@ TEST_F(WalTest, CircularReclaimInvokesCallbackAndKeepsWorking) {
       nullptr);
   // Write far more than the log size: forces several reclaims.
   for (int i = 0; i < 400; ++i) {
-    wal.Append(MakeRecord(g.InodeAddr(100 + i), 1, static_cast<uint8_t>(i)));
+    ASSERT_TRUE(wal.Append(MakeRecord(g.InodeAddr(100 + i), 1, static_cast<uint8_t>(i))).ok());
     if (i % 4 == 3) {
       ASSERT_TRUE(wal.FlushAll().ok());
     }
@@ -152,6 +210,135 @@ TEST_F(WalTest, CircularReclaimInvokesCallbackAndKeepsWorking) {
   auto applied = ReplayLog(&device_, g, 0, 0);
   ASSERT_TRUE(applied.ok());
   EXPECT_GT(*applied, 0u);
+}
+
+// The log reuses a record's sectors only after the reclaim callback covered
+// it, also when a pass packed the next record into the sector the record
+// ended in: every appended record is either still in the log or reclaimed.
+TEST_F(WalTest, EveryRecordIsInTheLogOrReclaimed) {
+  Geometry g = TestGeometry();  // 32 sectors
+  uint64_t reclaimed_through = 0;
+  LogWriter wal(
+      &device_, g, 0,
+      [&](uint64_t bound) {
+        reclaimed_through = std::max(reclaimed_through, bound);
+        return OkStatus();
+      },
+      nullptr);
+  Rng rng(17);
+  uint64_t last = 0;
+  for (int i = 0; i < 300; ++i) {
+    // Mostly small records, some several sectors long, often two per pass.
+    const int batch = static_cast<int>(rng.Range(1, 2));
+    for (int j = 0; j < batch; ++j) {
+      LogRecord rec = MakeRecord(g.InodeAddr(1 + i % 50), 1, static_cast<uint8_t>(i));
+      rec.updates[0].ranges[0].data.resize(rng.OneIn(8) ? rng.Range(600, 3000) : 32);
+      rec.updates[0].kind = BlockKind::kMeta4k;
+      StatusOr<uint64_t> last_or = wal.Append(std::move(rec));
+      ASSERT_TRUE(last_or.ok());
+      last = *last_or;
+    }
+    ASSERT_TRUE(wal.FlushAll().ok());
+    Bytes region;
+    ASSERT_TRUE(device_.Read(g.LogAddr(0), g.log_bytes, &region).ok());
+    std::set<uint64_t> present;
+    for (const LogRecord& rec : ParseLogStream(region, g.log_bytes / kLogSectorSize)) {
+      present.insert(rec.lsn);
+    }
+    for (uint64_t lsn = reclaimed_through + 1; lsn <= last; ++lsn) {
+      ASSERT_EQ(present.count(lsn), 1u) << "record " << lsn << " lost after " << i << " flushes";
+    }
+  }
+  EXPECT_GT(reclaimed_through, 100u);
+}
+
+// A reclaim writes out what the owner's cache holds, so it must not pass a
+// record whose blocks Append's `apply` has not yet put there. One thread
+// stalls inside `apply`; another keeps appending and flushing through the
+// log several times over. No reclaim reaches the stalled record until
+// `apply` returns, and the appender then completes.
+TEST_F(WalTest, ReclaimStopsShortOfARecordStillBeingApplied) {
+  Geometry g = TestGeometry();  // 32 sectors
+  std::atomic<bool> released{false};
+  std::atomic<uint64_t> stalled_lsn{0};
+  std::atomic<uint64_t> bound_while_stalled{0};
+  LogWriter wal(
+      &device_, g, 0,
+      [&](uint64_t bound) {
+        if (!released.load()) {
+          bound_while_stalled = std::max(bound_while_stalled.load(), bound);
+        }
+        return OkStatus();
+      },
+      nullptr);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(wal.Append(MakeRecord(g.InodeAddr(300 + i), 1, 0x11)).ok());
+  }
+  ASSERT_TRUE(wal.FlushAll().ok());
+  std::promise<void> applying;
+  std::promise<void> release;
+  std::thread stalled([&] {
+    StatusOr<uint64_t> lsn = wal.Append(MakeRecord(g.InodeAddr(1), 1, 0xAA), [&](uint64_t lsn) {
+      stalled_lsn = lsn;
+      applying.set_value();
+      release.get_future().wait();
+      return OkStatus();
+    });
+    EXPECT_TRUE(lsn.ok());
+  });
+  applying.get_future().wait();
+  std::atomic<bool> appender_done{false};
+  std::thread appender([&] {
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_TRUE(wal.Append(MakeRecord(g.InodeAddr(2 + i), 1, static_cast<uint8_t>(i))).ok());
+      EXPECT_TRUE(wal.FlushAll().ok());
+    }
+    appender_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(appender_done.load()) << "the log wrapped past a record still being applied";
+  released = true;
+  release.set_value();
+  stalled.join();
+  appender.join();
+  EXPECT_TRUE(appender_done.load());
+  EXPECT_GT(bound_while_stalled.load(), 0u);  // records before it were reclaimed
+  EXPECT_LT(bound_while_stalled.load(), stalled_lsn.load());
+}
+
+// A reclaim that fails fails the Append that needed the room, and that
+// record is dropped: what is pending still flushes with no further Append,
+// and the next Append reclaims again.
+TEST_F(WalTest, AFailedReclaimFailsOnlyTheAppendThatNeededRoom) {
+  Geometry g = TestGeometry();  // 32 sectors
+  int reclaim_calls = 0;
+  LogWriter wal(
+      &device_, g, 0,
+      [&](uint64_t) { return ++reclaim_calls == 1 ? IoError("injected") : OkStatus(); },
+      nullptr);
+  Status failed = OkStatus();
+  uint64_t appended = 0;
+  for (int i = 0; i < 100 && failed.ok(); ++i) {
+    StatusOr<uint64_t> lsn = wal.Append(MakeRecord(g.InodeAddr(1 + i), 1, 0xAA));
+    if (!lsn.ok()) {
+      failed = lsn.status();
+      break;
+    }
+    appended = *lsn;
+    if (i % 2 == 1) {  // leave a record pending when the reclaim fails
+      ASSERT_TRUE(wal.FlushAll().ok());
+    }
+  }
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
+  EXPECT_EQ(reclaim_calls, 1);
+  ASSERT_TRUE(wal.FlushAll().ok());
+  EXPECT_EQ(wal.flushed_lsn(), appended);
+  StatusOr<uint64_t> next = wal.Append(MakeRecord(g.InodeAddr(200), 1, 0xBB));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(reclaim_calls, 2);
+  ASSERT_TRUE(wal.FlushAll().ok());
+  EXPECT_EQ(wal.flushed_lsn(), *next);
 }
 
 TEST_F(WalTest, MultiBlockRecordIsAtomic) {
@@ -169,7 +356,7 @@ TEST_F(WalTest, MultiBlockRecordIsAtomic) {
     u.ranges.push_back(r);
     rec.updates.push_back(u);
   }
-  wal.Append(std::move(rec));
+  ASSERT_TRUE(wal.Append(std::move(rec)).ok());
   ASSERT_TRUE(wal.FlushAll().ok());
   auto applied = ReplayLog(&device_, g, 0, 0);
   ASSERT_TRUE(applied.ok());
@@ -194,7 +381,7 @@ TEST_F(WalTest, LargeRecordSpansSectors) {
   r.data = Bytes(2000, 0x5A);  // record ~2 KB > one 512 B sector
   u.ranges.push_back(r);
   rec.updates.push_back(u);
-  wal.Append(std::move(rec));
+  ASSERT_TRUE(wal.Append(std::move(rec)).ok());
   ASSERT_TRUE(wal.FlushAll().ok());
   EXPECT_GE(wal.sectors_written(), 4u);
   auto applied = ReplayLog(&device_, g, 0, 0);
@@ -214,7 +401,7 @@ TEST_F(WalTest, SequenceNumbersDetectEndAcrossWraparound) {
   uint64_t target = g.InodeAddr(77);
   for (int i = 1; i <= 120; ++i) {
     last_fill = static_cast<uint8_t>(i);
-    wal.Append(MakeRecord(target, i, last_fill));
+    ASSERT_TRUE(wal.Append(MakeRecord(target, i, last_fill)).ok());
     ASSERT_TRUE(wal.FlushAll().ok());
   }
   auto applied = ReplayLog(&device_, g, 0, 0);
