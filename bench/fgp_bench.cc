@@ -993,14 +993,13 @@ StatusOr<Table> Recovery() {
   return t;
 }
 
-// ---- Small ops: the group-commit window ----
+// ---- Small ops: the sync-log path under load ----
 // 4 machines x 4 workers run an open-loop stream of create / write 1 KB /
 // stat / unlink cycles against a sync-log mount at a swept offered load.
 // Arrivals are scheduled and each cycle's latency runs from its scheduled
 // start, so queueing shows in the tail instead of being absorbed by a closed
-// loop. The two arms differ only in WalOptions::group_commit_us: 0 (the
-// default; concurrent flushers still share one Petal write) and 500 us (the
-// leader holds the commit window open for followers).
+// loop. Concurrent log flushers of one mount share the leader's Petal write
+// (group commit); the group_commits and batched_flushes columns count them.
 
 constexpr int kNodes = 4;
 constexpr int kWorkersPerNode = 4;
@@ -1033,15 +1032,13 @@ uint64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Default()->GetCounter(name)->value();
 }
 
-StatusOr<LoadResult> RunLoad(uint32_t group_commit_us, double offered_cycles_s,
-                             bool record = false) {
+StatusOr<LoadResult> RunLoad(double offered_cycles_s, bool record = false) {
   obs::MetricsRegistry::Default()->ResetAll();
   ClusterOptions options = PaperClusterOptions(/*nvram=*/false);
   // Measured runs keep the flight recorder off (capture would distort the
   // tails); one instrumented pass at the end feeds the trace digest.
   options.flight_recorder = record;
   options.node.fs.sync_log = true;
-  options.node.fs.wal.group_commit_us = group_commit_us;
   ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster, StartCluster(options, kNodes));
   // Private per-worker directories: the sweep measures per-op cost, not
   // cross-node directory lock contention.
@@ -1128,25 +1125,23 @@ StatusOr<LoadResult> RunLoad(uint32_t group_commit_us, double offered_cycles_s,
 }
 
 StatusOr<Table> SmallOps() {
-  Table t{"group_commit_us,offered_ops_s,achieved_ops_s,goodput_ops_s,msgs_per_cycle,p50_ms,"
-          "p95_ms,p99_ms,failed_cycles,group_commits,batched_flushes",
+  Table t{"offered_ops_s,achieved_ops_s,goodput_ops_s,msgs_per_cycle,p50_ms,p95_ms,p99_ms,"
+          "failed_cycles,group_commits,batched_flushes",
           {}};
-  for (uint32_t group_commit_us : {0u, 500u}) {
-    for (double cycles : {250.0, 500.0, 1000.0, 2000.0}) {
-      ASSIGN_OR_RETURN(LoadResult r, RunLoad(group_commit_us, cycles));
-      t.rows.push_back({Fmt("%u,%.0f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%llu,%llu,%llu",
-                            group_commit_us, cycles * kOpsPerCycle, r.achieved_ops_s,
-                            r.goodput_ops_s, r.msgs_per_cycle, r.p50_ms, r.p95_ms, r.p99_ms,
-                            static_cast<unsigned long long>(r.failed_cycles),
-                            static_cast<unsigned long long>(r.group_commits),
-                            static_cast<unsigned long long>(r.batched_flushes)),
-                        static_cast<int>(r.failed_cycles)});
-    }
+  for (double cycles : {250.0, 500.0, 1000.0, 2000.0}) {
+    ASSIGN_OR_RETURN(LoadResult r, RunLoad(cycles));
+    t.rows.push_back({Fmt("%.0f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%llu,%llu,%llu",
+                          cycles * kOpsPerCycle, r.achieved_ops_s, r.goodput_ops_s,
+                          r.msgs_per_cycle, r.p50_ms, r.p95_ms, r.p99_ms,
+                          static_cast<unsigned long long>(r.failed_cycles),
+                          static_cast<unsigned long long>(r.group_commits),
+                          static_cast<unsigned long long>(r.batched_flushes)),
+                      static_cast<int>(r.failed_cycles)});
   }
   // One more pass with the flight recorder on, at the top of the sweep, so
   // the trace digest has the wal.group_commit evidence. Its timings are not
   // reported; its failures still refuse the CSV.
-  ASSIGN_OR_RETURN(LoadResult capture, RunLoad(500, 2000.0, /*record=*/true));
+  ASSIGN_OR_RETURN(LoadResult capture, RunLoad(2000.0, /*record=*/true));
   if (capture.failed_cycles > 0) {
     return Internal("capture pass: " + std::to_string(capture.failed_cycles) +
                     " failed cycles");
@@ -1188,8 +1183,7 @@ const Experiment kExperiments[] = {
     {"server_scaling", "Server scaling: 64 KB ops on one Petal server, 1 vs 16 store shards",
      ServerScaling},
     {"recovery", "Recovery: resync after a Petal server restart, serial vs striped", Recovery},
-    {"smallops", "Small ops: open-loop sync-log cycles, group-commit window 0 vs 500 us",
-     SmallOps},
+    {"smallops", "Small ops: open-loop sync-log cycles at a swept offered load", SmallOps},
 };
 
 }  // namespace

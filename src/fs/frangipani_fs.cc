@@ -195,7 +195,7 @@ Status FrangipaniFs::Mount() {
   wal_ = std::make_unique<LogWriter>(
       device_, geometry_, locks_->slot(),
       [this](uint64_t lsn) { return cache_->FlushPinnedUpTo(lsn); }, fence,
-      options_.node_id, options_.wal);
+      options_.node_id);
   cache_ = std::make_unique<BlockCache>(device_, wal_.get(), BlockCacheOptions{}, fence,
                                         options_.node_id);
   prefetch_pool_ = std::make_unique<ThreadPool>(/*threads=*/8);

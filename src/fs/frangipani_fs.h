@@ -52,7 +52,6 @@ struct FsOptions {
   uint32_t readahead_units = 4;     // prefetch window, in cache units
   bool read_only = false;           // snapshot mounts
   uint32_t node_id = 0;             // simulated machine id for flight-recorder spans
-  WalOptions wal{};                 // group-commit window etc., passed to LogWriter
 };
 
 struct FileAttr {

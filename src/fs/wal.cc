@@ -173,16 +173,14 @@ int64_t TryParseRecord(const Bytes& buf, LogRecord* out) {
 
 LogWriter::LogWriter(BlockDevice* device, const Geometry& geometry, uint32_t slot,
                      std::function<Status(uint64_t)> reclaim,
-                     std::function<int64_t()> lease_expiry_us, uint32_t node_id,
-                     WalOptions options)
+                     std::function<int64_t()> lease_expiry_us, uint32_t node_id)
     : device_(device),
       geometry_(geometry),
       slot_(slot),
       num_sectors_(geometry.log_bytes / kLogSectorSize),
       reclaim_(std::move(reclaim)),
       lease_expiry_us_(std::move(lease_expiry_us)),
-      node_id_(node_id),
-      options_(options) {
+      node_id_(node_id) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   m_appends_ = reg->GetCounter("wal.appends");
   m_group_commits_ = reg->GetCounter("wal.group_commits");
@@ -306,9 +304,9 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
     return OkStatus();
   }
   ++flush_waiters_;
-  // Follower path: someone else owns the flush. Wait for it; if its batch
+  // Follower path: someone else owns the flush. Wait for it; if its write
   // covered our LSN we never touch the device (group commit). If the leader
-  // failed or its batch stopped short, fall through and become the leader.
+  // failed, or gathered before our record was appended, become the leader.
   obs::WaitAsSpan(flush_cv_, lk, [&] { return !flushing_ || covered(); }, obs::Layer::kWal,
                   "wal.follower_wait", node_id_, "lsn", lsn);
   if (covered()) {
@@ -321,70 +319,28 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
   // re-entrant/no-op paths); args bound below once the batch is gathered.
   obs::SpanScope span(obs::Layer::kWal, "wal.flush", node_id_);
 
-  // Group commit (leader side): hold the write open for a short window so
-  // concurrent FlushTo callers and fresh appends can pile into this batch.
-  // Only bother when someone is actually waiting behind us.
-  bool group = options_.group_commit_us > 0;
-  if (group && flush_waiters_ > 1) {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(options_.group_commit_us);
-    while (std::chrono::steady_clock::now() < deadline) {
-      flush_cv_.wait_until(lk, deadline);
-    }
-  }
-  // In group mode the leader flushes everything pending, not just its own
-  // LSN, so every queued follower is covered by this one write.
-  uint64_t gather_to = group ? next_lsn_ - 1 : lsn;
-
-  // Gather records to flush. A single pass writes at most half the log; if
-  // more is pending (a huge backlog), loop: reclaim interleaves naturally.
+  // Gather everything pending, not just our own LSN, so every follower
+  // whose record is already appended is covered by this one write. Append
+  // reserved log space for each pending record, so they all fit. Only this
+  // leader removes from pending_, and appends go to its back, so the
+  // gathered records stay its first `gathered` entries.
   Bytes stream;
-  std::vector<std::pair<uint64_t, size_t>> record_sizes;  // (lsn, encoded size)
-  size_t byte_budget = static_cast<size_t>(num_sectors_ / 2) * kLogSectorPayload;
-  bool more_after_this_pass = false;
   for (const auto& [rec_lsn, encoded] : pending_) {
-    if (rec_lsn > gather_to) {
-      break;
-    }
-    if (!record_sizes.empty() && stream.size() + encoded.size() > byte_budget) {
-      more_after_this_pass = true;
-      break;
-    }
-    record_sizes.emplace_back(rec_lsn, encoded.size());
     stream.insert(stream.end(), encoded.begin(), encoded.end());
   }
-  if (record_sizes.empty()) {
-    flushing_ = false;
-    --flush_waiters_;
-    flush_cv_.notify_all();
-    return OkStatus();
-  }
-  if (group) {
-    m_group_commit_records_->Record(static_cast<int64_t>(record_sizes.size()));
-  }
-  uint64_t flush_bound = record_sizes.back().first;
+  const size_t gathered = pending_.size();
+  m_group_commit_records_->Record(static_cast<int64_t>(gathered));
+  const uint64_t flush_bound = pending_.back().first;
   span.arg0("lsn", flush_bound);
   span.arg1("bytes", stream.size());
-  uint32_t sectors_needed =
-      static_cast<uint32_t>((stream.size() + kLogSectorPayload - 1) / kLogSectorPayload);
-  // Append reserved at least this much for the gathered records.
+  uint32_t sectors_needed = static_cast<uint32_t>(SectorsFor(stream.size()));
   FGP_CHECK(next_seq_ - tail_seq_ + sectors_needed <= num_sectors_)
       << "wal: a flush found less room than its records reserved";
 
+  // The sectors are claimed only once the write succeeds: a failed write
+  // leaves next_seq_ and live_ as they were, and the retry writes the same
+  // records (and any appended since) at the same sequence numbers.
   uint64_t first_seq = next_seq_;
-  next_seq_ += sectors_needed;
-  // Record the sector spans of each flushed record for future reclaim.
-  {
-    size_t pos = 0;
-    for (const auto& [rec_lsn, size] : record_sizes) {
-      LiveRecord live;
-      live.lsn = rec_lsn;
-      live.first_seq = first_seq + pos / kLogSectorPayload;
-      live.last_seq = first_seq + (pos + size - 1) / kLogSectorPayload;
-      live_.push_back(live);
-      pos += size;
-    }
-  }
   int64_t fence = lease_expiry_us_ ? lease_expiry_us_() : 0;
   uint64_t log_base = geometry_.LogAddr(slot_);
   lk.unlock();
@@ -435,28 +391,32 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
 
   lk.lock();
   if (st.ok()) {
-    flushed_lsn_ = std::max(flushed_lsn_, flush_bound);
-    while (!pending_.empty() && pending_.front().first <= flush_bound) {
-      pending_sectors_ -= SectorsFor(pending_.front().second.size());
+    // Move the written records to live_, with the sector span of each for
+    // future reclaim.
+    size_t pos = 0;
+    for (size_t i = 0; i < gathered; ++i) {
+      const size_t size = pending_.front().second.size();
+      live_.push_back({pending_.front().first, first_seq + pos / kLogSectorPayload,
+                       first_seq + (pos + size - 1) / kLogSectorPayload});
+      pos += size;
+      pending_sectors_ -= SectorsFor(size);
       pending_.pop_front();
     }
+    next_seq_ += sectors_needed;
+    flushed_lsn_ = flush_bound;
     // Group-commit accounting happens after the write, not at gather time:
     // the leader holds mu_ from entry through gather, so concurrent callers
     // can only register while the device write is in flight (lock dropped).
-    // waiters > 1 here means this one write overlapped other FlushTo callers
-    // — the ones it covered skip their own write entirely.
-    if (group && flush_waiters_ > 1) {
+    // waiters > 1 here means this one write overlapped other FlushTo callers.
+    if (flush_waiters_ > 1) {
       m_group_commits_->Increment();
-      obs::RecordInstant(obs::Layer::kWal, "wal.group_commit", node_id_, "records",
-                         record_sizes.size(), "waiters", flush_waiters_);
+      obs::RecordInstant(obs::Layer::kWal, "wal.group_commit", node_id_, "records", gathered,
+                         "waiters", flush_waiters_);
     }
   }
   flushing_ = false;
   --flush_waiters_;
   flush_cv_.notify_all();
-  if (st.ok() && more_after_this_pass) {
-    return FlushLocked(lsn, lk);  // continue draining the backlog
-  }
   return st;
 }
 

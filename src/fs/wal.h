@@ -79,15 +79,6 @@ struct LogRecord {
   size_t EncodedSize() const;
 };
 
-struct WalOptions {
-  // Group commit: when > 0, concurrent FlushTo callers elect a leader that
-  // holds the Petal write for up to this long, coalescing every record that
-  // arrives meanwhile into one framed write; followers whose LSN the batch
-  // covers never write at all. 0 keeps the strict flush-only-what-was-asked
-  // behavior (one write per uncovered FlushTo).
-  int64_t group_commit_us = 0;
-};
-
 inline constexpr uint32_t kLogSectorSize = 512;
 inline constexpr uint32_t kLogSectorHeader = 8 /*seq*/ + 2 /*used*/;
 inline constexpr uint32_t kLogSectorPayload = kLogSectorSize - kLogSectorHeader;
@@ -105,8 +96,7 @@ class LogWriter {
   // simulated machine (0 = unattributed).
   LogWriter(BlockDevice* device, const Geometry& geometry, uint32_t slot,
             std::function<Status(uint64_t up_to_lsn)> reclaim,
-            std::function<int64_t()> lease_expiry_us, uint32_t node_id = 0,
-            WalOptions options = {});
+            std::function<int64_t()> lease_expiry_us, uint32_t node_id = 0);
 
   // Buffers the record in memory and returns its lsn. The record is not
   // durable until FlushTo/FlushAll. Reclaims space first if the log cannot
@@ -119,7 +109,10 @@ class LogWriter {
   StatusOr<uint64_t> Append(LogRecord record,
                             const std::function<Status(uint64_t lsn)>& apply = {});
 
-  // Writes buffered records with lsn <= `lsn` to the log region in Petal.
+  // Makes every record with lsn <= `lsn` durable in the log region in Petal.
+  // One caller at a time writes (the leader), and it writes every record
+  // pending when it starts, so callers queued behind it whose records that
+  // covers return without a write of their own (group commit).
   Status FlushTo(uint64_t lsn);
   Status FlushAll();
 
@@ -152,7 +145,6 @@ class LogWriter {
   std::function<Status(uint64_t)> reclaim_;
   std::function<int64_t()> lease_expiry_us_;
   uint32_t node_id_;
-  WalOptions options_;
 
   mutable std::mutex mu_;
   std::deque<std::pair<uint64_t, Bytes>> pending_;  // (lsn, encoded record)
@@ -162,7 +154,7 @@ class LogWriter {
   std::condition_variable applied_cv_;  // an lsn left unapplied_
   uint64_t next_lsn_ = 1;
   uint64_t flushed_lsn_ = 0;
-  uint64_t next_seq_ = 1;   // next sector sequence number
+  uint64_t next_seq_ = 1;   // next sector sequence number; moves only on a successful write
   uint64_t tail_seq_ = 1;   // oldest live sector (not yet reclaimable space)
   bool flushing_ = false;
   int flush_waiters_ = 0;  // FlushTo callers inside FlushLocked (incl. leader)
@@ -174,7 +166,7 @@ class LogWriter {
   obs::Counter* m_group_commits_;       // leader writes that served >1 caller
   obs::Counter* m_group_commit_batched_;  // flushes satisfied by another caller's write
   Histogram* m_flush_us_;
-  Histogram* m_group_commit_records_;   // records per leader batch (group mode)
+  Histogram* m_group_commit_records_;   // records per leader write
 };
 
 // ---- Recovery (§4) ----

@@ -1,5 +1,6 @@
-// WAL group commit (leader/follower handoff, strict window, leader failure)
-// and the clerk's asynchronous grant ack on a write-shared file.
+// WAL group commit (leader/follower handoff, one gather rule, leader
+// failure, failed writes) and the clerk's asynchronous grant ack on a
+// write-shared file.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +25,8 @@ Geometry SmallLogGeometry() {
   return g;
 }
 
-LogRecord MakeRecord(const Geometry& g, uint32_t ino, uint64_t version, uint8_t fill) {
+LogRecord MakeRecord(const Geometry& g, uint32_t ino, uint64_t version, uint8_t fill,
+                     size_t bytes = 32) {
   LogRecord rec;
   LogBlockUpdate u;
   u.addr = g.InodeAddr(ino);
@@ -32,7 +34,7 @@ LogRecord MakeRecord(const Geometry& g, uint32_t ino, uint64_t version, uint8_t 
   u.version = version;
   LogBlockUpdate::Range r;
   r.off = 16;
-  r.data = Bytes(32, fill);
+  r.data = Bytes(bytes, fill);
   u.ranges.push_back(r);
   rec.updates.push_back(u);
   return rec;
@@ -73,9 +75,7 @@ TEST(GroupCommitTest, ConcurrentFlushersShareOneWrite) {
   Geometry g = SmallLogGeometry();
   FlakyDevice device(&local);
   device.write_delay_ms = 30;  // leader stays mid-write while followers queue
-  WalOptions wopts;
-  wopts.group_commit_us = 10'000;
-  LogWriter wal(&device, g, 0, nullptr, nullptr, 0, wopts);
+  LogWriter wal(&device, g, 0, nullptr, nullptr);
   uint64_t batched_before = C("wal.group_commit_batched")->value();
   constexpr int kThreads = 4;
   std::vector<uint64_t> lsns;
@@ -105,28 +105,60 @@ TEST(GroupCommitTest, ConcurrentFlushersShareOneWrite) {
   EXPECT_EQ(*applied, static_cast<uint64_t>(kThreads));
 }
 
-TEST(GroupCommitTest, WindowZeroKeepsStrictFlushBehavior) {
+TEST(GroupCommitTest, FlushToWritesEveryPendingRecord) {
   LocalDevice local(1, PhysDiskParams{.timing_enabled = false});
   Geometry g = SmallLogGeometry();
-  LogWriter wal(&local, g, 0, nullptr, nullptr);  // defaults: group_commit_us = 0
+  FlakyDevice device(&local);
+  LogWriter wal(&device, g, 0, nullptr, nullptr);
   StatusOr<uint64_t> l1_or = wal.Append(MakeRecord(g, 1, 1, 0xAA));
   ASSERT_TRUE(l1_or.ok());
   uint64_t l1 = *l1_or;
-  ASSERT_TRUE(wal.Append(MakeRecord(g, 2, 1, 0xBB)).ok());
+  StatusOr<uint64_t> l2_or = wal.Append(MakeRecord(g, 2, 1, 0xBB));
+  ASSERT_TRUE(l2_or.ok());
   ASSERT_TRUE(wal.FlushTo(l1).ok());
-  // Strict mode flushes only what was asked: lsn 2 still pending.
-  EXPECT_EQ(wal.flushed_lsn(), l1);
+  // The leader writes everything appended before it gathered: l2 too.
+  EXPECT_EQ(wal.flushed_lsn(), *l2_or);
+  EXPECT_EQ(device.writes.load(), 1);
   ASSERT_TRUE(wal.FlushAll().ok());
-  EXPECT_EQ(wal.flushed_lsn(), 2u);
+  EXPECT_EQ(device.writes.load(), 1) << "nothing was left pending";
+  auto applied = ReplayLog(&local, g, 0, 0);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(*applied, 2u);
+}
+
+TEST(GroupCommitTest, RecordAppendedMidWriteWaitsForTheNextLeader) {
+  LocalDevice local(1, PhysDiskParams{.timing_enabled = false});
+  Geometry g = SmallLogGeometry();
+  FlakyDevice device(&local);
+  device.write_delay_ms = 50;  // the leader's write stays in flight
+  LogWriter wal(&device, g, 0, nullptr, nullptr);
+  StatusOr<uint64_t> l1_or = wal.Append(MakeRecord(g, 1, 1, 0xAA));
+  ASSERT_TRUE(l1_or.ok());
+  Status leader_result = OkStatus();
+  std::thread leader([&] { leader_result = wal.FlushTo(*l1_or); });
+  // The device counts a write when it starts, after the leader gathered.
+  while (device.writes.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  StatusOr<uint64_t> l2_or = wal.Append(MakeRecord(g, 2, 1, 0xBB));
+  ASSERT_TRUE(l2_or.ok());
+  // A follower of the in-flight write, which its record missed: it returns
+  // only once a second write, its own as the next leader, has made it durable.
+  ASSERT_TRUE(wal.FlushTo(*l2_or).ok());
+  EXPECT_EQ(device.writes.load(), 2);
+  EXPECT_EQ(wal.flushed_lsn(), *l2_or);
+  auto applied = ReplayLog(&local, g, 0, 0);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(*applied, 2u);
+  leader.join();
+  EXPECT_TRUE(leader_result.ok()) << leader_result;
 }
 
 TEST(GroupCommitTest, LeaderFailureFallsBackToFollowerSelfFlush) {
   LocalDevice local(1, PhysDiskParams{.timing_enabled = false});
   Geometry g = SmallLogGeometry();
   FlakyDevice device(&local);
-  WalOptions wopts;
-  wopts.group_commit_us = 5'000;
-  LogWriter wal(&device, g, 0, nullptr, nullptr, 0, wopts);
+  LogWriter wal(&device, g, 0, nullptr, nullptr);
 
   StatusOr<uint64_t> l1_or = wal.Append(MakeRecord(g, 1, 1, 0xAA));
   ASSERT_TRUE(l1_or.ok());
@@ -151,6 +183,45 @@ TEST(GroupCommitTest, LeaderFailureFallsBackToFollowerSelfFlush) {
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(*applied, 2u);
   ASSERT_TRUE(wal.FlushAll().ok());  // nothing left pending
+}
+
+TEST(GroupCommitTest, FailedWritesLeaveNoTrace) {
+  LocalDevice local(1, PhysDiskParams{.timing_enabled = false});
+  Geometry g = SmallLogGeometry();  // 32 sectors
+  FlakyDevice device(&local);
+  LogWriter wal(&device, g, 0, nullptr, nullptr);
+  // 24 records of about 450 B reserve a sector each, three quarters of the
+  // log: a failed write that kept the sectors it claimed would leave a
+  // retry of the same records no room.
+  constexpr uint32_t kRecords = 24;
+  size_t stream_bytes = 0;
+  for (uint32_t i = 0; i < kRecords; ++i) {
+    LogRecord rec = MakeRecord(g, i + 1, 1, 0xC0, 400);
+    stream_bytes += rec.EncodedSize();
+    ASSERT_TRUE(wal.Append(std::move(rec)).ok());
+  }
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    device.fail_next.store(true);
+    EXPECT_FALSE(wal.FlushAll().ok());
+    EXPECT_EQ(wal.sectors_written(), 0u) << "attempt " << attempt;
+    EXPECT_EQ(wal.flushed_lsn(), 0u);
+  }
+  ASSERT_TRUE(wal.FlushAll().ok());
+  EXPECT_EQ(wal.flushed_lsn(), kRecords);
+  EXPECT_EQ(wal.sectors_written(), (stream_bytes + kLogSectorPayload - 1) / kLogSectorPayload);
+  auto applied = ReplayLog(&local, g, 0, 0);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(*applied, kRecords);
+
+  // The log wraps over the records of the successful write: they are the
+  // only ones the writer tracks, so their space is reclaimed and reused.
+  for (uint32_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(wal.Append(MakeRecord(g, i + 1, 2, 0xD0, 400)).ok());
+  }
+  ASSERT_TRUE(wal.FlushAll().ok());
+  applied = ReplayLog(&local, g, 0, 0);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(*applied, kRecords) << "every version-2 record replays";
 }
 
 // ---- clerk grant acks ----

@@ -356,36 +356,44 @@ TEST(DeferredDecommitClusterTest, MarkerLeftByACrashIsFinishedByAPeer) {
   opts.lease_duration = Duration(400'000);  // 0.4 s (scaled from 30 s)
   opts.geometry.num_segments = 1;           // both servers allocate from segment 0
   Cluster cluster(opts);
-  ASSERT_TRUE(cluster.Start().ok());
+  Status st = cluster.Start();
+  ASSERT_TRUE(st.ok()) << st;
   NodeOptions a_opts;
   a_opts.fs.sync_log = true;  // the unlink's record is durable when it returns
   a_opts.sync_period = Duration(3600'000'000);
-  ASSERT_TRUE(cluster.AddFrangipani(a_opts).ok());
-  ASSERT_TRUE(cluster.AddFrangipani().ok());
+  st = cluster.AddFrangipani(a_opts).status();
+  ASSERT_TRUE(st.ok()) << st;
+  st = cluster.AddFrangipani().status();
+  ASSERT_TRUE(st.ok()) << st;
   FrangipaniFs* a = cluster.fs(0);
   FrangipaniFs* b = cluster.fs(1);
   PetalDevice device(cluster.admin_petal(), cluster.vdisk());
   const Geometry& geo = cluster.geometry();
 
   auto big = a->Create("/big");
-  ASSERT_TRUE(big.ok());
-  ASSERT_TRUE(a->Write(*big, 0, Pattern(2 << 20, 7)).ok());
-  ASSERT_TRUE(a->SyncAll().ok());
+  ASSERT_TRUE(big.ok()) << big.status();
+  st = a->Write(*big, 0, Pattern(2 << 20, 7));
+  ASSERT_TRUE(st.ok()) << st;
+  st = a->SyncAll();
+  ASSERT_TRUE(st.ok()) << st;
   auto big_inode = LoadInode(&device, geo, *big);
-  ASSERT_TRUE(big_inode.ok());
+  ASSERT_TRUE(big_inode.ok()) << big_inode.status();
   const uint64_t large = big_inode->large;
   ASSERT_NE(large, 0u);
 
   a->HoldDecommits(true);
-  ASSERT_TRUE(a->Unlink("/big").ok());
-  ASSERT_TRUE(cluster.CrashFrangipani(0).ok());
+  st = a->Unlink("/big");
+  ASSERT_TRUE(st.ok()) << st;
+  st = cluster.CrashFrangipani(0);
+  ASSERT_TRUE(st.ok()) << st;
   a->HoldDecommits(false);  // the crashed server reaches nobody
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   cluster.CheckLeases();
   ASSERT_EQ(b->Stat("/big").status().code(), StatusCode::kNotFound);
 
   Bytes seg;
-  ASSERT_TRUE(device.Read(geo.SegmentAddr(0), kBlockSize, &seg).ok());
+  st = device.Read(geo.SegmentAddr(0), kBlockSize, &seg);
+  ASSERT_TRUE(st.ok()) << st;
   EXPECT_EQ(SegPendingGet(seg, LargeLocal(large)), 31u);  // (2 MB - 64 KB) / 64 KB
   FsckReport report = RunFsck(&device, geo);
   EXPECT_TRUE(report.ok) << report.Summary();
@@ -395,11 +403,14 @@ TEST(DeferredDecommitClusterTest, MarkerLeftByACrashIsFinishedByAPeer) {
   obs::Counter* adopted = obs::MetricsRegistry::Default()->GetCounter("fs.decommit.adopted");
   const uint64_t adopted_before = adopted->value();
   auto other = b->Create("/other");
-  ASSERT_TRUE(other.ok());
-  ASSERT_TRUE(b->Write(*other, kSmallBytesPerFile, Pattern(4096, 1)).ok());
-  ASSERT_TRUE(b->SyncAll().ok());
+  ASSERT_TRUE(other.ok()) << other.status();
+  st = b->Write(*other, kSmallBytesPerFile, Pattern(4096, 1));
+  ASSERT_TRUE(st.ok()) << st;
+  st = b->SyncAll();
+  ASSERT_TRUE(st.ok()) << st;
   EXPECT_EQ(adopted->value(), adopted_before + 1);
-  ASSERT_TRUE(device.Read(geo.SegmentAddr(0), kBlockSize, &seg).ok());
+  st = device.Read(geo.SegmentAddr(0), kBlockSize, &seg);
+  ASSERT_TRUE(st.ok()) << st;
   EXPECT_EQ(SegPendingGet(seg, LargeLocal(large)), 0u);
   EXPECT_FALSE(SegBitGet(seg, LargeBit(large)));
   report = RunFsck(&device, geo);
@@ -407,14 +418,17 @@ TEST(DeferredDecommitClusterTest, MarkerLeftByACrashIsFinishedByAPeer) {
   EXPECT_EQ(report.large_blocks_pending_decommit, 0u);
 
   auto sparse = b->Create("/sparse");
-  ASSERT_TRUE(sparse.ok());
+  ASSERT_TRUE(sparse.ok()) << sparse.status();
   constexpr uint64_t kHole = 1 << 20;
-  ASSERT_TRUE(b->Write(*sparse, kSmallBytesPerFile + kHole, Pattern(4096, 2)).ok());
-  ASSERT_TRUE(b->SyncAll().ok());
+  st = b->Write(*sparse, kSmallBytesPerFile + kHole, Pattern(4096, 2));
+  ASSERT_TRUE(st.ok()) << st;
+  st = b->SyncAll();
+  ASSERT_TRUE(st.ok()) << st;
   auto sparse_inode = LoadInode(&device, geo, *sparse);
-  ASSERT_TRUE(sparse_inode.ok());
+  ASSERT_TRUE(sparse_inode.ok()) << sparse_inode.status();
   ASSERT_EQ(sparse_inode->large, large) << "the sparse file got another block";
-  ASSERT_TRUE(b->DropCaches().ok());
+  st = b->DropCaches();
+  ASSERT_TRUE(st.ok()) << st;
   Bytes hole;
   auto n = b->Read(*sparse, kSmallBytesPerFile, kHole, &hole);
   ASSERT_TRUE(n.ok()) << n.status();

@@ -175,26 +175,38 @@ TEST(FsyncOrderTest, FsyncedDataSurvivesACrash) {
   ClusterOptions opts;
   opts.petal_servers = 3;
   opts.disks_per_petal = 1;
-  opts.lease_duration = Duration(400'000);  // 0.4 s (scaled from 30 s)
+  // 1.5 s (scaled from 30 s). A new mount's first renewal comes a renew
+  // period (a third of the lease) after its mount, and the write margin
+  // is another third; under TSan a 0.4 s lease lapsed into the margin
+  // before node a's first write (STALE_LEASE).
+  constexpr Duration kLease(1'500'000);
+  opts.lease_duration = kLease;
   Cluster cluster(opts);
-  ASSERT_TRUE(cluster.Start().ok());
+  Status st = cluster.Start();
+  ASSERT_TRUE(st.ok()) << st;
   NodeOptions a_opts;
   a_opts.sync_period = Duration(3600'000'000);       // the demons never run
   a_opts.log_flush_period = Duration(3600'000'000);
-  ASSERT_TRUE(cluster.AddFrangipani(a_opts).ok());
-  ASSERT_TRUE(cluster.AddFrangipani().ok());
+  st = cluster.AddFrangipani(a_opts).status();
+  ASSERT_TRUE(st.ok()) << st;
+  st = cluster.AddFrangipani().status();
+  ASSERT_TRUE(st.ok()) << st;
   FrangipaniFs* a = cluster.fs(0);
   FrangipaniFs* b = cluster.fs(1);
 
   constexpr size_t kSize = 1 << 20;
   const Bytes data = Pattern(kSize, 11);
-  ASSERT_TRUE(a->Mkdir("/d").ok());
+  st = a->Mkdir("/d");
+  ASSERT_TRUE(st.ok()) << st;
   auto ino = a->Create("/d/f");
-  ASSERT_TRUE(ino.ok());
-  ASSERT_TRUE(a->Write(*ino, 0, data).ok());
-  ASSERT_TRUE(a->Fsync(*ino).ok());
-  ASSERT_TRUE(cluster.CrashFrangipani(0).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  ASSERT_TRUE(ino.ok()) << ino.status();
+  st = a->Write(*ino, 0, data);
+  ASSERT_TRUE(st.ok()) << st;
+  st = a->Fsync(*ino);
+  ASSERT_TRUE(st.ok()) << st;
+  st = cluster.CrashFrangipani(0);
+  ASSERT_TRUE(st.ok()) << st;
+  std::this_thread::sleep_for(kLease + std::chrono::milliseconds(100));  // a's lease lapses
   cluster.CheckLeases();
 
   auto attr = b->Stat("/d/f");
@@ -205,7 +217,8 @@ TEST(FsyncOrderTest, FsyncedDataSurvivesACrash) {
   ASSERT_TRUE(n.ok()) << n.status();
   ASSERT_EQ(*n, kSize);
   EXPECT_TRUE(back == data) << "fsynced bytes lost in the crash";
-  ASSERT_TRUE(b->SyncAll().ok());
+  st = b->SyncAll();
+  ASSERT_TRUE(st.ok()) << st;
   PetalDevice device(cluster.admin_petal(), cluster.vdisk());
   FsckReport report = RunFsck(&device, cluster.geometry());
   EXPECT_TRUE(report.ok) << report.Summary();

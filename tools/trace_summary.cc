@@ -3,10 +3,13 @@
 // the critical path of the slowest captured op and writes a Perfetto trace.
 // It also checks that a large file's unlink leaves the log flush and the
 // Petal decommit to the background fs.decommit span.
-// Exits nonzero if the recorder captured nothing (instrumentation broke) or
-// the trace dump is malformed.
+// Exits nonzero if any file-system call fails, if the recorder captured
+// nothing (instrumentation broke) or if the trace dump is malformed.
 //
 // Usage: trace_summary [output.trace.json]
+#include <atomic>
+#include <barrier>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -18,84 +21,110 @@
 
 using namespace frangipani;
 
+namespace {
+
+// Failed calls; the concurrent phase's threads cannot return from main.
+std::atomic<int> g_failed_calls{0};
+
+// Prints a failed call with its status and counts it.
+bool CallOk(const char* call, const Status& st) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "trace_summary: %s failed: %s\n", call, st.ToString().c_str());
+    g_failed_calls.fetch_add(1);
+  }
+  return st.ok();
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   ClusterOptions opts;
   opts.petal_servers = 3;
   opts.disks_per_petal = 1;
   opts.slow_op_us = 1;  // promote everything: this is a capture smoke test
-  // Open a generous commit window so the concurrent-fsync phase below lands
-  // multiple flushers in one group commit.
-  opts.node.fs.wal.group_commit_us = 2000;
   Cluster cluster(opts);
-  if (!cluster.Start().ok()) {
-    std::fprintf(stderr, "trace_summary: cluster start failed\n");
+  if (!CallOk("Start", cluster.Start())) {
     return 1;
   }
   auto node0 = cluster.AddFrangipani();
   auto node1 = cluster.AddFrangipani();
-  if (!node0.ok() || !node1.ok()) {
-    std::fprintf(stderr, "trace_summary: mount failed\n");
+  if (!CallOk("AddFrangipani", node0.status()) || !CallOk("AddFrangipani", node1.status())) {
     return 1;
   }
+  FrangipaniFs* fs0 = (*node0)->fs();
+  FrangipaniFs* fs1 = (*node1)->fs();
 
   // A write-shared file forces a revoke -> flush -> release -> grant chain
   // between the two nodes, exercising every instrumented layer. The two
   // nodes write adjacent 64 KB extents of one file: the first laps extend
   // the file under full-range data locks, later laps are pure overwrites
   // under byte-range extents, so the trace carries partial revokes too.
-  auto created = (*node0)->fs()->Create("/shared");
-  if (!created.ok()) {
-    std::fprintf(stderr, "trace_summary: create failed\n");
+  auto created = fs0->Create("/shared");
+  if (!CallOk("Create", created.status())) {
     return 1;
   }
   Bytes unit(64 * 1024, 0xAB);
   for (int lap = 0; lap < 3; ++lap) {
-    if (!(*node0)->fs()->Write(*created, 0, unit).ok() ||
-        !(*node0)->fs()->Fsync(*created).ok() ||
-        !(*node1)->fs()->Write(*created, unit.size(), unit).ok() ||
-        !(*node1)->fs()->Fsync(*created).ok()) {
-      std::fprintf(stderr, "trace_summary: shared writes failed\n");
+    if (!CallOk("Write", fs0->Write(*created, 0, unit)) ||
+        !CallOk("Fsync", fs0->Fsync(*created)) ||
+        !CallOk("Write", fs1->Write(*created, unit.size(), unit)) ||
+        !CallOk("Fsync", fs1->Fsync(*created))) {
       return 1;
     }
   }
 
-  // Group-commit capture: several threads on node0 write private files and
-  // fsync in lockstep, so concurrent FlushTo callers pile up on one log and a
-  // leader gathers their records in a single framed write. Each lap appends,
-  // so each fsync has an inode update (the new size) to log; an overwrite in
-  // place logs nothing and its fsync never reaches the log. A few laps are
-  // enough in practice; the retry loop keeps the smoke test deterministic.
-  obs::Counter* group_commits =
-      obs::MetricsRegistry::Default()->GetCounter("wal.group_commits");
-  for (int round = 0; round < 20 && group_commits->value() == 0; ++round) {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t, round] {
-        std::string path = "/gc" + std::to_string(round) + "_" + std::to_string(t);
-        auto ino = (*node0)->fs()->Create(path);
-        if (!ino.ok()) return;
-        Bytes payload(1024, static_cast<uint8_t>(t));
-        for (int lap = 0; lap < 4; ++lap) {
-          (void)(*node0)->fs()->Write(*ino, lap * payload.size(), payload);
-          (void)(*node0)->fs()->Fsync(*ino);
+  // Group-commit capture: four threads on node0 write private files and
+  // fsync in lockstep, a barrier before each fsync. For this phase node0's
+  // link carries a 10 ms latency, so the first fsync's log write is still
+  // in flight when the other three reach the log: they queue behind it and
+  // its one write covers their records. Each lap appends, so each fsync has
+  // an inode update (the new size) to log; an overwrite in place logs
+  // nothing and its fsync never reaches the log.
+  constexpr int kFsyncThreads = 4;
+  constexpr int kLaps = 4;
+  obs::Counter* group_commits = obs::MetricsRegistry::Default()->GetCounter("wal.group_commits");
+  const uint64_t group_commits_before = group_commits->value();
+  cluster.net()->SetLinkParams(cluster.frangipani_node(0),
+                               LinkParams{.latency = std::chrono::milliseconds(10)});
+  std::barrier lockstep(kFsyncThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kFsyncThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto ino = fs0->Create("/gc" + std::to_string(t));
+      if (!CallOk("Create", ino.status())) {
+        lockstep.arrive_and_drop();
+        return;
+      }
+      Bytes payload(1024, static_cast<uint8_t>(t));
+      for (int lap = 0; lap < kLaps; ++lap) {
+        bool wrote = CallOk("Write", fs0->Write(*ino, lap * payload.size(), payload));
+        lockstep.arrive_and_wait();
+        if (wrote) {
+          CallOk("Fsync", fs0->Fsync(*ino));
         }
-      });
-    }
-    for (auto& th : threads) th.join();
+      }
+    });
   }
-  if (group_commits->value() == 0) {
-    std::fprintf(stderr, "trace_summary: no WAL group commit observed\n");
+  for (auto& th : threads) th.join();
+  cluster.net()->SetLinkParams(cluster.frangipani_node(0), LinkParams{});
+  if (g_failed_calls.load() > 0) {
+    std::fprintf(stderr, "trace_summary: %d calls failed in the concurrent-fsync phase\n",
+                 g_failed_calls.load());
+    return 1;
+  }
+  if (group_commits->value() == group_commits_before) {
+    std::fprintf(stderr, "trace_summary: no WAL group commit in the concurrent-fsync phase\n");
     return 1;
   }
 
   // Deferred decommit: the unlink of a large file returns without flushing
   // the log or calling Petal; the worker's fs.decommit span carries both.
   // SyncAll waits for the worker.
-  auto big = (*node0)->fs()->Create("/big");
-  if (!big.ok() || !(*node0)->fs()->Write(*big, 0, Bytes(256 * 1024, 0xCD)).ok() ||
-      !(*node0)->fs()->Fsync(*big).ok() || !(*node0)->fs()->Unlink("/big").ok() ||
-      !(*node0)->fs()->SyncAll().ok()) {
-    std::fprintf(stderr, "trace_summary: large-file unlink failed\n");
+  auto big = fs0->Create("/big");
+  if (!CallOk("Create", big.status()) ||
+      !CallOk("Write", fs0->Write(*big, 0, Bytes(256 * 1024, 0xCD))) ||
+      !CallOk("Fsync", fs0->Fsync(*big)) || !CallOk("Unlink", fs0->Unlink("/big")) ||
+      !CallOk("SyncAll", fs0->SyncAll())) {
     return 1;
   }
 
