@@ -32,6 +32,15 @@ void ThreadPool::Submit(std::function<void()> fn) {
   cv_.notify_one();
 }
 
+void ThreadPool::SubmitFront(std::function<void()> fn) {
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    FGP_CHECK(!stop_) << "Submit after shutdown";
+    queue_.push_front(std::move(fn));
+  }
+  cv_.notify_one();
+}
+
 void ThreadPool::Drain() {
   std::unique_lock<std::mutex> lk(mu_);
   drain_cv_.wait(lk, [this] { return queue_.empty() && active_ == 0; });
@@ -61,9 +70,12 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-PeriodicTask::PeriodicTask(Duration period, std::function<void()> fn)
+PeriodicTask::PeriodicTask(Duration period, std::function<void()> fn, bool run_first)
     : period_(period), fn_(std::move(fn)) {
-  thread_ = std::thread([this] {
+  thread_ = std::thread([this, run_first] {
+    if (run_first) {
+      fn_();
+    }
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
       if (cv_.wait_for(lk, period_, [this] { return stop_; })) {

@@ -24,6 +24,8 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   void Submit(std::function<void()> fn);
+  // Queues `fn` ahead of all the work already waiting.
+  void SubmitFront(std::function<void()> fn);
 
   // Blocks until all submitted work has finished (the queue is empty and no
   // worker is executing).
@@ -42,10 +44,11 @@ class ThreadPool {
 };
 
 // Runs `fn` every `period` on a dedicated thread until destroyed or Stop()ed.
-// The first run happens after one period. Stop() joins and is idempotent.
+// The first run happens after one period, or at once with `run_first`.
+// Stop() joins and is idempotent.
 class PeriodicTask {
  public:
-  PeriodicTask(Duration period, std::function<void()> fn);
+  PeriodicTask(Duration period, std::function<void()> fn, bool run_first = false);
   ~PeriodicTask();
 
   PeriodicTask(const PeriodicTask&) = delete;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "src/base/logging.h"
 #include "src/obs/recorder.h"
@@ -145,6 +146,8 @@ FrangipaniFs::FrangipaniFs(BlockDevice* device, LockProvider* locks, Clock* cloc
   m_decommit_deferred_ = obs::MetricsRegistry::Default()->GetCounter("fs.decommit.deferred");
   m_decommit_adopted_ = obs::MetricsRegistry::Default()->GetCounter("fs.decommit.adopted");
   m_name_hint_stale_ = obs::MetricsRegistry::Default()->GetCounter("fs.name_hint.stale");
+  m_plan_fetches_ = obs::MetricsRegistry::Default()->GetCounter("fs.plan_fetches");
+  m_plan_fetch_wasted_ = obs::MetricsRegistry::Default()->GetCounter("fs.plan_fetch_wasted");
 }
 
 FrangipaniFs::~FrangipaniFs() {
@@ -357,7 +360,10 @@ Status FrangipaniFs::TwoPhaseOp(const char* op, bool allocates, const PlanFn& pl
         }
         locks->push_back({SegmentLockId(alloc.seg), LockMode::kExclusive});
       }
-      st = WithLocks(std::move(*locks), [&] { return apply(alloc); });
+      st = WithLocks(*locks, [&]() -> Status {
+        RETURN_IF_ERROR(FetchPlanBlocks(*locks));
+        return apply(alloc);
+      });
       if (st.code() == StatusCode::kAborted) {
         obs::MetricsRegistry::Default()->GetCounter(std::string("fs.abort.") + op)->Increment();
       }
@@ -381,6 +387,48 @@ void FrangipaniFs::AdvanceAllocSeg(uint32_t full_seg) {
   if (alloc_seg_ == full_seg) {
     alloc_seg_ = (alloc_seg_ + 1) % geometry_.num_segments;
   }
+}
+
+Status FrangipaniFs::FetchPlanBlocks(const std::vector<PlannedLock>& locks) {
+  // The first cold block stays on this thread: it is what apply reads
+  // first, and for a create whose only cold block is the parent inode, a
+  // hop through the pool would sit on the directory lock's handoff chain.
+  struct Block {
+    uint64_t addr = 0;
+    uint32_t size = 0;
+    LockId lock = 0;
+  };
+  std::optional<Block> first;
+  for (const PlannedLock& l : locks) {
+    Block b{0, 0, l.id};
+    if (IsInodeLock(l.id)) {
+      b.addr = geometry_.InodeAddr(InodeOfLock(l.id));
+      b.size = kInodeSize;
+    } else if (IsSegmentLock(l.id)) {
+      b.addr = geometry_.SegmentAddr(SegmentOfLock(l.id));
+      b.size = kBlockSize;
+    } else {
+      continue;
+    }
+    if (cache_->Cached(b.addr) || (first.has_value() && first->addr == b.addr)) {
+      continue;
+    }
+    if (!first.has_value()) {
+      first = b;
+      continue;
+    }
+    // Sampled with the lock held: an invalidation after this (a revoke once
+    // the attempt, aborted or done, lets the lock go) drops a fetch still
+    // in flight instead of caching it.
+    if (prefetch_pool_ != nullptr &&
+        StartPrefetch(b.addr, b.size, 0, b.lock, cache_->LockEpoch(b.lock), /*plan_fetch=*/true)) {
+      m_plan_fetches_->Increment();
+    }
+  }
+  if (first.has_value()) {
+    RETURN_IF_ERROR(cache_->Read(first->addr, first->size, first->lock).status());
+  }
+  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------

@@ -180,6 +180,13 @@ class FrangipaniFs {
   // Acquires the locks in sorted order, runs fn, releases. fn returning
   // kAborted triggers the caller's retry loop.
   Status WithLocks(std::vector<PlannedLock> locks, const std::function<Status()>& fn);
+  // The fetch rule of phase two, run once `locks` are held: each inode lock
+  // names its inode block and each segment lock its bitmap; data locks and
+  // the barrier name none. Of the named blocks missing from the cache, all
+  // but the first (in plan order) start on the prefetch pool, and the
+  // first is read on this thread, so apply's reads ride fetches already in
+  // flight instead of reading one block after another.
+  Status FetchPlanBlocks(const std::vector<PlannedLock>& locks);
 
   // The allocation segment of one attempt of a mutating op. §3: a server
   // allocates only from a segment whose lock it holds, so this is the one
@@ -199,9 +206,11 @@ class FrangipaniFs {
   // mounts, then runs a bounded number of attempts of plan + apply,
   // retrying on kAborted. When `allocates`, each attempt reads alloc_seg_
   // once after phase one, adds its exclusive lock to the plan and passes it
-  // to apply; an attempt that found it full rotates alloc_seg_. Counts each
-  // retry in fs.retries and each phase-two abort also in fs.abort.<op>,
-  // counts the op on success, and fails with "<op>: too many conflicts".
+  // to apply; an attempt that found it full rotates alloc_seg_. Before
+  // apply, FetchPlanBlocks reads the plan's cold blocks, so a plan lists
+  // first the lock whose block apply reads first. Counts each retry in
+  // fs.retries and each phase-two abort also in fs.abort.<op>, counts the
+  // op on success, and fails with "<op>: too many conflicts".
   Status TwoPhaseOp(const char* op, bool allocates, const PlanFn& plan, const ApplyFn& apply);
   // Moves alloc_seg_ past `full_seg` unless another thread already did.
   void AdvanceAllocSeg(uint32_t full_seg);
@@ -318,10 +327,12 @@ class FrangipaniFs {
   // Reads cache unit `unit_addr` (`unit` bytes at file offset `unit_off`)
   // into the cache on the prefetch pool, unless it is cached or in flight.
   // The data is dropped if `lock`'s epoch has moved past `epoch`, which the
-  // caller samples before it decides the lock covers the unit. Returns
-  // whether it started the read.
+  // caller samples before it decides the lock covers the unit. A
+  // `plan_fetch` (FetchPlanBlocks) goes to the front of the pool's queue,
+  // ahead of waiting read-ahead units, and counts as fs.plan_fetch_wasted
+  // when dropped. Returns whether it started the read.
   bool StartPrefetch(uint64_t unit_addr, uint32_t unit, uint64_t unit_off, LockId lock,
-                     uint64_t epoch);
+                     uint64_t epoch, bool plan_fetch = false);
 
   BlockDevice* device_;
   LockProvider* locks_;
@@ -385,6 +396,8 @@ class FrangipaniFs {
   obs::Counter* m_decommit_deferred_;  // large blocks this mount queued
   obs::Counter* m_decommit_adopted_;   // markers finished by visits no free here queued
   obs::Counter* m_name_hint_stale_;    // removes whose hint no longer named the entry
+  obs::Counter* m_plan_fetches_;       // plan blocks started on the prefetch pool
+  obs::Counter* m_plan_fetch_wasted_;  // of those, dropped by a lock-epoch change
 };
 
 // Parses a path into components; rejects empty names and names over the

@@ -295,14 +295,14 @@ void FrangipaniFs::MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read
 }
 
 bool FrangipaniFs::StartPrefetch(uint64_t unit_addr, uint32_t unit, uint64_t unit_off,
-                                 LockId lock, uint64_t epoch) {
+                                 LockId lock, uint64_t epoch, bool plan_fetch) {
   if (!cache_->BeginPrefetch(unit_addr, lock)) {
     return false;  // already cached or being prefetched
   }
   // Prefetches inherit the reading op's trace id so the recorder shows
-  // them as children of the read that triggered them.
+  // them as children of the op that started them.
   uint64_t trace_id = obs::CurrentTraceId();
-  prefetch_pool_->Submit([this, unit_addr, unit, unit_off, lock, epoch, trace_id] {
+  auto fetch = [this, unit_addr, unit, unit_off, lock, epoch, plan_fetch, trace_id] {
     obs::InheritedTraceScope inherit(trace_id);
     Bytes data;
     if (!device_->Read(unit_addr, unit, &data).ok()) {
@@ -312,12 +312,21 @@ bool FrangipaniFs::StartPrefetch(uint64_t unit_addr, uint32_t unit, uint64_t uni
     if (cache_->LockEpoch(lock) != epoch) {
       // The lock was revoked while we prefetched: wasted work (Figure 8).
       cache_->EndPrefetch(unit_addr, lock);
-      stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
+      if (plan_fetch) {
+        m_plan_fetch_wasted_->Increment();
+      } else {
+        stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
+      }
       return;
     }
     cache_->PutPrefetched(unit_addr, std::move(data), lock, epoch, unit_off);
     cache_->EndPrefetch(unit_addr, lock);
-  });
+  };
+  if (plan_fetch) {
+    prefetch_pool_->SubmitFront(std::move(fetch));
+  } else {
+    prefetch_pool_->Submit(std::move(fetch));
+  }
   return true;
 }
 

@@ -46,9 +46,10 @@ StatusOr<uint64_t> FrangipaniFs::CreateCommon(const std::string& path, FileType 
   auto plan = [&]() -> StatusOr<std::vector<PlannedLock>> {
     RETURN_IF_ERROR(ResolveParent(path, &t));
     ASSIGN_OR_RETURN(candidate, PickInodeCandidate());
+    // The parent first: apply reads its inode first (FetchPlanBlocks).
     return std::vector<PlannedLock>{{kLockBarrier, LockMode::kShared},
-                                    {SegmentLockId(SegmentOfInode(candidate)), LockMode::kExclusive},
                                     {InodeLockId(t.parent), LockMode::kExclusive},
+                                    {SegmentLockId(SegmentOfInode(candidate)), LockMode::kExclusive},
                                     {InodeLockId(candidate), LockMode::kExclusive}};
   };
   auto apply = [&](AllocSeg& alloc) -> Status {

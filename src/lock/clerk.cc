@@ -27,6 +27,7 @@ LockClerk::LockClerk(Network* net, NodeId self, std::unique_ptr<LockRouter> rout
   m_grant_wait_us_ = reg->GetHistogram("lock.grant_wait_us");
   m_release_us_ = reg->GetHistogram("lock.release_us");
   m_revoke_us_ = reg->GetHistogram("lock.revoke_us");
+  m_lease_left_at_renew_us_ = reg->GetHistogram("lock.lease_left_at_renew_us");
   net_->RegisterService(self_, kServiceName, this);
 }
 
@@ -337,14 +338,17 @@ void LockClerk::DropIdle(Duration max_idle) {
 
 void LockClerk::RenewTick() {
   uint32_t slot;
+  TimePoint sent;
   {
     std::lock_guard<std::mutex> guard(mu_);
     if (!open_ || poisoned_) {
       return;
     }
     slot = slot_;
+    sent = clock_->Now();
+    m_lease_left_at_renew_us_->Record(
+        std::chrono::duration<double, std::micro>(lease_expiry_ - sent).count());
   }
-  TimePoint sent = clock_->Now();
   Bytes renew = LockSlotRequest{slot}.Encode();
   // Issue all renewals concurrently: one slow or dead lock server must not
   // delay renewal at the others past lease expiry.

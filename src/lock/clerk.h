@@ -72,7 +72,8 @@ class LockClerk : public Service {
   // (paper: clerks discard locks unused for 1 hour).
   void DropIdle(Duration max_idle);
 
-  // Lease management. RenewTick is called periodically (or by tests).
+  // Lease management. RenewTick is called periodically (or by tests); it
+  // records the lease left when it sends in lock.lease_left_at_renew_us.
   void RenewTick();
   bool LeaseValidFor(Duration margin) const;
   // Lease expiry in microseconds on the shared steady clock, for fencing
@@ -157,6 +158,7 @@ class LockClerk : public Service {
   Histogram* m_grant_wait_us_;
   Histogram* m_release_us_;
   Histogram* m_revoke_us_;
+  Histogram* m_lease_left_at_renew_us_;  // lease left when a renewal is sent
 };
 
 }  // namespace frangipani

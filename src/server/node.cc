@@ -91,10 +91,16 @@ void FrangipaniNode::StartDemons() {
   }
   // Each demon runs on its own thread; tag their log lines with this node.
   std::string tag = "n" + std::to_string(node_);
-  renew_task_ = std::make_unique<PeriodicTask>(renew, [this, tag] {
-    SetLogNodeTag(tag);
-    clerk_->RenewTick();
-  });
+  // The lease was granted at clerk_->Open, before the file system mounted.
+  // Renewing at once times the first period from a renewal, not from the
+  // end of however long the mount took.
+  renew_task_ = std::make_unique<PeriodicTask>(
+      renew,
+      [this, tag] {
+        SetLogNodeTag(tag);
+        clerk_->RenewTick();
+      },
+      /*run_first=*/true);
   log_flush_task_ = std::make_unique<PeriodicTask>(options_.log_flush_period, [this, tag] {
     SetLogNodeTag(tag);
     if (fs_) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <future>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "src/base/clock.h"
 #include "src/base/crc32.h"
@@ -132,6 +135,35 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   }
   pool.Drain();
   EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPoolTest, SubmitFrontRunsAheadOfQueuedWork) {
+  ThreadPool pool(1);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::mutex mu;
+  std::vector<int> order;
+  pool.Submit([opened] { opened.wait(); });  // holds the one worker
+  pool.Submit([&] {
+    std::lock_guard<std::mutex> guard(mu);
+    order.push_back(1);
+  });
+  pool.SubmitFront([&] {
+    std::lock_guard<std::mutex> guard(mu);
+    order.push_back(2);
+  });
+  gate.set_value();
+  pool.Drain();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+TEST(PeriodicTaskTest, RunFirstFiresWithoutWaitingAPeriod) {
+  std::atomic<int> fires{0};
+  PeriodicTask task(Duration(3600'000'000), [&] { fires.fetch_add(1); }, /*run_first=*/true);
+  for (int i = 0; i < 2000 && fires.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(fires.load(), 1);
 }
 
 TEST(PeriodicTaskTest, FiresAndStops) {

@@ -175,11 +175,7 @@ TEST(FsyncOrderTest, FsyncedDataSurvivesACrash) {
   ClusterOptions opts;
   opts.petal_servers = 3;
   opts.disks_per_petal = 1;
-  // 1.5 s (scaled from 30 s). A new mount's first renewal comes a renew
-  // period (a third of the lease) after its mount, and the write margin
-  // is another third; under TSan a 0.4 s lease lapsed into the margin
-  // before node a's first write (STALE_LEASE).
-  constexpr Duration kLease(1'500'000);
+  constexpr Duration kLease(400'000);  // 0.4 s (scaled from 30 s)
   opts.lease_duration = kLease;
   Cluster cluster(opts);
   Status st = cluster.Start();

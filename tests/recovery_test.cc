@@ -12,6 +12,7 @@
 #include "src/fs/fsck.h"
 #include "src/fs/lock_provider.h"
 #include "src/fs/wal.h"
+#include "src/obs/metrics.h"
 #include "src/server/cluster.h"
 
 namespace frangipani {
@@ -219,6 +220,57 @@ TEST_F(RecoveryTest, WriteMarginRefusesLateWrites) {
   // Between margin and expiry: the op is fenced off client-side.
   Status st = cluster_->fs(0)->Write(*ino, 0, Pattern(512));
   EXPECT_EQ(st.code(), StatusCode::kStaleLease) << st;
+}
+
+// Waits for the next sample of `h` after `count` samples summing to `sum`
+// and returns it; 0 if none comes within `timeout`.
+double NextSample(Histogram* h, size_t count, double sum, Duration timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (std::chrono::steady_clock::now() < deadline) {
+    // Record bumps the count before the sum; a sample is whole once both moved.
+    if (h->count() == count + 1) {
+      const double s = h->Sum();
+      if (s != sum && h->count() == count + 1) {
+        return s - sum;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return 0;
+}
+
+// The lease is granted when the clerk opens the lock table, before the file
+// system mounts. A mount that takes half a renew period (its parameter-block
+// read crosses a slow link to Petal) must still renew by one period after
+// the grant: the first renewal finds at least lease - period - one round
+// trip left, as every later one does.
+TEST(MountLeaseTest, FirstRenewalComesWithinAPeriodOfTheGrant) {
+  constexpr Duration kLease(1'500'000);
+  constexpr Duration kPeriod = kLease / 3;   // the default renew period
+  constexpr Duration kRoundTrip(50'000);     // a renewal's call, with slack for sanitizers
+  ClusterOptions opts;
+  opts.petal_servers = 3;
+  opts.disks_per_petal = 1;
+  opts.lease_duration = kLease;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.Start().ok());
+  // One Petal call (request and reply) now takes half a renew period.
+  for (NodeId petal : cluster.petal_nodes()) {
+    cluster.net()->SetLinkParams(petal, LinkParams{.latency = kPeriod / 4});
+  }
+
+  Histogram* left =
+      obs::MetricsRegistry::Default()->GetHistogram("lock.lease_left_at_renew_us");
+  const size_t count = left->count();
+  const double sum = left->Sum();
+  auto node = cluster.AddFrangipani();
+  ASSERT_TRUE(node.ok()) << node.status();
+  const double first_us = NextSample(left, count, sum, 2 * kPeriod);
+  ASSERT_GT(first_us, 0) << "no renewal within two renew periods of the mount";
+  const double floor_us =
+      std::chrono::duration<double, std::micro>(kLease - kPeriod - kRoundTrip).count();
+  EXPECT_GE(first_us, floor_us) << "the first renewal came a renew period after the mount "
+                                   "returned, not after the lease was granted";
 }
 
 // ---- §8 backup ----
