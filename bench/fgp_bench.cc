@@ -433,11 +433,11 @@ StatusOr<Table> Fig5MabScaling() {
 
 // ---- Figures 6 and 7: the large-transfer probes ----
 // A 1 MB sequential transfer straight through a Petal client (writes are
-// replicated), serial (window 1) vs scatter-gather (window 8), best of
-// three. Each window runs on its own client on a fresh network node, which
-// gets the cluster's link model. Writes go to fresh offsets, so each is a
-// first write to its region. This isolates the fan-out speedup that gives
-// the scaling curves their per-machine slope.
+// replicated), scatter-gathered under the client's window, best of three.
+// The client runs on a fresh network node, which gets the cluster's link
+// model. Writes go to fresh offsets, so each is a first write to its
+// region. This isolates the fan-out that gives the scaling curves their
+// per-machine slope.
 
 StatusOr<Table> LargeTransfer(bool write) {
   ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
@@ -448,29 +448,21 @@ StatusOr<Table> LargeTransfer(bool write) {
     RETURN_IF_ERROR(cluster->admin_petal()->Write(vd, 0, payload));
   }
   obs::Gauge* peak = obs::MetricsRegistry::Default()->GetGauge("petal.inflight_peak");
-  Table t{write ? "mode,window,write_mbs,inflight_peak" : "mode,window,read_mbs,inflight_peak",
-          {}};
+  PetalClient petal(cluster->net(), cluster->net()->AddNode("probe"), cluster->petal_nodes());
+  RETURN_IF_ERROR(petal.RefreshMap());
+  peak->Reset();
+  double best = 0;
   uint64_t offset = 0;
-  for (uint32_t window : {1u, 8u}) {
-    PetalClientOptions options;
-    options.io_window = window;
-    PetalClient petal(cluster->net(), cluster->net()->AddNode("probe" + std::to_string(window)),
-                      cluster->petal_nodes(), options);
-    RETURN_IF_ERROR(petal.RefreshMap());
-    peak->Reset();
-    double best = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      Bytes back;
-      double t0 = NowSeconds();
-      RETURN_IF_ERROR(write ? petal.Write(vd, offset, payload)
-                            : petal.Read(vd, 0, payload.size(), &back));
-      best = std::max(best, (payload.size() / 1048576.0) / (NowSeconds() - t0));
-      offset += write ? payload.size() : 0;
-    }
-    t.rows.push_back({Fmt("%s,%u,%.2f,%lld", window == 1 ? "serial" : "parallel", window, best,
-                          static_cast<long long>(peak->value()))});
+  for (int rep = 0; rep < 3; ++rep) {
+    Bytes back;
+    double t0 = NowSeconds();
+    RETURN_IF_ERROR(write ? petal.Write(vd, offset, payload)
+                          : petal.Read(vd, 0, payload.size(), &back));
+    best = std::max(best, (payload.size() / 1048576.0) / (NowSeconds() - t0));
+    offset += write ? payload.size() : 0;
   }
-  return t;
+  return Table{write ? "write_mbs,inflight_peak" : "read_mbs,inflight_peak",
+               {{Fmt("%.2f,%lld", best, static_cast<long long>(peak->value()))}}};
 }
 
 // ---- Figure 6: uncached read scaling ----
@@ -548,6 +540,7 @@ struct Sample {
   double mbs = 0;
   uint64_t wasted_prefetches = 0;
   int failed = 0;
+  uint64_t partial_revokes = 0;  // lock.partial_revokes during the window
 };
 
 StatusOr<Sample> ReadWriteContention(int readers, bool readahead, uint64_t write_bytes) {
@@ -663,6 +656,9 @@ StatusOr<Sample> WritersLap(int writers, Layout layout, uint64_t region_bytes,
 
   std::atomic<uint64_t> bytes_written{0};
   std::atomic<int> failed{0};
+  obs::Counter* partial_revokes =
+      obs::MetricsRegistry::Default()->GetCounter("lock.partial_revokes");
+  uint64_t revokes_before = partial_revokes->value();
   RunWindow(writers, kWindowSeconds, [&](int m, const std::atomic<bool>& stop) {
     FrangipaniFs* fs = cluster->fs(m);
     Bytes unit(kUnit, static_cast<uint8_t>(m + 1));
@@ -683,7 +679,8 @@ StatusOr<Sample> WritersLap(int writers, Layout layout, uint64_t region_bytes,
   if (pin_trace != nullptr) {
     WriteTraceJson(pin_trace);
   }
-  return Sample{bytes_written.load() / kWindowSeconds / (1 << 20), 0, failed.load()};
+  return Sample{bytes_written.load() / kWindowSeconds / (1 << 20), 0, failed.load(),
+                partial_revokes->value() - revokes_before};
 }
 
 // Same file vs private files, 512 KB laps. §2.3: whole-file locks make write
@@ -691,7 +688,6 @@ StatusOr<Sample> WritersLap(int writers, Layout layout, uint64_t region_bytes,
 // scale. The 2-writer same-file run pins the revoke -> flush -> release ->
 // grant handoff chain between the two nodes.
 StatusOr<Table> Fig10WwContention() {
-  StartTimeSeries(Duration(250'000));  // 250 ms windows -> .timeseries.csv sidecar
   Table t{"writers,same_file_mbs,private_files_mbs", {}};
   for (int writers : {1, 2, 3, 4}) {
     ASSIGN_OR_RETURN(Sample same, WritersLap(writers, Layout::kOneFile, 8 * kUnit,
@@ -705,15 +701,20 @@ StatusOr<Table> Fig10WwContention() {
 // Extent-lock follow-up: disjoint 1 MB regions of one file vs everyone on the
 // same region. Byte-range locks let disjoint extents coexist (no ping-pong,
 // no revoke flushes); the same region still pays a flush per handoff, now
-// per extent. The 4-writer disjoint run pins its trace.
+// per extent. Each layout's lock.partial_revokes over its measuring window
+// shows which of the two hands extents back and forth. The 4-writer
+// disjoint run pins its trace.
 StatusOr<Table> Fig10Disjoint() {
-  StartTimeSeries(Duration(250'000));
-  Table t{"writers,disjoint_mbs,same_region_mbs", {}};
+  Table t{"writers,disjoint_mbs,same_region_mbs,disjoint_partial_revokes,"
+          "same_region_partial_revokes",
+          {}};
   for (int writers : {1, 2, 3, 4}) {
     ASSIGN_OR_RETURN(Sample disjoint, WritersLap(writers, Layout::kDisjointRegions, 1 << 20,
                                                  writers == 4 ? "fig10_disjoint" : nullptr));
     ASSIGN_OR_RETURN(Sample same, WritersLap(writers, Layout::kPresizedFile, 1 << 20, nullptr));
-    t.rows.push_back({Fmt("%d,%.3f,%.3f", writers, disjoint.mbs, same.mbs),
+    t.rows.push_back({Fmt("%d,%.3f,%.3f,%llu,%llu", writers, disjoint.mbs, same.mbs,
+                          static_cast<unsigned long long>(disjoint.partial_revokes),
+                          static_cast<unsigned long long>(same.partial_revokes)),
                       disjoint.failed + same.failed});
   }
   return t;
@@ -801,15 +802,14 @@ StatusOr<Table> AblationReplication() {
 
 // ---- Server-side parallelism ----
 // T client threads hammer ONE Petal server with 64 KB chunk reads, then
-// writes: a 1-shard chunk store (one mutex) vs the default 16 shards, disk
-// timing off. The store-copy model charges the time a shard is busy moving
-// a payload as a sleep held under the shard lock, so the serialization shows
-// in wall-clock throughput whatever the host's core count. The 8-thread
-// point of each mode drops a metrics sidecar (petal.store_wait_us,
-// petal.server_read_us).
+// writes, against its sharded chunk store, disk timing off. The store-copy
+// model charges the time a shard is busy moving a payload as a sleep held
+// under the shard lock, so the serialization shows in wall-clock throughput
+// whatever the host's core count. The 8-thread point drops a metrics
+// sidecar (petal.store_wait_us, petal.server_read_us).
 
 constexpr int kHammerChunks = 64;       // preloaded working set
-constexpr double kHammerSeconds = 0.35;  // per (mode, threads, direction)
+constexpr double kHammerSeconds = 0.35;  // per (threads, direction)
 constexpr double kStoreCopyBps = 512e6;  // 64 KB ≈ 125 us store occupancy
 
 struct Rate {
@@ -852,39 +852,36 @@ Rate Hammer(Network* net, const std::vector<NodeId>& clients, NodeId server, Vdi
 }
 
 StatusOr<Table> ServerScaling() {
-  Table t{"mode,shards,threads,read_mbs,write_mbs,store_wait_p99_us", {}};
+  Table t{"threads,read_mbs,write_mbs,store_wait_p99_us", {}};
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
-  for (int shards : {1, kPetalStoreShardsDefault}) {
-    Network net;
-    NodeId server_node = net.AddNode("petal0");
-    std::vector<NodeId> clients;
-    for (int i = 0; i < 16; ++i) {
-      clients.push_back(net.AddNode("client" + std::to_string(i)));
-    }
-    PetalServerDurable durable(shards);
-    PetalServerOptions options;
-    options.disk.timing_enabled = false;
-    options.store_copy_bps = kStoreCopyBps;
-    std::vector<NodeId> group = {server_node};
-    PetalServer server(&net, server_node, group, group, &durable, options, SystemClock::Get());
-    PetalClient setup(&net, net.AddNode("admin"), group);
-    RETURN_IF_ERROR(setup.RefreshMap());
-    ASSIGN_OR_RETURN(VdiskId vd, setup.CreateVdisk());
-    Bytes chunk(kChunkSize, 0x5A);
-    for (uint64_t c = 0; c < kHammerChunks; ++c) {
-      RETURN_IF_ERROR(setup.Write(vd, c * kChunkSize, chunk));
-    }
-    for (int threads : {1, 2, 4, 8, 16}) {
-      reg->ResetAll();
-      Rate read = Hammer(&net, clients, server_node, vd, threads, /*writes=*/false);
-      Rate write = Hammer(&net, clients, server_node, vd, threads, /*writes=*/true);
-      double wait_p99 = reg->GetHistogram("petal.store_wait_us")->Percentile(0.99);
-      t.rows.push_back({Fmt("%s,%d,%d,%.2f,%.2f,%.2f", shards == 1 ? "serial" : "sharded",
-                            shards, threads, read.mbs, write.mbs, wait_p99),
-                        read.failed + write.failed});
-      if (threads == 8) {
-        WriteMetricsJson("server_scaling_shard" + std::to_string(shards));
-      }
+  Network net;
+  NodeId server_node = net.AddNode("petal0");
+  std::vector<NodeId> clients;
+  for (int i = 0; i < 16; ++i) {
+    clients.push_back(net.AddNode("client" + std::to_string(i)));
+  }
+  PetalServerDurable durable;
+  PetalServerOptions options;
+  options.disk.timing_enabled = false;
+  options.store_copy_bps = kStoreCopyBps;
+  std::vector<NodeId> group = {server_node};
+  PetalServer server(&net, server_node, group, group, &durable, options, SystemClock::Get());
+  PetalClient setup(&net, net.AddNode("admin"), group);
+  RETURN_IF_ERROR(setup.RefreshMap());
+  ASSIGN_OR_RETURN(VdiskId vd, setup.CreateVdisk());
+  Bytes chunk(kChunkSize, 0x5A);
+  for (uint64_t c = 0; c < kHammerChunks; ++c) {
+    RETURN_IF_ERROR(setup.Write(vd, c * kChunkSize, chunk));
+  }
+  for (int threads : {1, 2, 4, 8, 16}) {
+    reg->ResetAll();
+    Rate read = Hammer(&net, clients, server_node, vd, threads, /*writes=*/false);
+    Rate write = Hammer(&net, clients, server_node, vd, threads, /*writes=*/true);
+    double wait_p99 = reg->GetHistogram("petal.store_wait_us")->Percentile(0.99);
+    t.rows.push_back({Fmt("%d,%.2f,%.2f,%.2f", threads, read.mbs, write.mbs, wait_p99),
+                      read.failed + write.failed});
+    if (threads == 8) {
+      WriteMetricsJson("server_scaling_threads8");
     }
   }
   return t;
@@ -892,23 +889,17 @@ StatusOr<Table> ServerScaling() {
 
 // ---- Recovery: striped resync after a server restart ----
 // Kill one of three Petal servers, dirty its share of the chunk space
-// through client failover, then time the restarted server's ResyncFromPeers:
-// serial (window 1) vs striped pulls with window 4/8/16. Setup runs with
+// through client failover, then time the restarted server's ResyncFromPeers,
+// which stripes its pulls under PetalServer::kResyncWindow. Setup runs with
 // disk timing off and unshaped links; both are switched on just before the
 // restart (2 ms / 12 MB/s disks, 300 us / 17 MB/s links), so only the resync
-// is modeled. Serially each pull pays two NIC transfers plus a peer disk
-// read and a local write (~19 ms per chunk); striped, they overlap until the
-// restarter's NIC and disks bound the pass. The serial and window-8 runs
-// drop metrics sidecars (petal.resync_us, _bytes, _inflight_peak,
-// _pull_errors).
+// is modeled. Each pull pays two NIC transfers plus a peer disk read and a
+// local write (~19 ms per chunk); striped, they overlap until the
+// restarter's NIC and disks bound the pass. The registry is reset first, so
+// the metrics sidecar (petal.resync_us, _bytes, _inflight_peak,
+// _pull_errors) covers this run alone.
 
-struct Resync {
-  double secs = 0;
-  uint64_t bytes = 0;
-  int64_t inflight_peak = 0;
-};
-
-StatusOr<Resync> ResyncOnce(int window) {
+StatusOr<Table> Recovery() {
   constexpr int kServers = 3;
   constexpr uint64_t kTotalChunks = 384;  // 2/3 land on the downed server: 256
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
@@ -920,11 +911,10 @@ StatusOr<Resync> ResyncOnce(int window) {
   }
   PetalServerOptions options;
   options.disk.timing_enabled = false;  // switched on before the restart
-  // Faster than the RZ29 defaults so the serial baseline finishes in
-  // seconds, with the same seek-vs-transfer structure.
+  // Faster than the RZ29 defaults, with the same seek-vs-transfer
+  // structure.
   options.disk.seek_time = Duration{2000};
   options.disk.transfer_bps = 12.0 * (1 << 20);
-  options.resync_window = window;
   std::vector<std::unique_ptr<PetalServerDurable>> states;
   std::vector<std::unique_ptr<PetalServer>> servers;
   for (int i = 0; i < kServers; ++i) {
@@ -966,31 +956,15 @@ StatusOr<Resync> ResyncOnce(int window) {
   net.SetNodeUp(nodes[0], true);
   double t0 = NowSeconds();
   RETURN_IF_ERROR(servers[0]->ResyncFromPeers());
-  Resync r;
-  r.secs = NowSeconds() - t0;
-  r.bytes = pulled->value() - bytes_before;
-  r.inflight_peak = reg->GetGauge("petal.resync_inflight_peak")->value();
-  return r;
-}
-
-StatusOr<Table> Recovery() {
-  Table t{"window,chunks_pulled,bytes,resync_s,mb_s,speedup_vs_serial,inflight_peak", {}};
-  double serial_s = 0;
-  for (int window : {1, 4, 8, 16}) {
-    ASSIGN_OR_RETURN(Resync r, ResyncOnce(window));
-    if (window == 1) {
-      serial_s = r.secs;
-      WriteMetricsJson("recovery_serial");
-    } else if (window == 8) {
-      WriteMetricsJson("recovery_window8");
-    }
-    t.rows.push_back({Fmt("%d,%llu,%llu,%.3f,%.2f,%.2f,%lld", window,
-                          static_cast<unsigned long long>(r.bytes / kChunkSize),
-                          static_cast<unsigned long long>(r.bytes), r.secs,
-                          static_cast<double>(r.bytes) / (1 << 20) / r.secs, serial_s / r.secs,
-                          static_cast<long long>(r.inflight_peak))});
-  }
-  return t;
+  double secs = NowSeconds() - t0;
+  uint64_t bytes = pulled->value() - bytes_before;
+  return Table{"chunks_pulled,bytes,resync_s,mb_s,inflight_peak",
+               {{Fmt("%llu,%llu,%.3f,%.2f,%lld",
+                     static_cast<unsigned long long>(bytes / kChunkSize),
+                     static_cast<unsigned long long>(bytes), secs,
+                     static_cast<double>(bytes) / (1 << 20) / secs,
+                     static_cast<long long>(
+                         reg->GetGauge("petal.resync_inflight_peak")->value()))}}};
 }
 
 // ---- Small ops: the sync-log path under load ----
@@ -1163,10 +1137,10 @@ const Experiment kExperiments[] = {
     {"table3_throughput", "Table 3: large-file MB/s and CPU, one machine; §9.2 small reads",
      Table3Throughput},
     {"fig5_mab_scaling", "Figure 5: MAB scaling, average seconds per machine", Fig5MabScaling},
-    {"fig6_large_transfer", "Figure 6 probe: 1 MB Petal read, window 1 vs 8",
+    {"fig6_large_transfer", "Figure 6 probe: 1 MB scatter-gathered Petal read",
      [] { return LargeTransfer(/*write=*/false); }},
     {"fig6_read_scaling", "Figure 6: uncached read scaling, aggregate MB/s", Fig6ReadScaling},
-    {"fig7_large_transfer", "Figure 7 probe: 1 MB replicated Petal write, window 1 vs 8",
+    {"fig7_large_transfer", "Figure 7 probe: 1 MB scatter-gathered, replicated Petal write",
      [] { return LargeTransfer(/*write=*/true); }},
     {"fig7_write_scaling", "Figure 7: write scaling, aggregate MB/s", Fig7WriteScaling},
     {"fig8_rw_contention", "Figure 8: reader/writer contention, with vs without read-ahead",
@@ -1180,9 +1154,8 @@ const Experiment kExperiments[] = {
     {"ablation_lockservice", "Ablation §6: the three lock services", AblationLockService},
     {"ablation_synclog", "Ablation §4: asynchronous vs synchronous logging", AblationSyncLog},
     {"ablation_replication", "Ablation §2.3: Petal replication cost", AblationReplication},
-    {"server_scaling", "Server scaling: 64 KB ops on one Petal server, 1 vs 16 store shards",
-     ServerScaling},
-    {"recovery", "Recovery: resync after a Petal server restart, serial vs striped", Recovery},
+    {"server_scaling", "Server scaling: 64 KB ops on one sharded Petal server", ServerScaling},
+    {"recovery", "Recovery: striped resync after a Petal server restart", Recovery},
     {"smallops", "Small ops: open-loop sync-log cycles at a swept offered load", SmallOps},
 };
 

@@ -16,7 +16,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
-#include "src/obs/snapshot.h"
 
 namespace frangipani {
 namespace bench {
@@ -42,7 +41,6 @@ ClusterOptions PaperClusterOptions(bool nvram) {
   options.node.sync_period = Duration(1'000'000);   // update demon (scaled 30 s -> 1 s)
   options.node.log_flush_period = Duration(100'000);
   options.node.fs.readahead_units = 8;
-  options.node.petal.io_window = 8;  // scatter-gather fan-out per transfer
   return options;
 }
 
@@ -198,7 +196,6 @@ void WriteCsv(const std::string& name, const std::string& header,
   WriteMetricsJson(name);
   WriteTraceJson(name);
   WriteTraceDigest(name);
-  WriteTimeSeriesCsv(name);
 }
 
 void WriteMetricsJson(const std::string& name) {
@@ -213,12 +210,6 @@ namespace {
 
 std::mutex g_sidecar_mu;
 std::set<std::string>* g_written_traces = new std::set<std::string>();
-bool g_timeseries_on = false;
-
-obs::MetricsSampler* Sampler() {
-  static obs::MetricsSampler* s = new obs::MetricsSampler();
-  return s;
-}
 
 }  // namespace
 
@@ -317,34 +308,6 @@ void WriteTraceDigest(const std::string& name) {
     }
   }
   std::printf("[trace digest written to %s]\n", path.c_str());
-}
-
-void StartTimeSeries(Duration period) {
-  {
-    std::lock_guard<std::mutex> guard(g_sidecar_mu);
-    if (g_timeseries_on) {
-      return;
-    }
-    g_timeseries_on = true;
-  }
-  Sampler()->Start(period);
-}
-
-void WriteTimeSeriesCsv(const std::string& name) {
-  {
-    std::lock_guard<std::mutex> guard(g_sidecar_mu);
-    if (!g_timeseries_on) {
-      return;  // bench did not opt in to time-series capture
-    }
-  }
-  obs::MetricsSampler* s = Sampler();
-  s->Tick();  // close the final partial window
-  std::filesystem::create_directories("bench_results");
-  std::string path = "bench_results/" + name + ".timeseries.csv";
-  std::ofstream out(path, std::ios::trunc);
-  out << s->ExportCsv();
-  std::printf("[timeseries written to %s]\n", path.c_str());
-  s->Reset();  // fresh windows for the next bench in this process
 }
 
 }  // namespace bench

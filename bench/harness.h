@@ -97,20 +97,11 @@ void WriteTraceJson(const std::string& name);
 // bench_results/<name>.trace_digest.txt: per-span counts with total/max
 // duration, instant-event counts, each op's p50 and mean
 // op.<op>.{fs,lock,wal,petal,net}_us with the number of calls that reached
-// each layer, and the critical path of the slowest
-// captured op of each op name. The raw .trace.json / .timeseries.csv
-// sidecars are multi-MB and gitignored (uploaded as CI artifacts only); the
-// digest is the small committable evidence. Called automatically by
-// WriteCsv.
+// each layer, and the critical path of the slowest captured op of each op
+// name. The raw .trace.json sidecar is multi-MB and gitignored (uploaded as
+// a CI artifact only); the digest is the small committable evidence. Called
+// automatically by WriteCsv.
 void WriteTraceDigest(const std::string& name);
-
-// Opt in to windowed time-series capture: a background sampler records
-// metric deltas every `period` from now on. WriteCsv (or an explicit
-// WriteTimeSeriesCsv) then drops bench_results/<name>.timeseries.csv in long
-// format (window,t_ms,metric,value) and restarts the windows for the next
-// bench. No-op if called twice.
-void StartTimeSeries(Duration period);
-void WriteTimeSeriesCsv(const std::string& name);
 
 double NowSeconds();
 

@@ -98,7 +98,7 @@ Status FrangipaniFs::MetaTxn::Commit() {
   if (record.updates.empty()) {
     return OkStatus();
   }
-  RETURN_IF_ERROR(fs_->CheckWriteLease());
+  RETURN_IF_ERROR(fs_->CheckWriteLease(fs_->m_stale_lease_commit_));
   ASSIGN_OR_RETURN(lsn_, fs_->wal_->Append(std::move(record), [&](uint64_t lsn) -> Status {
     for (auto& [addr, b] : logged) {
       RETURN_IF_ERROR(fs_->cache_->PutDirty(addr, b->data, b->lock, lsn));
@@ -148,6 +148,8 @@ FrangipaniFs::FrangipaniFs(BlockDevice* device, LockProvider* locks, Clock* cloc
   m_name_hint_stale_ = obs::MetricsRegistry::Default()->GetCounter("fs.name_hint.stale");
   m_plan_fetches_ = obs::MetricsRegistry::Default()->GetCounter("fs.plan_fetches");
   m_plan_fetch_wasted_ = obs::MetricsRegistry::Default()->GetCounter("fs.plan_fetch_wasted");
+  m_stale_lease_commit_ = obs::MetricsRegistry::Default()->GetCounter("fs.stale_lease.commit");
+  m_stale_lease_fsync_ = obs::MetricsRegistry::Default()->GetCounter("fs.stale_lease.fsync");
 }
 
 FrangipaniFs::~FrangipaniFs() {
@@ -249,7 +251,7 @@ Status FrangipaniFs::CheckWritable() const {
   return OkStatus();
 }
 
-Status FrangipaniFs::CheckWriteLease() const {
+Status FrangipaniFs::CheckWriteLease(obs::Counter* refusals) const {
   Duration lease = locks_->LeaseDuration();
   if (lease.count() == 0) {
     return OkStatus();  // local locks: no lease to guard
@@ -258,6 +260,7 @@ Status FrangipaniFs::CheckWriteLease() const {
   // margin down for installations with shorter leases.
   Duration margin = std::min(kDefaultLeaseMargin, lease / 3);
   if (!locks_->LeaseValidFor(margin)) {
+    refusals->Increment();
     return StaleLease("lease expires within the write margin (§6)");
   }
   return OkStatus();

@@ -219,8 +219,10 @@ class FrangipaniFs {
   // CheckUsable, and refuse read-only (snapshot) mounts.
   Status CheckWritable() const;
   // §6 hazard check: before attempting Petal writes, the lease must still be
-  // valid for `margin` (scaled to the installation's lease duration).
-  Status CheckWriteLease() const;
+  // valid for `margin` (scaled to the installation's lease duration). A
+  // refusal is counted in `refusals`, the calling site's
+  // fs.stale_lease.<site> counter.
+  Status CheckWriteLease(obs::Counter* refusals) const;
 
   // ---- phase-1 helpers (take and drop locks internally) ----
   // Walks `path` to the directory that holds its last component, looking up
@@ -398,6 +400,8 @@ class FrangipaniFs {
   obs::Counter* m_name_hint_stale_;    // removes whose hint no longer named the entry
   obs::Counter* m_plan_fetches_;       // plan blocks started on the prefetch pool
   obs::Counter* m_plan_fetch_wasted_;  // of those, dropped by a lock-epoch change
+  obs::Counter* m_stale_lease_commit_;  // write-margin refusals at a MetaTxn commit
+  obs::Counter* m_stale_lease_fsync_;   // write-margin refusals at an fsync
 };
 
 // Parses a path into components; rejects empty names and names over the

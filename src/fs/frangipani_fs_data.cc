@@ -449,7 +449,7 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
 Status FrangipaniFs::Fsync(uint64_t ino) {
   obs::OpTrace trace(&op_metrics_.fsync, options_.node_id);
   RETURN_IF_ERROR(CheckUsable());
-  RETURN_IF_ERROR(CheckWriteLease());
+  RETURN_IF_ERROR(CheckWriteLease(m_stale_lease_fsync_));
   // One batch: the whole log (making this file's metadata updates
   // recoverable), with the file's data written alongside it and its inode
   // and directory blocks after it.

@@ -143,21 +143,16 @@ StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service
   return response;
 }
 
-ThreadPool* Network::IoPool() {
-  std::call_once(io_pool_once_, [this] { io_pool_ = std::make_unique<ThreadPool>(kIoThreads); });
-  return io_pool_.get();
-}
-
 void Network::SubmitIo(std::function<void()> fn) {
   // Carry the submitting op's trace id onto the worker so the flight
   // recorder parents pool-side spans under the op. Layer attribution is
   // untouched (InheritedTraceScope creates no TraceState).
   uint64_t trace_id = obs::CurrentTraceId();
   if (trace_id == 0) {
-    IoPool()->Submit(std::move(fn));
+    io_pool_->Submit(std::move(fn));
     return;
   }
-  IoPool()->Submit([trace_id, fn = std::move(fn)] {
+  io_pool_->Submit([trace_id, fn = std::move(fn)] {
     obs::InheritedTraceScope inherit(trace_id);
     fn();
   });

@@ -68,7 +68,8 @@ struct ParallelForOptions {
 
 class Network {
  public:
-  explicit Network(LinkParams defaults = {}) : defaults_(defaults) {}
+  explicit Network(LinkParams defaults = {})
+      : defaults_(defaults), io_pool_(std::make_unique<ThreadPool>(kIoThreads)) {}
 
   // Joins the IO pool before the rest of the members are torn down: a still
   // queued or running SubmitIo/CallAsync task (e.g. a CallAsync whose future
@@ -87,7 +88,7 @@ class Network {
                        const Bytes& request);
 
   // ---- Async IO ----
-  // Runs `fn` on the shared IO thread pool (created lazily on first use).
+  // Runs `fn` on the shared IO thread pool (created with the Network).
   // Tasks typically wrap one or more synchronous Call()s; a task must never
   // block waiting for another SubmitIo/CallAsync task to finish, or the pool
   // can deadlock at saturation. Callers own completion signaling and must
@@ -142,12 +143,9 @@ class Network {
   // Models occupancy of both NICs plus propagation; sleeps the caller.
   void Transmit(Node& src, Node& dst, size_t bytes);
 
-  ThreadPool* IoPool();
-
   mutable std::mutex mu_;
   LinkParams defaults_;
   static constexpr int kIoThreads = 32;  // threads of the IO pool
-  std::once_flag io_pool_once_;
   std::unique_ptr<ThreadPool> io_pool_;
   std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1
   std::set<std::pair<NodeId, NodeId>> partitions_;

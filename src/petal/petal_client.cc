@@ -10,12 +10,8 @@
 
 namespace frangipani {
 
-PetalClient::PetalClient(Network* net, NodeId self, std::vector<NodeId> bootstrap_servers,
-                         PetalClientOptions options)
-    : net_(net),
-      self_(self),
-      bootstrap_(std::move(bootstrap_servers)),
-      io_window_(options.io_window) {
+PetalClient::PetalClient(Network* net, NodeId self, std::vector<NodeId> bootstrap_servers)
+    : net_(net), self_(self), bootstrap_(std::move(bootstrap_servers)) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   m_read_us_ = reg->GetHistogram("petal.read_us");
   m_write_us_ = reg->GetHistogram("petal.write_us");
@@ -26,7 +22,6 @@ PetalClient::PetalClient(Network* net, NodeId self, std::vector<NodeId> bootstra
   m_decommit_errors_ = reg->GetCounter("petal.decommit_errors");
   m_inflight_ = reg->GetGauge("petal.inflight");
   m_inflight_peak_ = reg->GetGauge("petal.inflight_peak");
-  reg->GetGauge("petal.io_window")->Set(io_window_);
 }
 
 Status PetalClient::RefreshMap() {
@@ -60,7 +55,7 @@ Status PetalClient::ForEachChunk(size_t count, const std::function<Status(size_t
   ParallelForOptions pf;
   pf.inflight = m_inflight_;
   pf.inflight_peak = m_inflight_peak_;
-  return net_->ParallelFor(count, io_window_, op, pf);
+  return net_->ParallelFor(count, kIoWindow, op, pf);
 }
 
 StatusOr<Bytes> PetalClient::ChunkCall(uint64_t chunk_index, uint32_t method,

@@ -5,11 +5,10 @@
 //
 // Large transfers are scatter-gathered: Read/Write split the range
 // into 64 KB chunk sub-requests and issue them concurrently through the
-// network's shared IO pool under a bounded in-flight window (io_window,
-// default 8; 1 = serial). Each sub-request independently carries the full
-// primary→secondary failover and map-refresh retry logic, and reads land
-// directly in their slice of the caller's buffer, so reassembly is in order
-// by construction. This is what stripes a single large transfer across many
+// network's shared IO pool under a bounded in-flight window (kIoWindow).
+// Each sub-request independently carries the full primary→secondary
+// failover and map-refresh retry logic, and reads land directly in their
+// slice of the caller's buffer, so reassembly is in order by construction. This is what stripes a single large transfer across many
 // Petal servers at once (§9.2, Figures 6–7).
 #ifndef SRC_PETAL_PETAL_CLIENT_H_
 #define SRC_PETAL_PETAL_CLIENT_H_
@@ -27,18 +26,13 @@
 
 namespace frangipani {
 
-struct PetalClientOptions {
-  // Max chunk sub-requests in flight per transfer. 1 disables the parallel
-  // path entirely (serial loop on the caller's thread, the pre-scatter-gather
-  // behavior; benches use it as the comparison baseline).
-  uint32_t io_window = 8;
-};
-
 // Thread-safe; one instance per client machine.
 class PetalClient {
  public:
-  PetalClient(Network* net, NodeId self, std::vector<NodeId> bootstrap_servers,
-              PetalClientOptions options = {});
+  // Max chunk sub-requests in flight per transfer.
+  static constexpr uint32_t kIoWindow = 8;
+
+  PetalClient(Network* net, NodeId self, std::vector<NodeId> bootstrap_servers);
 
   // Reads `length` bytes at `offset` (may span chunks). Uncommitted ranges
   // read as zeros.
@@ -78,7 +72,7 @@ class PetalClient {
   // Runs an admin call against any reachable server.
   StatusOr<Bytes> AnyCall(uint32_t method, const Bytes& request);
 
-  // Runs op(0..count-1) with at most io_window in flight on the network's
+  // Runs op(0..count-1) with at most kIoWindow in flight on the network's
   // IO pool; the caller's thread issues and waits. Stops issuing after the
   // first failure (in-flight ops drain) and returns that first error.
   Status ForEachChunk(size_t count, const std::function<Status(size_t)>& op);
@@ -86,7 +80,6 @@ class PetalClient {
   Network* net_;
   NodeId self_;
   std::vector<NodeId> bootstrap_;
-  const uint32_t io_window_;
 
   mutable std::mutex mu_;
   PetalGlobalMap map_;

@@ -89,7 +89,6 @@ PetalServer::PetalServer(Network* net, NodeId self, std::vector<NodeId> paxos_gr
   m_resync_degraded_ = reg->GetCounter("petal.resync_degraded");
   m_resync_inflight_ = reg->GetGauge("petal.resync_inflight");
   m_resync_inflight_peak_ = reg->GetGauge("petal.resync_inflight_peak");
-  reg->GetGauge("petal.store_shards")->Set(static_cast<int64_t>(durable_->shards.size()));
   map_.servers = std::move(initial_active);
   paxos_ = std::make_unique<PaxosPeer>(
       net_, self_, std::move(paxos_group), &durable_->paxos,
@@ -762,12 +761,11 @@ Status PetalServer::Rebalance() {
       keys.push_back(key);
     }
   }
-  uint32_t window = options_.resync_window < 1 ? 1 : static_cast<uint32_t>(options_.resync_window);
   ParallelForOptions pf;
   pf.inflight = m_resync_inflight_;
   pf.inflight_peak = m_resync_inflight_peak_;
   return net_->ParallelFor(
-      keys.size(), window,
+      keys.size(), kResyncWindow,
       [&](size_t i) -> Status {
         RebalanceChunk(map, keys[i]);
         return OkStatus();
@@ -913,12 +911,11 @@ Status PetalServer::ResyncFromPeers() {
   // gather (each item retries/fails over on its own); they are tallied and
   // judged below.
   std::atomic<uint64_t> failed_chunks{0};
-  uint32_t window = options_.resync_window < 1 ? 1 : static_cast<uint32_t>(options_.resync_window);
   ParallelForOptions pf;
   pf.inflight = m_resync_inflight_;
   pf.inflight_peak = m_resync_inflight_peak_;
   (void)net_->ParallelFor(
-      todo.size(), window,
+      todo.size(), kResyncWindow,
       [&](size_t i) -> Status {
         if (!PullChunkStriped(todo[i])) {
           failed_chunks.fetch_add(1, std::memory_order_relaxed);

@@ -26,6 +26,7 @@
 #ifndef SRC_PETAL_PETAL_SERVER_H_
 #define SRC_PETAL_PETAL_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -55,9 +56,6 @@ struct PetalServerOptions {
   double store_copy_bps = 0;
 
   // ---- recovery (ResyncFromPeers / Rebalance) ----
-  // Max pull/push RPCs in flight during a resync or rebalance pass; 1 runs
-  // the pre-striping serial loop (benches use it as the baseline).
-  int resync_window = 8;
   // Bounded retries for peer inventory listings and per-chunk pulls; the
   // backoff doubles between rounds.
   int resync_attempts = 3;
@@ -71,7 +69,7 @@ struct BlobMeta {
   Bytes data;             // kChunkSize bytes
 };
 
-inline constexpr int kPetalStoreShardsDefault = 16;
+inline constexpr int kPetalStoreShards = 16;
 
 // One shard of the chunk store: its own lock, blob map, chunk directory,
 // and handle counter (handles are scoped to the shard). Chunks are assigned
@@ -87,14 +85,10 @@ struct PetalStoreShard {
 
 // The durable half of a Petal server: contents survive a simulated crash.
 // The chunk store is sharded so concurrent client streams touching
-// different chunks never contend on one mutex; the shard count is fixed for
-// the durable's lifetime (it must not change across a simulated restart).
+// different chunks never contend on one mutex.
 struct PetalServerDurable {
-  explicit PetalServerDurable(int store_shards = kPetalStoreShardsDefault)
-      : shards(store_shards < 1 ? 1 : store_shards) {}
-
   PaxosDurableState paxos;
-  std::vector<PetalStoreShard> shards;
+  std::array<PetalStoreShard, kPetalStoreShards> shards;
   // Guards `disks` (created by the first server started on this durable)
   // and `disk_blobs`, the number of blobs each disk holds. Taken inside a
   // shard lock when a blob is created or freed.
@@ -139,6 +133,8 @@ class PetalServer : public Service {
   };
 
   static constexpr const char* kServiceName = "petal";
+  // Max pull/push RPCs in flight during a resync or rebalance pass.
+  static constexpr uint32_t kResyncWindow = 8;
 
   // `initial_active` must be identical for every server of the installation:
   // it seeds the epoch-0 global map that Paxos commands then evolve.
@@ -158,14 +154,14 @@ class PetalServer : public Service {
   Status DeleteVdisk(VdiskId id);
 
   // Pushes every locally held chunk to its current replicas (fanned out
-  // under the resync window) and drops chunks this server no longer hosts —
+  // under kResyncWindow) and drops chunks this server no longer hosts —
   // but only once a placed replica's reply confirms it holds at least our
   // version. Run on every server after membership change.
   Status Rebalance();
 
   // Pulls chunks this server should hold but has stale/missing, fanning
   // kPullChunk RPCs across peers and store shards under a bounded in-flight
-  // window (resync_window), then marks the server ready. Run after a
+  // window (kResyncWindow), then marks the server ready. Run after a
   // restart, before taking client traffic. If no peer inventory is
   // reachable, or some chunk known to be newer on a peer could not be
   // pulled after bounded retries, the server is left NOT ready and an

@@ -10,7 +10,7 @@ FrangipaniNode::FrangipaniNode(Network* net, NodeId node, std::vector<NodeId> pe
                                VdiskId vdisk, Clock* clock, NodeOptions options)
     : net_(net), node_(node), vdisk_(vdisk), clock_(clock), options_(options) {
   options_.fs.node_id = node_;  // tag this node's spans in the flight recorder
-  petal_ = std::make_unique<PetalClient>(net_, node_, std::move(petal_servers), options_.petal);
+  petal_ = std::make_unique<PetalClient>(net_, node_, std::move(petal_servers));
   device_ = std::make_unique<PetalDevice>(petal_.get(), vdisk_);
 
   std::unique_ptr<LockRouter> router;

@@ -26,7 +26,6 @@ enum class LockServiceKind {
 
 struct NodeOptions {
   FsOptions fs;
-  PetalClientOptions petal;              // scatter-gather window for Petal I/O
   Duration sync_period{1'000'000};       // update demon (paper: 30 s; scaled)
   Duration log_flush_period{200'000};    // periodic log write (§4)
   Duration renew_period{0};              // 0 = lease_duration / 3

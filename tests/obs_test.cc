@@ -12,7 +12,6 @@
 #include "src/net/network.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
-#include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
 #include "src/server/cluster.h"
 
@@ -602,66 +601,6 @@ TEST(RecorderTest, BlockCacheWaitSpansCarryTheMountsNode) {
   EXPECT_GT(waits, 0u);
   rec->Enable(false);
   rec->Clear();
-}
-
-// ---- Windowed snapshots ----
-
-TEST(SamplerTest, WindowedDeltaMath) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("c");
-  obs::Gauge* g = reg.GetGauge("g");
-  Histogram* h = reg.GetHistogram("h");
-  c->Increment(5);
-  g->Set(3);
-  h->Record(10);
-  obs::MetricsSampler sampler(&reg);
-  sampler.Tick();  // baseline only, no window
-  EXPECT_EQ(sampler.window_count(), 0u);
-
-  c->Increment(7);
-  g->Set(10);
-  h->Record(4);
-  h->Record(6);
-  sampler.Tick();
-  EXPECT_EQ(sampler.window_count(), 1u);
-
-  sampler.Tick();  // idle window: only the gauge level is nonzero
-  EXPECT_EQ(sampler.window_count(), 2u);
-
-  std::string csv = sampler.ExportCsv();
-  EXPECT_EQ(csv.rfind("window,t_ms,metric,value\n", 0), 0u);
-  // Window 0: counter delta 7 (not the cumulative 12), histogram deltas
-  // count=2 / sum=10, gauge level 10.
-  EXPECT_NE(csv.find(",c,7\n"), std::string::npos);
-  EXPECT_EQ(csv.find(",c,12\n"), std::string::npos);
-  EXPECT_NE(csv.find(",h.count,2\n"), std::string::npos);
-  EXPECT_NE(csv.find(",h.sum,10\n"), std::string::npos);
-  EXPECT_NE(csv.find(",g,10\n"), std::string::npos);
-  // The idle window emits no counter/histogram rows (zero deltas skipped).
-  size_t first = csv.find(",c,7\n");
-  EXPECT_EQ(csv.find(",c,", first + 1), std::string::npos);
-
-  sampler.Reset();
-  EXPECT_EQ(sampler.window_count(), 0u);
-  // After Reset the next Tick is a baseline again.
-  sampler.Tick();
-  EXPECT_EQ(sampler.window_count(), 0u);
-}
-
-TEST(SamplerTest, BackgroundStartStop) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("bg");
-  obs::MetricsSampler sampler(&reg);
-  sampler.Start(Duration(5'000));  // 5 ms windows
-  for (int i = 0; i < 20; ++i) {
-    c->Increment();
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  sampler.Stop();
-  EXPECT_GE(sampler.window_count(), 2u);
-  std::string csv = sampler.ExportCsv();
-  EXPECT_NE(csv.find(",bg,"), std::string::npos);
-  sampler.Stop();  // idempotent
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ namespace {
 
 class PetalParallelTest : public ::testing::Test {
  protected:
-  void Build(int n, uint32_t io_window = 8) {
+  void Build(int n) {
     for (int i = 0; i < n; ++i) {
       nodes_.push_back(net_.AddNode("petal" + std::to_string(i)));
     }
@@ -32,9 +32,7 @@ class PetalParallelTest : public ::testing::Test {
                                                        SystemClock::Get()));
     }
     client_node_ = net_.AddNode("client");
-    PetalClientOptions copts;
-    copts.io_window = io_window;
-    client_ = std::make_unique<PetalClient>(&net_, client_node_, nodes_, copts);
+    client_ = std::make_unique<PetalClient>(&net_, client_node_, nodes_);
     ASSERT_TRUE(client_->RefreshMap().ok());
   }
 
@@ -82,17 +80,6 @@ TEST_F(PetalParallelTest, MultiChunkRoundTripReassemblesInOrder) {
   EXPECT_GT(peak->value(), 1);
   // And drained completely.
   EXPECT_EQ(obs::MetricsRegistry::Default()->GetGauge("petal.inflight")->value(), 0);
-}
-
-TEST_F(PetalParallelTest, SerialWindowStillCorrect) {
-  Build(4, /*io_window=*/1);
-  auto vd = client_->CreateVdisk();
-  ASSERT_TRUE(vd.ok());
-  Bytes data = Pattern(5 * kChunkSize + 17, 9);
-  ASSERT_TRUE(client_->Write(*vd, 100, data).ok());
-  Bytes back;
-  ASSERT_TRUE(client_->Read(*vd, 100, data.size(), &back).ok());
-  EXPECT_EQ(back, data);
 }
 
 TEST_F(PetalParallelTest, NoLostOrDuplicatedChunkWrites) {
@@ -339,17 +326,19 @@ TEST_F(PetalParallelTest, DecommitFailsWhenNoReplicaReachable) {
 }
 
 TEST_F(PetalParallelTest, HardErrorWithMoreChunksThanWindowDoesNotHang) {
-  Build(3, /*io_window=*/4);
+  Build(3);
   auto vd = client_->CreateVdisk();
   ASSERT_TRUE(vd.ok());
-  // 16 chunks through a window of 4 against an unreachable cluster: once the
-  // first chunk fails, the gather loop must drain the in-flight window and
-  // return the error even though most chunks were never issued (regression:
-  // this used to wait forever on a cv nobody would signal).
+  // More chunks than the client's window against an unreachable cluster:
+  // once the first chunk fails, the gather loop must stop issuing, drain the
+  // in-flight window and return the error (regression: with chunks left
+  // unissued this used to wait forever on a cv nobody would signal).
+  constexpr uint64_t kChunks = 16;
+  static_assert(kChunks > PetalClient::kIoWindow);
   for (NodeId n : nodes_) {
     net_.SetNodeUp(n, false);
   }
-  Bytes data = Pattern(16 * kChunkSize, 21);
+  Bytes data = Pattern(kChunks * kChunkSize, 21);
   EXPECT_FALSE(client_->Write(*vd, 0, data).ok());
   Bytes back;
   EXPECT_FALSE(client_->Read(*vd, 0, data.size(), &back).ok());

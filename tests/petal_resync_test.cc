@@ -113,7 +113,6 @@ constexpr uint64_t kTestChunks = 48;
 
 TEST_F(PetalResyncTest, StripedResyncConvergesUnderDrops) {
   PetalServerOptions opts;
-  opts.resync_window = 8;
   opts.resync_attempts = 6;  // ride out p=0.08 message drops
   opts.resync_backoff = Duration{300};
   Build(3, opts);
@@ -139,7 +138,6 @@ TEST_F(PetalResyncTest, StripedResyncConvergesUnderDrops) {
 
 TEST_F(PetalResyncTest, MidResyncPeerKillConvergesAfterPeerReturns) {
   PetalServerOptions opts;
-  opts.resync_window = 8;
   opts.resync_attempts = 2;
   opts.resync_backoff = Duration{500};
   LinkParams link;
@@ -281,10 +279,8 @@ TEST_F(PetalResyncTest, RejectedPushDoesNotDropLocalCopy) {
   EXPECT_TRUE(states_[1]->HasChunk({*vd, 0}));
 }
 
-TEST_F(PetalResyncTest, SerialWindowMatchesStriped) {
-  PetalServerOptions opts;
-  opts.resync_window = 1;  // the pre-striping serial path stays correct
-  Build(3, opts);
+TEST_F(PetalResyncTest, ResyncWithoutFaultsConverges) {
+  Build(3);
   auto vd = client_->CreateVdisk();
   ASSERT_TRUE(vd.ok()) << vd.status();
   for (uint64_t c = 0; c < 12; ++c) {

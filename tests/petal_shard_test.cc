@@ -1,8 +1,7 @@
 // Sharded Petal chunk store: concurrent client streams on different chunks
 // must not corrupt the store (TSan target), and every cross-shard path —
 // snapshot/clone COW, DeleteVdisk sweep, decommit, resync pull — must see
-// all shards. Also pins down that a 1-shard store (the pre-sharding
-// configuration) still behaves identically.
+// all shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,12 +18,12 @@ namespace {
 
 class PetalShardTest : public ::testing::Test {
  protected:
-  void Build(int n, int store_shards = kPetalStoreShardsDefault, int disks = 2) {
+  void Build(int n, int disks = 2) {
     for (int i = 0; i < n; ++i) {
       nodes_.push_back(net_.AddNode("petal" + std::to_string(i)));
     }
     for (int i = 0; i < n; ++i) {
-      states_.push_back(std::make_unique<PetalServerDurable>(store_shards));
+      states_.push_back(std::make_unique<PetalServerDurable>());
       PetalServerOptions opts;
       opts.num_disks = disks;
       opts.disk.timing_enabled = false;
@@ -153,7 +152,7 @@ TEST_F(PetalShardTest, ConcurrentWritesAndDecommits) {
 }
 
 TEST_F(PetalShardTest, DiskCountsStayExactUnderConcurrentCreatesAndDecommits) {
-  Build(2, kPetalStoreShardsDefault, /*disks=*/9);
+  Build(2, /*disks=*/9);
   auto vd = client_->CreateVdisk();
   ASSERT_TRUE(vd.ok());
   // Sixteen threads each create and decommit their own chunks, strided so
@@ -254,7 +253,7 @@ TEST_F(PetalShardTest, SnapshotCowRefcountsSpanShards) {
   ASSERT_TRUE(vd.ok());
   // More chunks than shards, so the COW sweep and the refcount bookkeeping
   // run in every shard.
-  constexpr int kChunks = 2 * kPetalStoreShardsDefault;
+  constexpr int kChunks = 2 * kPetalStoreShards;
   ASSERT_TRUE(client_->Write(*vd, 0, Pattern(kChunks * kChunkSize, 9)).ok());
   uint64_t base = TotalBlobs();
   auto snap = client_->Snapshot(*vd);
@@ -262,10 +261,10 @@ TEST_F(PetalShardTest, SnapshotCowRefcountsSpanShards) {
   EXPECT_EQ(TotalBlobs(), base);  // shared, nothing copied
   // Touch one chunk per shard: exactly that many chunks are COW-copied
   // (times 2 replicas).
-  for (int s = 0; s < kPetalStoreShardsDefault; ++s) {
+  for (int s = 0; s < kPetalStoreShards; ++s) {
     ASSERT_TRUE(client_->Write(*vd, static_cast<uint64_t>(s) * kChunkSize, Bytes(64, 7)).ok());
   }
-  EXPECT_EQ(TotalBlobs(), base + 2 * kPetalStoreShardsDefault);
+  EXPECT_EQ(TotalBlobs(), base + 2 * kPetalStoreShards);
   // Source deletion leaves the snapshot intact; snapshot deletion frees all.
   ASSERT_TRUE(client_->DeleteVdisk(*vd).ok());
   Bytes back;
@@ -281,7 +280,7 @@ TEST_F(PetalShardTest, DeleteVdiskSweepsAllShards) {
   Build(2);
   auto vd = client_->CreateVdisk();
   ASSERT_TRUE(vd.ok());
-  constexpr int kChunks = 3 * kPetalStoreShardsDefault;
+  constexpr int kChunks = 3 * kPetalStoreShards;
   ASSERT_TRUE(client_->Write(*vd, 0, Pattern(kChunks * kChunkSize, 3)).ok());
   EXPECT_GT(TotalBlobs(), 0u);
   ASSERT_TRUE(client_->DeleteVdisk(*vd).ok());
@@ -300,7 +299,7 @@ TEST_F(PetalShardTest, ResyncRecoversChunksInEveryShard) {
   size_t secondary_idx = nodes_[0] == place.secondary ? 0 : 1;
   // With 2 servers every chunk has the same primary/secondary, so a downed
   // secondary misses writes in every shard.
-  constexpr int kChunks = 2 * kPetalStoreShardsDefault;
+  constexpr int kChunks = 2 * kPetalStoreShards;
   net_.SetNodeUp(place.secondary, false);
   Bytes data = Pattern(kChunks * kChunkSize, 17);
   ASSERT_TRUE(client_->Write(*vd, 0, data).ok());
@@ -318,8 +317,8 @@ TEST_F(PetalShardTest, ResyncRecoversChunksInEveryShard) {
   EXPECT_EQ(back, data);
 }
 
-TEST_F(PetalShardTest, SingleShardStoreStillCorrect) {
-  Build(2, /*store_shards=*/1);
+TEST_F(PetalShardTest, SnapshotKeepsItsChunksThroughSourceWriteAndDecommit) {
+  Build(2);
   auto vd = client_->CreateVdisk();
   ASSERT_TRUE(vd.ok());
   Bytes data = Pattern(4 * kChunkSize, 23);

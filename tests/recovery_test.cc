@@ -222,6 +222,46 @@ TEST_F(RecoveryTest, WriteMarginRefusesLateWrites) {
   EXPECT_EQ(st.code(), StatusCode::kStaleLease) << st;
 }
 
+// A refusal inside the write margin is counted by the site that refused:
+// a metadata commit in fs.stale_lease.commit, an fsync in
+// fs.stale_lease.fsync.
+TEST(WriteMarginTest, RefusalsAreCountedBySite) {
+  constexpr Duration kLease(1'200'000);  // margin lease/3: 0.4 s to refuse in
+  ClusterOptions opts;
+  opts.petal_servers = 3;
+  opts.disks_per_petal = 1;
+  opts.lease_duration = kLease;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.AddFrangipani().ok());
+  FrangipaniFs* fs = cluster.fs(0);
+  auto ino = fs->Create("/early");
+  ASSERT_TRUE(ino.ok()) << ino.status();
+  // Stop renewing and wait for the lease to run into the margin.
+  cluster.node(0)->Crash();  // stops demons only
+  cluster.net()->SetNodeUp(cluster.frangipani_node(0), true);
+  LockClerk* clerk = cluster.node(0)->clerk();
+  while (clerk->LeaseValidFor(kLease / 3)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(clerk->LeaseValidFor(kLease / 6)) << "missed the margin window";
+  obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
+  obs::Counter* commit = reg->GetCounter("fs.stale_lease.commit");
+  obs::Counter* fsync = reg->GetCounter("fs.stale_lease.fsync");
+  const uint64_t commit_before = commit->value();
+  const uint64_t fsync_before = fsync->value();
+
+  Status st = fs->Fsync(*ino);
+  EXPECT_EQ(st.code(), StatusCode::kStaleLease) << st;
+  EXPECT_EQ(fsync->value(), fsync_before + 1);
+  EXPECT_EQ(commit->value(), commit_before);
+
+  st = fs->Create("/late").status();
+  EXPECT_EQ(st.code(), StatusCode::kStaleLease) << st;
+  EXPECT_EQ(commit->value(), commit_before + 1);
+  EXPECT_EQ(fsync->value(), fsync_before + 1);
+}
+
 // Waits for the next sample of `h` after `count` samples summing to `sum`
 // and returns it; 0 if none comes within `timeout`.
 double NextSample(Histogram* h, size_t count, double sum, Duration timeout) {
