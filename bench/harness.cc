@@ -40,7 +40,6 @@ ClusterOptions PaperClusterOptions(bool nvram) {
   options.lease_duration = Duration(30'000'000);               // paper: 30 s
   options.node.sync_period = Duration(1'000'000);   // update demon (scaled 30 s -> 1 s)
   options.node.log_flush_period = Duration(100'000);
-  options.node.fs.readahead_units = 8;
   return options;
 }
 
@@ -52,7 +51,6 @@ AdvFsOptions PaperAdvFsOptions(bool nvram) {
   options.disk.nvram = nvram;
   options.disk.timing_enabled = true;
   options.string_bps = 7.5 * (1 << 20);  // two fast-SCSI strings (see header)
-  options.fs.readahead_units = 8;
   return options;
 }
 

@@ -42,7 +42,6 @@ int main() {
   options.enable_timing = true;
   options.nvram = true;
   options.link = LinkParams{Duration(200), 17.0 * (1 << 20)};  // ~155 Mbit/s ATM
-  options.node.fs.readahead_units = 8;
   Cluster cluster(options);
   if (!cluster.Start().ok()) {
     return 1;

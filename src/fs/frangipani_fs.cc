@@ -203,7 +203,7 @@ Status FrangipaniFs::Mount() {
       options_.node_id);
   cache_ = std::make_unique<BlockCache>(device_, wal_.get(), BlockCacheOptions{}, fence,
                                         options_.node_id);
-  prefetch_pool_ = std::make_unique<ThreadPool>(/*threads=*/8);
+  prefetch_pool_ = std::make_unique<ThreadPool>(kReadaheadUnits);
   decommits_ = std::make_unique<DecommitWorker>(
       [this](uint32_t seg, bool own) { FinishDecommits(seg, own); }, options_.node_id);
 
