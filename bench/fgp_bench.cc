@@ -395,6 +395,62 @@ StatusOr<Table> Table3Throughput() {
   return t;
 }
 
+// ---- Read latency: cold 64 KB reads, one machine ----
+// Not a paper figure: the caller's view of single reads, which Table 3's
+// throughput hides. Each pass drops the cache first. "sequential" reads
+// the large region of a fresh 4 MB file in order, one file per pass, so a
+// pass's first read is a lone cold unit that starts read-ahead. "skip24"
+// reads one unit in every 24 of an 8 MB file, from a different first unit
+// each pass, so every read lands past the last read's read-ahead window.
+// first_ms is the median first read of a pass; the other columns cover
+// every read.
+StatusOr<Table> ReadLatency() {
+  ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
+                   StartCluster(PaperClusterOptions(/*nvram=*/true), 1));
+  FrangipaniFs* fs = cluster->fs(0);
+  auto make_file = [&](const std::string& path, uint64_t bytes) -> StatusOr<uint64_t> {
+    ASSIGN_OR_RETURN(uint64_t ino, fs->Create(path));
+    RETURN_IF_ERROR(Fill(fs, ino, bytes));
+    RETURN_IF_ERROR(fs->SyncAll());
+    return ino;
+  };
+  Table t{"pattern,reads,first_ms,p50_ms,mean_ms,p99_ms", {}};
+  Histogram first, all;
+  Bytes buf;
+  // Reads units `unit`, `unit + stride`, ... of `ino`'s `bytes`.
+  auto pass = [&](uint64_t ino, uint64_t bytes, uint64_t unit, uint64_t stride) -> Status {
+    RETURN_IF_ERROR(fs->DropCaches());
+    for (bool lead = true; unit * kUnit < bytes; unit += stride, lead = false) {
+      double t0 = NowSeconds();
+      RETURN_IF_ERROR(fs->Read(ino, unit * kUnit, kUnit, &buf).status());
+      const double ms = (NowSeconds() - t0) * 1000;
+      if (lead) {
+        first.Record(ms);
+      }
+      all.Record(ms);
+    }
+    return OkStatus();
+  };
+  auto row = [&](const char* pattern) {
+    t.rows.push_back({Fmt("%s,%zu,%.2f,%.2f,%.2f,%.2f", pattern, all.count(),
+                          first.Percentile(0.5), all.Percentile(0.5), all.Mean(),
+                          all.Percentile(0.99))});
+    first.Reset();
+    all.Reset();
+  };
+  for (int p = 0; p < 3; ++p) {
+    ASSIGN_OR_RETURN(uint64_t ino, make_file("/seq" + std::to_string(p), 4ull << 20));
+    RETURN_IF_ERROR(pass(ino, 4ull << 20, /*unit=*/1, /*stride=*/1));
+  }
+  row("sequential");
+  ASSIGN_OR_RETURN(uint64_t ino, make_file("/skip", 8ull << 20));
+  for (uint64_t p = 0; p < 8; ++p) {
+    RETURN_IF_ERROR(pass(ino, 8ull << 20, /*unit=*/3 * p, /*stride=*/24));
+  }
+  row("skip24");
+  return t;
+}
+
 // ---- Figure 5: MAB scaling ----
 // N machines run MAB at once on independent subtrees; the row is the average
 // elapsed time per machine. Paper: +8% from 1 to 6 machines (no sharing).
@@ -1136,6 +1192,8 @@ const Experiment kExperiments[] = {
     {"table2_ops", "Table 2: metadata op latency, median and p90 us, one machine", Table2Ops},
     {"table3_throughput", "Table 3: large-file MB/s and CPU, one machine; §9.2 small reads",
      Table3Throughput},
+    {"read_latency", "Read latency: cold 64 KB reads, sequential and skipping, one machine",
+     ReadLatency},
     {"fig5_mab_scaling", "Figure 5: MAB scaling, average seconds per machine", Fig5MabScaling},
     {"fig6_large_transfer", "Figure 6 probe: 1 MB scatter-gathered Petal read",
      [] { return LargeTransfer(/*write=*/false); }},

@@ -24,7 +24,7 @@
 // Prefetch inserts are epoch-guarded: an invalidation bumps the lock's epoch,
 // so a prefetch whose epoch was sampled before the invalidation cannot
 // repopulate stale data. The reader must sample it before it decides the
-// lock covers the block (see FrangipaniFs::MaybePrefetch).
+// lock covers the block (see FrangipaniFs::StartReadFetches).
 //
 // The cache is sharded by 256 KB address region (the flush-run coalescing
 // bound), so concurrent hits on different regions never touch the same
