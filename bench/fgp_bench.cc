@@ -594,6 +594,7 @@ StatusOr<Table> Fig7WriteScaling() {
 
 struct Sample {
   double mbs = 0;
+  uint64_t prefetches = 0;  // read-ahead units the readers started
   uint64_t wasted_prefetches = 0;
   int failed = 0;
   uint64_t partial_revokes = 0;  // lock.partial_revokes during the window
@@ -637,7 +638,9 @@ StatusOr<Sample> ReadWriteContention(int readers, bool readahead, uint64_t write
   Sample s;
   s.mbs = bytes_read.load() / kWindowSeconds / (1 << 20);
   for (int r = 1; r <= readers; ++r) {
-    s.wasted_prefetches += cluster->fs(r)->Stats().prefetch_wasted;
+    FsStats stats = cluster->fs(r)->Stats();
+    s.prefetches += stats.prefetches;
+    s.wasted_prefetches += stats.prefetch_wasted;
   }
   s.failed = failed.load();
   return s;
@@ -647,11 +650,12 @@ StatusOr<Sample> ReadWriteContention(int readers, bool readahead, uint64_t write
 // read rate flattens (~10% of uncontended) because prefetched data is
 // invalidated before it is used; without read-ahead it scales with readers.
 StatusOr<Table> Fig8RwContention() {
-  Table t{"readers,with_readahead_mbs,without_readahead_mbs,wasted", {}};
+  Table t{"readers,with_readahead_mbs,without_readahead_mbs,prefetches,wasted", {}};
   for (int readers : {1, 2, 3, 4, 5, 6}) {
     ASSIGN_OR_RETURN(Sample with, ReadWriteContention(readers, true, kFileBytes));
     ASSIGN_OR_RETURN(Sample without, ReadWriteContention(readers, false, kFileBytes));
-    t.rows.push_back({Fmt("%d,%.3f,%.3f,%llu", readers, with.mbs, without.mbs,
+    t.rows.push_back({Fmt("%d,%.3f,%.3f,%llu,%llu", readers, with.mbs, without.mbs,
+                          static_cast<unsigned long long>(with.prefetches),
                           static_cast<unsigned long long>(with.wasted_prefetches)),
                       with.failed + without.failed});
   }
@@ -735,7 +739,7 @@ StatusOr<Sample> WritersLap(int writers, Layout layout, uint64_t region_bytes,
   if (pin_trace != nullptr) {
     WriteTraceJson(pin_trace);
   }
-  return Sample{bytes_written.load() / kWindowSeconds / (1 << 20), 0, failed.load(),
+  return Sample{bytes_written.load() / kWindowSeconds / (1 << 20), 0, 0, failed.load(),
                 partial_revokes->value() - revokes_before};
 }
 

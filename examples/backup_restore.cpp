@@ -9,7 +9,6 @@
 #include "examples/check.h"
 #include "src/fs/backup.h"
 #include "src/fs/fsck.h"
-#include "src/lock/router.h"
 #include "src/server/cluster.h"
 
 using namespace frangipani;
@@ -40,10 +39,8 @@ int main() {
   // modifications and clean its cache, snapshots the virtual disk, and
   // releases the barrier. Normal operation resumes immediately.
   NodeId backup_node = cluster.net()->AddNode("backup-agent");
-  LockClerk backup_clerk(
-      cluster.net(), backup_node,
-      std::make_unique<DistLockRouter>(cluster.net(), backup_node, cluster.lock_nodes()),
-      cluster.clock(), LockClerk::Callbacks{});
+  LockClerk backup_clerk(cluster.net(), backup_node, cluster.lock_nodes(), cluster.clock(),
+                         LockClerk::Callbacks{});
   if (!backup_clerk.Open("fs").ok()) {
     return 1;
   }

@@ -150,6 +150,7 @@ FrangipaniFs::FrangipaniFs(BlockDevice* device, LockProvider* locks, Clock* cloc
   m_plan_fetch_wasted_ = obs::MetricsRegistry::Default()->GetCounter("fs.plan_fetch_wasted");
   m_stale_lease_commit_ = obs::MetricsRegistry::Default()->GetCounter("fs.stale_lease.commit");
   m_stale_lease_fsync_ = obs::MetricsRegistry::Default()->GetCounter("fs.stale_lease.fsync");
+  m_retries_ = obs::MetricsRegistry::Default()->GetCounter("fs.retries");
 }
 
 FrangipaniFs::~FrangipaniFs() {
@@ -276,7 +277,7 @@ int64_t FrangipaniFs::NowUs() const {
 
 void FrangipaniFs::NoteRetry() {
   stats_.retries.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricsRegistry::Default()->GetCounter("fs.retries")->Increment();
+  m_retries_->Increment();
 }
 
 FsStats FrangipaniFs::Stats() const {

@@ -379,11 +379,14 @@ class FrangipaniFs {
   std::atomic<bool> readahead_on_{true};
 
   std::mutex atime_mu_;
-  std::map<uint64_t, int64_t> atime_overlay_;  // §2.1: approximate atime
+  // §2.1: approximate atime, in this mount's memory only. StatIno reports
+  // the later of it and the inode's atime_us.
+  std::map<uint64_t, int64_t> atime_overlay_;
   // mtime of extent-locked overwrites, kept the same way: the fast write
   // path holds only a shared inode lock (writers to disjoint ranges must
-  // not contend on the inode record), so mtime is updated in memory and
-  // folded into the inode on the next exclusive metadata update.
+  // not contend on the inode record), so it records mtime here. Only a
+  // slow-path write, which writes the inode's mtime, erases the entry;
+  // other mounts never see it.
   std::map<uint64_t, int64_t> mtime_overlay_;
 
   // Per-instance op counts, lock-free (cache hits/misses live in the cache).
@@ -417,6 +420,7 @@ class FrangipaniFs {
   obs::Counter* m_plan_fetch_wasted_;  // of those, dropped by a lock-epoch change
   obs::Counter* m_stale_lease_commit_;  // write-margin refusals at a MetaTxn commit
   obs::Counter* m_stale_lease_fsync_;   // write-margin refusals at an fsync
+  obs::Counter* m_retries_;             // conflict retries of two-phase ops
 };
 
 // Parses a path into components; rejects empty names and names over the

@@ -117,8 +117,8 @@ Status FrangipaniFs::Write(uint64_t ino, uint64_t offset, const Bytes& data) {
           RETURN_IF_ERROR(StageData(node, ino, offset, data));
           {
             // Like atime (§2.1), mtime of an extent write is kept loosely:
-            // the fast path holds no exclusive inode lock, so it is folded
-            // into the inode on the next exclusive metadata update.
+            // the fast path holds no exclusive inode lock, so the time goes
+            // to this mount's in-memory overlay (see mtime_overlay_).
             std::lock_guard<std::mutex> guard(atime_mu_);
             mtime_overlay_[ino] = NowUs();
           }
@@ -228,8 +228,9 @@ StatusOr<size_t> FrangipaniFs::Read(uint64_t ino, uint64_t offset, size_t length
   });
   RETURN_IF_ERROR(st);
   {
-    // §2.1: last-accessed time is maintained only approximately — updated in
-    // memory, made durable only piggybacked on other metadata writes.
+    // §2.1: last-accessed time is maintained only approximately. It is kept
+    // in this mount's memory, never written (only create sets the inode's
+    // atime_us), and is lost when the mount goes.
     std::lock_guard<std::mutex> guard(atime_mu_);
     atime_overlay_[ino] = NowUs();
   }

@@ -8,13 +8,14 @@
 
 namespace frangipani {
 
-LockClerk::LockClerk(Network* net, NodeId self, std::unique_ptr<LockRouter> router, Clock* clock,
+LockClerk::LockClerk(Network* net, NodeId self, std::vector<NodeId> lock_servers, Clock* clock,
                      Callbacks callbacks)
     : net_(net),
       self_(self),
-      router_(std::move(router)),
+      lock_servers_(std::move(lock_servers)),
       clock_(clock),
       callbacks_(std::move(callbacks)) {
+  assignment_.groups.fill(kInvalidNode);
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   m_sticky_hits_ = reg->GetCounter("lock.acquire.sticky");
   m_remote_acquires_ = reg->GetCounter("lock.acquire.remote");
@@ -43,11 +44,11 @@ LockClerk::~LockClerk() {
 Status LockClerk::Open(const std::string& table) {
   Bytes request = LockOpenRequest{table}.Encode();
   Status last = Unavailable("no lock server reachable");
-  for (NodeId server : router_->AllServers()) {
+  for (NodeId server : ActiveServers()) {
     StatusOr<Bytes> reply = net_->Call(self_, server, "lockd", kLockOpen, request);
     if (!reply.ok()) {
       last = reply.status();
-      router_->OnServerTrouble(server);
+      (void)RefreshAssignment();
       continue;
     }
     StatusOr<LockOpenReply> opened = LockOpenReply::Decode(*reply);
@@ -76,9 +77,9 @@ void LockClerk::Close() {
     open_ = false;
     cache_.clear();
   }
-  StatusOr<NodeId> server = router_->AnyServer();
-  if (server.ok()) {
-    (void)net_->Call(self_, *server, "lockd", kLockClose, LockSlotRequest{slot}.Encode());
+  std::vector<NodeId> servers = ActiveServers();
+  if (!servers.empty()) {
+    (void)net_->Call(self_, servers.front(), "lockd", kLockClose, LockSlotRequest{slot}.Encode());
   }
 }
 
@@ -97,11 +98,57 @@ Duration LockClerk::lease_duration() const {
   return lease_duration_;
 }
 
+Status LockClerk::RefreshAssignment() {
+  for (NodeId server : lock_servers_) {
+    StatusOr<Bytes> reply = net_->Call(self_, server, "lockd", kLockGetAssignment, Bytes{});
+    if (!reply.ok()) {
+      continue;
+    }
+    StatusOr<LockAssignment> assignment = LockAssignment::Decode(*reply);
+    if (!assignment.ok()) {
+      continue;
+    }
+    std::lock_guard<std::mutex> guard(assignment_mu_);
+    assignment_ = std::move(assignment).value();
+    return OkStatus();
+  }
+  return Unavailable("no lock server reachable for assignment refresh");
+}
+
+StatusOr<NodeId> LockClerk::ServerForLock(LockId lock) {
+  auto cached = [&] {
+    std::lock_guard<std::mutex> guard(assignment_mu_);
+    return assignment_.groups[LockGroupOf(lock)];
+  };
+  NodeId server = cached();
+  if (server != kInvalidNode) {
+    return server;
+  }
+  RETURN_IF_ERROR(RefreshAssignment());
+  server = cached();
+  if (server == kInvalidNode) {
+    return Unavailable("lock group unassigned");
+  }
+  return server;
+}
+
+std::vector<NodeId> LockClerk::ActiveServers() {
+  {
+    std::lock_guard<std::mutex> guard(assignment_mu_);
+    if (!assignment_.servers.empty()) {
+      return assignment_.servers;
+    }
+  }
+  (void)RefreshAssignment();
+  std::lock_guard<std::mutex> guard(assignment_mu_);
+  return assignment_.servers;
+}
+
 StatusOr<Bytes> LockClerk::ServerCall(uint32_t method, LockId lock, const Bytes& request) {
   constexpr int kAttempts = 6;
   Status last = Unavailable("no attempt");
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    StatusOr<NodeId> server = router_->ServerForLock(lock);
+    StatusOr<NodeId> server = ServerForLock(lock);
     if (!server.ok()) {
       last = server.status();
       std::this_thread::sleep_for(std::chrono::milliseconds(1 << std::min(attempt, 4)));
@@ -115,7 +162,7 @@ StatusOr<Bytes> LockClerk::ServerCall(uint32_t method, LockId lock, const Bytes&
     if (last.code() == StatusCode::kUnavailable ||
         last.code() == StatusCode::kFailedPrecondition) {
       // Server down or no longer responsible for this lock group.
-      router_->OnServerTrouble(*server);
+      (void)RefreshAssignment();
       std::this_thread::sleep_for(std::chrono::milliseconds(1 << std::min(attempt, 4)));
       continue;
     }
@@ -350,28 +397,36 @@ void LockClerk::RenewTick() {
         std::chrono::duration<double, std::micro>(lease_expiry_ - sent).count());
   }
   Bytes renew = LockSlotRequest{slot}.Encode();
-  // Issue all renewals concurrently: one slow or dead lock server must not
-  // delay renewal at the others past lease expiry.
-  std::vector<std::future<StatusOr<Bytes>>> pending;
-  for (NodeId server : router_->AllServers()) {
-    pending.push_back(net_->CallAsync(self_, server, "lockd", kLockRenew, renew));
-  }
   bool any_ok = false;
   bool denied = false;
-  for (auto& fut : pending) {
-    StatusOr<Bytes> reply = fut.get();
-    if (!reply.ok()) {
-      continue;
+  auto renew_at = [&](const std::vector<NodeId>& servers) {
+    // Issue all renewals concurrently: one slow or dead lock server must not
+    // delay renewal at the others past lease expiry.
+    std::vector<std::future<StatusOr<Bytes>>> pending;
+    for (NodeId server : servers) {
+      pending.push_back(net_->CallAsync(self_, server, "lockd", kLockRenew, renew));
     }
-    StatusOr<LockRenewReply> renewed = LockRenewReply::Decode(*reply);
-    if (!renewed.ok()) {
-      continue;
+    for (auto& fut : pending) {
+      StatusOr<Bytes> reply = fut.get();
+      if (!reply.ok()) {
+        continue;
+      }
+      StatusOr<LockRenewReply> renewed = LockRenewReply::Decode(*reply);
+      if (!renewed.ok()) {
+        continue;
+      }
+      if (renewed->ok) {
+        any_ok = true;
+      } else {
+        denied = true;
+      }
     }
-    if (renewed->ok) {
-      any_ok = true;
-    } else {
-      denied = true;
-    }
+  };
+  renew_at(ActiveServers());
+  if (!any_ok && !denied && RefreshAssignment().ok()) {
+    // No server answered: the assignment may name a dead server (a
+    // primary/backup standby asked for it takes over first).
+    renew_at(ActiveServers());
   }
   std::unique_lock<std::mutex> lk(mu_);
   if (any_ok && !denied) {

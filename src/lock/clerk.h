@@ -8,6 +8,14 @@
 // interval set of held ranges, serves acquires covered by cached ranges
 // locally, and splits/merges ranges on partial revoke. Metadata locks use
 // the full range throughout and behave exactly as whole locks.
+//
+// The clerk routes by the lock service's group -> server assignment, which
+// it fetches with kLockGetAssignment from the first configured lock server
+// that answers and refreshes whenever a server is down or no longer serves a
+// group. The same clerk thus talks to all three §6 variants: the
+// centralized and primary/backup servers assign every group to themselves,
+// and a primary/backup standby asked for the assignment while the primary
+// is down takes over first.
 #ifndef SRC_LOCK_CLERK_H_
 #define SRC_LOCK_CLERK_H_
 
@@ -22,7 +30,6 @@
 
 #include "src/base/clock.h"
 #include "src/lock/range_set.h"
-#include "src/lock/router.h"
 #include "src/lock/types.h"
 #include "src/net/network.h"
 #include "src/obs/trace.h"
@@ -48,7 +55,9 @@ class LockClerk : public Service {
 
   static constexpr const char* kServiceName = "lockclerk";
 
-  LockClerk(Network* net, NodeId self, std::unique_ptr<LockRouter> router, Clock* clock,
+  // `lock_servers` are the configured lock servers, asked in order for the
+  // assignment.
+  LockClerk(Network* net, NodeId self, std::vector<NodeId> lock_servers, Clock* clock,
             Callbacks callbacks);
   ~LockClerk() override;
 
@@ -73,7 +82,9 @@ class LockClerk : public Service {
   void DropIdle(Duration max_idle);
 
   // Lease management. RenewTick is called periodically (or by tests); it
-  // records the lease left when it sends in lock.lease_left_at_renew_us.
+  // renews at every active lock server and records the lease left when it
+  // sends in lock.lease_left_at_renew_us. A tick that reaches no server
+  // refreshes the assignment and sends once more.
   void RenewTick();
   bool LeaseValidFor(Duration margin) const;
   // Lease expiry in microseconds on the shared steady clock, for fencing
@@ -113,6 +124,14 @@ class LockClerk : public Service {
   // exclusive.
   static bool LocalConflict(const Entry& e, LockRange range, LockMode mode);
 
+  // Fetches the assignment from the first configured server that answers.
+  Status RefreshAssignment();
+  // The server for `lock`'s group, fetching the assignment when the cached
+  // one has none.
+  StatusOr<NodeId> ServerForLock(LockId lock);
+  // The active lock servers, fetching the assignment when none is cached.
+  std::vector<NodeId> ActiveServers();
+
   // Sends a lock-server call with routing/failover; returns the reply.
   StatusOr<Bytes> ServerCall(uint32_t method, LockId lock, const Bytes& request);
 
@@ -128,9 +147,12 @@ class LockClerk : public Service {
 
   Network* net_;
   NodeId self_;
-  std::unique_ptr<LockRouter> router_;
+  std::vector<NodeId> lock_servers_;
   Clock* clock_;
   Callbacks callbacks_;
+
+  std::mutex assignment_mu_;
+  LockAssignment assignment_;  // no servers and no groups until fetched
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -134,24 +134,19 @@ void DistributedPolicy::Start(LockServer* server) {
   }
   paxos_ = std::make_unique<PaxosPeer>(
       server_->net(), server_->node(), paxos_group_, paxos_state_,
-      [this](uint64_t index, const Bytes& cmd) { OnApply(index, cmd); });
+      [this](uint64_t index, const Bytes& cmd) { return OnApply(index, cmd); });
   paxos_->CatchUp();
 }
 
-void DistributedPolicy::OnApply(uint64_t index, const Bytes& raw) {
+PaxosPeer::ApplyResult DistributedPolicy::OnApply(uint64_t index, const Bytes& raw) {
   StatusOr<LockCommand> cmd = LockCommand::Decode(raw);
   if (!cmd.ok()) {
     FLOG(ERROR) << "dist-lockd: dropping malformed command at " << index;
-    return;
+    return cmd.status();
   }
   if (cmd->kind != LockCmdKind::kAddServer && cmd->kind != LockCmdKind::kRemoveServer) {
-    StatusOr<uint32_t> result = server_->ApplySlotChange(*cmd);
-    std::lock_guard<std::mutex> guard(mu_);
-    if (cmd->nonce >> 40 == server_->node()) {
-      results_.insert_or_assign(cmd->nonce, std::move(result));
-    }
-    cv_.notify_all();
-    return;
+    ASSIGN_OR_RETURN(uint32_t slot, server_->ApplySlotChange(*cmd));
+    return uint64_t{slot};
   }
   std::lock_guard<std::mutex> guard(mu_);
   auto it = std::find(assignment_.servers.begin(), assignment_.servers.end(), cmd->server);
@@ -160,7 +155,7 @@ void DistributedPolicy::OnApply(uint64_t index, const Bytes& raw) {
   } else if (cmd->kind == LockCmdKind::kRemoveServer && it != assignment_.servers.end()) {
     assignment_.servers.erase(it);
   } else {
-    return;  // no-op; assignment unchanged
+    return uint64_t{0};  // no-op; assignment unchanged
   }
   std::array<NodeId, kNumLockGroups> before = assignment_.groups;
   RebalanceGroups(assignment_);
@@ -169,24 +164,12 @@ void DistributedPolicy::OnApply(uint64_t index, const Bytes& raw) {
       cold_groups_.insert(g);  // phase 2: must recover state from clerks
     }
   }
+  return uint64_t{0};
 }
 
 StatusOr<uint32_t> DistributedPolicy::Apply(LockCommand cmd) {
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    cmd.nonce = (static_cast<uint64_t>(server_->node()) << 40) | next_nonce_++;
-  }
-  RETURN_IF_ERROR(paxos_->Propose(cmd.Encode()).status());
-  std::unique_lock<std::mutex> lk(mu_);
-  bool applied =
-      cv_.wait_for(lk, std::chrono::seconds(10), [&] { return results_.count(cmd.nonce) > 0; });
-  if (!applied) {
-    return DeadlineExceeded("lock command not applied");
-  }
-  auto it = results_.find(cmd.nonce);
-  StatusOr<uint32_t> result = std::move(it->second);
-  results_.erase(it);
-  return result;
+  ASSIGN_OR_RETURN(uint64_t slot, paxos_->Propose(cmd.Encode()));
+  return static_cast<uint32_t>(slot);
 }
 
 bool DistributedPolicy::Serves(LockId lock) const {

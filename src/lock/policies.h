@@ -40,7 +40,7 @@ namespace frangipani {
 class CentralizedPolicy : public LockServerPolicy {
  public:
   StatusOr<uint32_t> Apply(LockCommand cmd) override { return server_->ApplySlotChange(cmd); }
-  // One server for every group, so the distributed router works unchanged.
+  // One server for every group: clerks route to it like to any variant.
   LockAssignment Assignment() const override;
 };
 
@@ -98,7 +98,8 @@ class DistributedPolicy : public LockServerPolicy {
   PaxosPeer* paxos() { return paxos_.get(); }
 
  private:
-  void OnApply(uint64_t index, const Bytes& raw);
+  // Applies one replicated command; a slot change returns its slot.
+  PaxosPeer::ApplyResult OnApply(uint64_t index, const Bytes& raw);
 
   std::vector<NodeId> paxos_group_;
   PaxosDurableState* paxos_state_;
@@ -106,8 +107,6 @@ class DistributedPolicy : public LockServerPolicy {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   LockAssignment assignment_;
-  std::map<uint64_t, StatusOr<uint32_t>> results_;  // by nonce, own proposals
-  uint64_t next_nonce_ = 1;
   std::set<uint32_t> cold_groups_;
   bool warming_ = false;
   std::map<NodeId, int> ping_failures_;

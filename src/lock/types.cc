@@ -214,7 +214,6 @@ Bytes LockCommand::Encode() const {
   Encoder enc;
   enc.PutU8(static_cast<uint8_t>(kind));
   enc.PutU32(server);
-  enc.PutU64(nonce);
   enc.PutString(table);
   enc.PutU32(clerk);
   enc.PutU32(slot);
@@ -226,7 +225,6 @@ StatusOr<LockCommand> LockCommand::Decode(const Bytes& raw) {
   LockCommand cmd;
   cmd.kind = static_cast<LockCmdKind>(dec.GetU8());
   cmd.server = dec.GetU32();
-  cmd.nonce = dec.GetU64();
   cmd.table = dec.GetString();
   cmd.clerk = dec.GetU32();
   cmd.slot = dec.GetU32();

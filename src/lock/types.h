@@ -6,9 +6,9 @@
 //
 // The second half of this file is the lock protocol's one wire codec: a
 // struct per message body with Encode() and a Decode() that rejects
-// malformed input. The clerk, the router and the lock server all speak
-// through it, as do the distributed variant's replicated commands and the
-// primary/backup variant's state blob.
+// malformed input. The clerk and the lock server both speak through it, as
+// do the distributed variant's replicated commands and the primary/backup
+// variant's state blob.
 #ifndef SRC_LOCK_TYPES_H_
 #define SRC_LOCK_TYPES_H_
 
@@ -209,7 +209,6 @@ enum class LockCmdKind : uint8_t {
 struct LockCommand {
   LockCmdKind kind{};
   NodeId server = kInvalidNode;
-  uint64_t nonce = 0;
   std::string table;
   NodeId clerk = kInvalidNode;
   uint32_t slot = kInvalidSlot;

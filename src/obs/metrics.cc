@@ -116,17 +116,13 @@ std::string MetricsRegistry::ExportJson() const {
   return out.str();
 }
 
-void MetricsRegistry::SnapshotValues(std::map<std::string, double>* out,
-                                     std::vector<std::string>* gauge_names) const {
+void MetricsRegistry::SnapshotValues(std::map<std::string, double>* out) const {
   std::lock_guard<std::mutex> l(mu_);
   for (const auto& [name, c] : counters_) {
     (*out)[name] = static_cast<double>(c->value());
   }
   for (const auto& [name, g] : gauges_) {
     (*out)[name] = static_cast<double>(g->value());
-    if (gauge_names != nullptr) {
-      gauge_names->push_back(name);
-    }
   }
   for (const auto& [name, h] : histograms_) {
     (*out)[name + ".count"] = static_cast<double>(h->count());

@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "src/base/histogram.h"
 
@@ -69,14 +68,10 @@ class MetricsRegistry {
   //  "sum":...,"mean":...,"p50":...,"p90":...,"p99":...,"max":...}}}
   std::string ExportJson() const;
 
-  // Flat numeric view of every metric for delta-based samplers: counters and
-  // gauges under their own names, histograms as "<name>.count" and
-  // "<name>.sum" (a window mean is (Δsum / Δcount); cumulative percentiles
-  // stay in ExportJson). Sorted by name. If `gauge_names` is non-null it
-  // receives the names that are gauges — levels, which samplers should not
-  // difference.
-  void SnapshotValues(std::map<std::string, double>* out,
-                      std::vector<std::string>* gauge_names = nullptr) const;
+  // Flat numeric view of every metric: counters and gauges under their own
+  // names, histograms as "<name>.count" and "<name>.sum" (percentiles stay
+  // in ExportJson). Sorted by name.
+  void SnapshotValues(std::map<std::string, double>* out) const;
 
   // Zeroes every metric (pointers stay valid). Benches call this between
   // configs so sidecars describe one run.

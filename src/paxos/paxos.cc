@@ -8,10 +8,25 @@
 #include "src/base/rng.h"
 
 namespace frangipani {
+namespace {
+
+// A proposed value is its command behind the proposer's node id (u32) and
+// sequence number (u64).
+constexpr size_t kEnvelopeBytes = 12;
+
+Bytes Envelope(NodeId proposer, uint64_t seq, const Bytes& command) {
+  Encoder enc;
+  enc.PutU32(proposer);
+  enc.PutU64(seq);
+  enc.PutRaw(command.data(), command.size());
+  return enc.Take();
+}
+
+}  // namespace
 
 PaxosPeer::PaxosPeer(Network* net, NodeId self, std::vector<NodeId> members,
                      PaxosDurableState* durable,
-                     std::function<void(uint64_t, const Bytes&)> on_apply)
+                     std::function<ApplyResult(uint64_t, const Bytes&)> on_apply)
     : net_(net),
       self_(self),
       members_(std::move(members)),
@@ -151,8 +166,17 @@ void PaxosPeer::ApplyReady() {
       }
       value = it->second.chosen_value;
     }
-    if (on_apply_) {
-      on_apply_(apply_index_, value);
+    Decoder envelope(value);
+    NodeId proposer = envelope.GetU32();
+    uint64_t seq = envelope.GetU64();
+    FGP_CHECK(envelope.ok()) << "Paxos value without envelope at instance " << apply_index_;
+    ApplyResult result =
+        on_apply_(apply_index_, Bytes(value.begin() + kEnvelopeBytes, value.end()));
+    if (proposer == self_) {
+      auto it = results_.find(seq);
+      if (it != results_.end()) {
+        it->second = std::move(result);
+      }
     }
     ++apply_index_;
   }
@@ -190,10 +214,28 @@ void PaxosPeer::CatchUp() {
   ApplyReady();
 }
 
-StatusOr<uint64_t> PaxosPeer::Propose(const Bytes& command) {
+PaxosPeer::ApplyResult PaxosPeer::Propose(const Bytes& command) {
+  uint64_t seq;
+  {
+    std::lock_guard<std::mutex> guard(apply_mu_);
+    seq = next_seq_++;
+    results_.emplace(seq, Internal("paxos: chosen command not applied"));
+  }
+  Status decided = Decide(Envelope(self_, seq, command));
+  // Every slot up to the one decided is chosen on this peer; applying them
+  // leaves this command's result in results_.
+  ApplyReady();
+  std::lock_guard<std::mutex> guard(apply_mu_);
+  auto it = results_.find(seq);
+  ApplyResult result = decided.ok() ? std::move(it->second) : ApplyResult(decided);
+  results_.erase(it);
+  return result;
+}
+
+Status PaxosPeer::Decide(const Bytes& value) {
   Rng backoff_rng(0xB0FF + self_);
   constexpr int kMaxAttempts = 64;
-  // Slots where this call offered its command: a competitor may adopt it there
+  // Slots where this call offered its value: a competitor may adopt it there
   // and get it chosen, and proposing it again later would apply it twice.
   std::vector<uint64_t> offered;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
@@ -205,8 +247,8 @@ StatusOr<uint64_t> PaxosPeer::Propose(const Bytes& command) {
       for (uint64_t k : offered) {
         auto it = durable_->instances.find(k);
         if (it != durable_->instances.end() && it->second.chosen &&
-            it->second.chosen_value == command) {
-          return k;
+            it->second.chosen_value == value) {
+          return OkStatus();
         }
       }
       index = 0;
@@ -230,7 +272,7 @@ StatusOr<uint64_t> PaxosPeer::Propose(const Bytes& command) {
     prep.PutU64(ballot);
     size_t promises = 0;
     uint64_t best_accepted_ballot = 0;
-    Bytes adopted = command;
+    Bytes adopted = value;
     bool already_chosen = false;
     Bytes chosen_value;
     for (NodeId peer : members_) {
@@ -266,8 +308,8 @@ StatusOr<uint64_t> PaxosPeer::Propose(const Bytes& command) {
         }
       }
       ApplyReady();
-      if (chosen_value == command) {
-        return index;
+      if (chosen_value == value) {
+        return OkStatus();
       }
       continue;  // someone else's value won this slot; try the next one
     }
@@ -277,7 +319,7 @@ StatusOr<uint64_t> PaxosPeer::Propose(const Bytes& command) {
     }
 
     // Phase 2: accept.
-    if (adopted == command) {
+    if (adopted == value) {
       offered.push_back(index);
     }
     Encoder acc;
@@ -311,8 +353,8 @@ StatusOr<uint64_t> PaxosPeer::Propose(const Bytes& command) {
       }
     }
     ApplyReady();
-    if (adopted == command) {
-      return index;
+    if (adopted == value) {
+      return OkStatus();
     }
     // We completed someone else's proposal; retry ours at the next slot.
   }

@@ -6,7 +6,10 @@
 // This is a multi-instance (command log) Paxos: each instance runs classic
 // single-decree Paxos (prepare/promise, accept/accepted), chosen values are
 // broadcast via learn messages, and peers apply chosen commands in log order
-// through a callback. Acceptor state lives in an externally owned
+// through a callback. Each proposed command travels in an envelope naming its
+// proposer and that proposer's sequence number, so two proposals of the same
+// bytes are two log entries and each proposer gets back the result of
+// applying its own. Acceptor state lives in an externally owned
 // PaxosDurableState so a restarted server (same "disk") keeps its promises,
 // preserving safety across crashes.
 #ifndef SRC_PAXOS_PAXOS_H_
@@ -41,15 +44,20 @@ struct PaxosDurableState {
 
 class PaxosPeer : public Service {
  public:
+  // What applying one command yields: a small value (a slot, a vdisk id, an
+  // index) or an error, handed back to the command's proposer.
+  using ApplyResult = StatusOr<uint64_t>;
+
   // `on_apply` is invoked with (index, command) for every chosen command, in
   // strictly increasing index order, exactly once per peer lifetime.
   PaxosPeer(Network* net, NodeId self, std::vector<NodeId> members, PaxosDurableState* durable,
-            std::function<void(uint64_t, const Bytes&)> on_apply);
+            std::function<ApplyResult(uint64_t, const Bytes&)> on_apply);
 
-  // Proposes `command` for the next free log slot. Returns the index at which
-  // this exact command was chosen. Drives competing proposals to completion
-  // (a competitor's value may be chosen first; we then try the next slot).
-  StatusOr<uint64_t> Propose(const Bytes& command);
+  // Proposes `command` for the next free log slot and returns once it has
+  // been chosen and applied on this peer, with what `on_apply` returned for
+  // it. Drives competing proposals to completion (a competitor's value may
+  // be chosen first; we then try the next slot).
+  ApplyResult Propose(const Bytes& command);
 
   // Pulls chosen commands this peer missed from its members.
   void CatchUp();
@@ -77,6 +85,9 @@ class PaxosPeer : public Service {
 
   StatusOr<Bytes> CallPeer(NodeId peer, uint32_t method, const Bytes& request);
 
+  // Gets `value` (an enveloped command) chosen at some log slot.
+  Status Decide(const Bytes& value);
+
   Bytes HandlePrepare(Decoder& dec);
   Bytes HandleAccept(Decoder& dec);
   Bytes HandleLearn(Decoder& dec);
@@ -92,10 +103,14 @@ class PaxosPeer : public Service {
   NodeId self_;
   std::vector<NodeId> members_;
   PaxosDurableState* durable_;
-  std::function<void(uint64_t, const Bytes&)> on_apply_;
+  std::function<ApplyResult(uint64_t, const Bytes&)> on_apply_;
 
   mutable std::mutex apply_mu_;
   uint64_t apply_index_ = 0;  // next index to apply
+  // This peer's proposals in flight, by sequence number: ApplyReady stores
+  // each one's result here and its Propose takes it out.
+  uint64_t next_seq_ = 1;
+  std::map<uint64_t, ApplyResult> results_;
 
   std::mutex ballot_mu_;
   uint64_t round_ = 0;

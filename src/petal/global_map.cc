@@ -53,7 +53,6 @@ Bytes PetalCommand::Encode() const {
   Encoder enc;
   enc.PutU8(static_cast<uint8_t>(kind));
   enc.PutU32(server);
-  enc.PutU64(nonce);
   enc.PutU32(vdisk);
   return enc.Take();
 }
@@ -63,7 +62,6 @@ StatusOr<PetalCommand> PetalCommand::Decode(const Bytes& raw) {
   PetalCommand cmd;
   cmd.kind = static_cast<PetalCommandKind>(dec.GetU8());
   cmd.server = dec.GetU32();
-  cmd.nonce = dec.GetU64();
   cmd.vdisk = dec.GetU32();
   if (!dec.ok()) {
     return InvalidArgument("malformed petal command");

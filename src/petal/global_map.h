@@ -58,7 +58,6 @@ enum class PetalCommandKind : uint8_t {
 struct PetalCommand {
   PetalCommandKind kind{};
   NodeId server = kInvalidNode;  // Add/RemoveServer
-  uint64_t nonce = 0;            // Create/Snapshot: correlates proposer with result
   VdiskId vdisk = kInvalidVdisk; // Snapshot source / Delete target
 
   Bytes Encode() const;

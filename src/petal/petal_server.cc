@@ -92,7 +92,7 @@ PetalServer::PetalServer(Network* net, NodeId self, std::vector<NodeId> paxos_gr
   map_.servers = std::move(initial_active);
   paxos_ = std::make_unique<PaxosPeer>(
       net_, self_, std::move(paxos_group), &durable_->paxos,
-      [this](uint64_t index, const Bytes& cmd) { OnApply(index, cmd); });
+      [this](uint64_t index, const Bytes& cmd) { return OnApply(index, cmd); });
   net_->RegisterService(self_, kServiceName, this);
   // Replay any commands already decided before this (re)start.
   paxos_->CatchUp();
@@ -103,11 +103,11 @@ PetalServer::~PetalServer() {
   net_->UnregisterService(self_, PaxosPeer::kServiceName);
 }
 
-void PetalServer::OnApply(uint64_t index, const Bytes& raw_cmd) {
+PaxosPeer::ApplyResult PetalServer::OnApply(uint64_t index, const Bytes& raw_cmd) {
   StatusOr<PetalCommand> cmd = PetalCommand::Decode(raw_cmd);
   if (!cmd.ok()) {
     FLOG(ERROR) << "petal: dropping malformed command at " << index;
-    return;
+    return cmd.status();
   }
   std::lock_guard<std::mutex> map_guard(map_mu_);
   VdiskId result = ApplyPetalCommand(map_, *cmd);
@@ -145,33 +145,15 @@ void PetalServer::OnApply(uint64_t index, const Bytes& raw_cmd) {
       }
     }
   }
-  if (cmd->nonce != 0) {
-    nonce_results_[cmd->nonce] = result;
-    map_cv_.notify_all();
-  }
+  return uint64_t{result};
 }
 
 StatusOr<VdiskId> PetalServer::ProposeVdiskCommand(PetalCommand cmd) {
-  {
-    std::lock_guard<std::mutex> guard(map_mu_);
-    cmd.nonce = (static_cast<uint64_t>(self_) << 40) | next_nonce_++;
-  }
-  StatusOr<uint64_t> idx = paxos_->Propose(cmd.Encode());
-  if (!idx.ok()) {
-    return idx.status();
-  }
-  std::unique_lock<std::mutex> lk(map_mu_);
-  bool done = map_cv_.wait_for(lk, std::chrono::seconds(10), [&] {
-    return nonce_results_.count(cmd.nonce) > 0;
-  });
-  if (!done) {
-    return DeadlineExceeded("petal command applied but result not observed");
-  }
-  VdiskId id = nonce_results_[cmd.nonce];
+  ASSIGN_OR_RETURN(uint64_t id, paxos_->Propose(cmd.Encode()));
   if (id == kInvalidVdisk) {
     return NotFound("vdisk command failed (bad source vdisk?)");
   }
-  return id;
+  return static_cast<VdiskId>(id);
 }
 
 Status PetalServer::ProposeAddServer(NodeId server) {

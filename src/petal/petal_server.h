@@ -28,7 +28,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -177,7 +176,9 @@ class PetalServer : public Service {
   uint64_t chunk_count() const;
 
  private:
-  void OnApply(uint64_t index, const Bytes& raw_cmd);
+  // Applies one replicated command; returns the vdisk id a Create,
+  // Snapshot or Clone made (kInvalidVdisk otherwise).
+  PaxosPeer::ApplyResult OnApply(uint64_t index, const Bytes& raw_cmd);
   StatusOr<VdiskId> ProposeVdiskCommand(PetalCommand cmd);
 
   // Request handlers.
@@ -247,10 +248,7 @@ class PetalServer : public Service {
   Clock* clock_;
 
   mutable std::mutex map_mu_;
-  std::condition_variable map_cv_;
   PetalGlobalMap map_;
-  std::unordered_map<uint64_t, VdiskId> nonce_results_;
-  uint64_t next_nonce_ = 1;
 
   std::atomic<bool> ready_{true};  // false: hold client I/O until ResyncFromPeers
 

@@ -114,8 +114,8 @@ StatusOr<FrangipaniNode*> Cluster::AddFrangipani() { return AddFrangipani(option
 StatusOr<FrangipaniNode*> Cluster::AddFrangipani(NodeOptions node_options) {
   NodeId id = net_.AddNode("frangipani" + std::to_string(nodes_.size()));
   frangipani_nodes_.push_back(id);
-  auto node = std::make_unique<FrangipaniNode>(&net_, id, petal_nodes_, lock_nodes_,
-                                               options_.lock_kind, vdisk_, clock_, node_options);
+  auto node = std::make_unique<FrangipaniNode>(&net_, id, petal_nodes_, lock_nodes_, vdisk_,
+                                               clock_, node_options);
   RETURN_IF_ERROR(node->Mount());
   nodes_.push_back(std::move(node));
   return nodes_.back().get();
@@ -137,8 +137,7 @@ Status Cluster::RestartFrangipani(size_t idx) {
   }
   net_.SetNodeUp(frangipani_nodes_[idx], true);
   auto node = std::make_unique<FrangipaniNode>(&net_, frangipani_nodes_[idx], petal_nodes_,
-                                               lock_nodes_, options_.lock_kind, vdisk_, clock_,
-                                               options_.node);
+                                               lock_nodes_, vdisk_, clock_, options_.node);
   RETURN_IF_ERROR(node->Mount());
   nodes_[idx] = std::move(node);
   return OkStatus();

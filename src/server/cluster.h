@@ -23,6 +23,14 @@
 
 namespace frangipani {
 
+// The lock service variant a cluster runs (§6). Only the servers differ:
+// every clerk routes the same way (src/lock/clerk.h).
+enum class LockServiceKind {
+  kCentralized,
+  kPrimaryBackup,
+  kDistributed,
+};
+
 struct ClusterOptions {
   int petal_servers = 7;
   int disks_per_petal = 9;

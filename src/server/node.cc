@@ -1,24 +1,17 @@
 #include "src/server/node.h"
 
 #include "src/base/logging.h"
-#include "src/lock/router.h"
 
 namespace frangipani {
 
 FrangipaniNode::FrangipaniNode(Network* net, NodeId node, std::vector<NodeId> petal_servers,
-                               std::vector<NodeId> lock_servers, LockServiceKind lock_kind,
-                               VdiskId vdisk, Clock* clock, NodeOptions options)
+                               std::vector<NodeId> lock_servers, VdiskId vdisk, Clock* clock,
+                               NodeOptions options)
     : net_(net), node_(node), vdisk_(vdisk), clock_(clock), options_(options) {
   options_.fs.node_id = node_;  // tag this node's spans in the flight recorder
   petal_ = std::make_unique<PetalClient>(net_, node_, std::move(petal_servers));
   device_ = std::make_unique<PetalDevice>(petal_.get(), vdisk_);
 
-  std::unique_ptr<LockRouter> router;
-  if (lock_kind == LockServiceKind::kDistributed) {
-    router = std::make_unique<DistLockRouter>(net_, node_, std::move(lock_servers));
-  } else {
-    router = std::make_unique<StaticLockRouter>(std::move(lock_servers));
-  }
   LockClerk::Callbacks callbacks;
   callbacks.on_revoke = [this](LockId lock, LockMode new_mode, LockRange range) {
     if (fs_) {
@@ -36,7 +29,7 @@ FrangipaniNode::FrangipaniNode(Network* net, NodeId node, std::vector<NodeId> pe
       fs_->OnLeaseLost();
     }
   };
-  clerk_ = std::make_unique<LockClerk>(net_, node_, std::move(router), clock_,
+  clerk_ = std::make_unique<LockClerk>(net_, node_, std::move(lock_servers), clock_,
                                        std::move(callbacks));
   provider_ = std::make_unique<ClerkLockProvider>(clerk_.get());
 }

@@ -18,12 +18,6 @@
 
 namespace frangipani {
 
-enum class LockServiceKind {
-  kCentralized,
-  kPrimaryBackup,
-  kDistributed,
-};
-
 struct NodeOptions {
   FsOptions fs;
   Duration sync_period{1'000'000};       // update demon (paper: 30 s; scaled)
@@ -35,8 +29,8 @@ struct NodeOptions {
 class FrangipaniNode {
  public:
   FrangipaniNode(Network* net, NodeId node, std::vector<NodeId> petal_servers,
-                 std::vector<NodeId> lock_servers, LockServiceKind lock_kind, VdiskId vdisk,
-                 Clock* clock, NodeOptions options);
+                 std::vector<NodeId> lock_servers, VdiskId vdisk, Clock* clock,
+                 NodeOptions options);
   ~FrangipaniNode();
 
   // Opens the cluster's one lock table and mounts the file system.

@@ -23,7 +23,6 @@
 #include "src/fs/frangipani_fs.h"
 #include "src/fs/fsck.h"
 #include "src/fs/lock_provider.h"
-#include "src/lock/router.h"
 #include "src/obs/metrics.h"
 #include "src/server/cluster.h"
 
@@ -457,10 +456,8 @@ TEST(DeferredDecommitClusterTest, BackupBarrierWaitsForAPendingDecommit) {
   ASSERT_TRUE(a->Unlink("/big").ok());
 
   NodeId backup_node = cluster.net()->AddNode("backup");
-  LockClerk backup_clerk(
-      cluster.net(), backup_node,
-      std::make_unique<DistLockRouter>(cluster.net(), backup_node, cluster.lock_nodes()),
-      cluster.clock(), LockClerk::Callbacks{});
+  LockClerk backup_clerk(cluster.net(), backup_node, cluster.lock_nodes(), cluster.clock(),
+                         LockClerk::Callbacks{});
   ASSERT_TRUE(backup_clerk.Open("fs").ok());
   ClerkLockProvider backup_locks(&backup_clerk);
   PetalClient backup_petal(cluster.net(), backup_node, cluster.petal_nodes());
@@ -572,9 +569,8 @@ void RevokeDuringTheMarkerRead(bool peer_writes_large) {
       fs->OnLockRevoked(lock, mode, range);
     }
   };
-  LockClerk a_clerk(cluster.net(), a_node,
-                    std::make_unique<DistLockRouter>(cluster.net(), a_node, cluster.lock_nodes()),
-                    cluster.clock(), std::move(callbacks));
+  LockClerk a_clerk(cluster.net(), a_node, cluster.lock_nodes(), cluster.clock(),
+                    std::move(callbacks));
   ASSERT_TRUE(a_clerk.Open("fs").ok());
   ClerkLockProvider a_locks(&a_clerk);
   FsOptions a_opts;

@@ -8,7 +8,6 @@
 #include "src/base/thread_pool.h"
 #include "src/lock/clerk.h"
 #include "src/lock/policies.h"
-#include "src/lock/router.h"
 
 namespace frangipani {
 namespace {
@@ -44,9 +43,8 @@ class LockExtraTest : public ::testing::Test {
       std::lock_guard<std::mutex> guard(tc->mu);
       tc->revokes.emplace_back(lock, mode);
     };
-    tc->clerk = std::make_unique<LockClerk>(
-        &net_, tc->node, std::make_unique<StaticLockRouter>(std::vector<NodeId>{server_node_}),
-        SystemClock::Get(), std::move(cb));
+    tc->clerk = std::make_unique<LockClerk>(&net_, tc->node, std::vector<NodeId>{server_node_},
+                                            SystemClock::Get(), std::move(cb));
     tc->StartRenewals();
     return tc;
   }

@@ -17,7 +17,6 @@
 #include "src/lock/lock_core.h"
 #include "src/lock/policies.h"
 #include "src/lock/range_set.h"
-#include "src/lock/router.h"
 #include "src/obs/metrics.h"
 #include "src/server/cluster.h"
 
@@ -200,9 +199,8 @@ class LockRangeClerkTest : public ::testing::Test {
         tc->in_revoke(lock, range);
       }
     };
-    tc->clerk = std::make_unique<LockClerk>(
-        &net_, tc->node, std::make_unique<StaticLockRouter>(std::vector<NodeId>{server_node_}),
-        SystemClock::Get(), std::move(cb));
+    tc->clerk = std::make_unique<LockClerk>(&net_, tc->node, std::vector<NodeId>{server_node_},
+                                            SystemClock::Get(), std::move(cb));
     EXPECT_TRUE(tc->clerk->Open("fs").ok());
     return tc;
   }

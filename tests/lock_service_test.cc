@@ -12,9 +12,8 @@
 #include "src/base/thread_pool.h"
 #include "src/lock/clerk.h"
 #include "src/lock/policies.h"
-#include "src/lock/router.h"
 #include "src/petal/petal_server.h"
-#include "src/server/node.h"
+#include "src/server/cluster.h"
 
 namespace frangipani {
 namespace {
@@ -128,14 +127,8 @@ class LockServiceHarness : public ::testing::Test {
       return OkStatus();
     };
     cb.on_lease_lost = [tc] { tc->lease_lost.store(true); };
-    std::unique_ptr<LockRouter> router;
-    if (kind_ == LockServiceKind::kDistributed) {
-      router = std::make_unique<DistLockRouter>(&net_, tc->node, server_nodes_);
-    } else {
-      router = std::make_unique<StaticLockRouter>(server_nodes_);
-    }
-    tc->clerk = std::make_unique<LockClerk>(&net_, tc->node, std::move(router),
-                                            SystemClock::Get(), std::move(cb));
+    tc->clerk = std::make_unique<LockClerk>(&net_, tc->node, server_nodes_, SystemClock::Get(),
+                                            std::move(cb));
     tc->StartRenewals();
     return tc;
   }
@@ -584,6 +577,39 @@ TEST_F(PbLockTest, BackupTakesOverWithPersistedState) {
   // State survived: b's exclusive on 42 must revoke a.
   ASSERT_TRUE(b->clerk->Acquire(42, LockMode::kExclusive).ok());
   b->clerk->Release(42);
+  std::lock_guard<std::mutex> guard(a->mu);
+  ASSERT_EQ(a->revokes.size(), 1u);
+  EXPECT_EQ(a->revokes[0].first, 42u);
+}
+
+// Clerks renew only at the active server. Once the primary is down, an idle
+// clerk's renewal reaches no server; the tick then refreshes the assignment,
+// which makes the standby take over, and renews there. Nothing else talks to
+// the lock service meanwhile.
+TEST_F(PbLockTest, IdleClerkKeepsItsLeaseAcrossTakeover) {
+  TestClerk* a = NewClerk();
+  ASSERT_TRUE(a->clerk->Open("fs").ok());
+  ASSERT_TRUE(a->clerk->Acquire(42, LockMode::kExclusive).ok());
+  a->clerk->Release(42);
+  // The grant's ack goes out from the IO pool. Let it land at the primary:
+  // an ack that failed would refresh the assignment itself.
+  std::this_thread::sleep_for(kLease / 5);
+  net_.SetNodeUp(server_nodes_[0], false);
+  std::this_thread::sleep_for(kLease * 3);
+  EXPECT_TRUE(Pb(1)->active());
+  EXPECT_FALSE(a->lease_lost.load());
+  EXPECT_TRUE(a->clerk->LeaseValidFor(Duration(0)));
+  EXPECT_EQ(a->clerk->CachedMode(42), LockMode::kExclusive);
+  // The standby holds a's lease as live too: it revokes 42 from a instead
+  // of recovering a as a dead holder.
+  TestClerk* b = NewClerk();
+  ASSERT_TRUE(b->clerk->Open("fs").ok());
+  ASSERT_TRUE(b->clerk->Acquire(42, LockMode::kExclusive).ok());
+  b->clerk->Release(42);
+  {
+    std::lock_guard<std::mutex> guard(b->mu);
+    EXPECT_TRUE(b->recovered.empty());
+  }
   std::lock_guard<std::mutex> guard(a->mu);
   ASSERT_EQ(a->revokes.size(), 1u);
   EXPECT_EQ(a->revokes[0].first, 42u);

@@ -17,6 +17,15 @@ struct Peer {
   std::vector<Bytes> applied;
 };
 
+// An apply callback that records each command and returns its log index.
+std::function<PaxosPeer::ApplyResult(uint64_t, const Bytes&)> Recorder(Peer* p) {
+  return [p](uint64_t idx, const Bytes& cmd) -> PaxosPeer::ApplyResult {
+    std::lock_guard<std::mutex> guard(p->mu);
+    p->applied.push_back(cmd);
+    return idx;
+  };
+}
+
 class PaxosTest : public ::testing::Test {
  protected:
   void Build(int n) {
@@ -29,10 +38,7 @@ class PaxosTest : public ::testing::Test {
     for (int i = 0; i < n; ++i) {
       Peer* p = &peers_[i];
       p->peer = std::make_unique<PaxosPeer>(&net_, nodes_[i], members, p->state.get(),
-                                            [p](uint64_t idx, const Bytes& cmd) {
-                                              std::lock_guard<std::mutex> guard(p->mu);
-                                              p->applied.push_back(cmd);
-                                            });
+                                            Recorder(p));
     }
   }
 
@@ -97,6 +103,32 @@ TEST_F(PaxosTest, ConcurrentProposersAllDecideAllAgree) {
   }
 }
 
+// Stands in for a peer's Paxos service: when the first accept from `from`
+// arrives it runs `before`, then drops that accept or hands it on.
+class FirstAcceptGate : public Service {
+ public:
+  FirstAcceptGate(Service* inner, NodeId from, bool drop, std::function<void()> before)
+      : inner_(inner), from_(from), drop_(drop), before_(std::move(before)) {}
+  StatusOr<Bytes> Handle(uint32_t method, const Bytes& request, NodeId from) override {
+    constexpr uint32_t kAccept = 2;
+    if (method == kAccept && from == from_ && !fired_) {
+      fired_ = true;
+      before_();
+      if (drop_) {
+        return Unavailable("accept dropped");
+      }
+    }
+    return inner_->Handle(method, request, from);
+  }
+
+ private:
+  Service* inner_;
+  NodeId from_;
+  bool drop_;
+  std::function<void()> before_;
+  bool fired_ = false;
+};
+
 // Peer 0's accept for slot 0 reaches only its own acceptor; meanwhile peer 1
 // prepares slot 0, adopts peer 0's accepted command and gets it chosen there.
 // Peer 0's Propose must then return slot 0 instead of proposing the same
@@ -105,30 +137,10 @@ TEST_F(PaxosTest, ProposerWhoseCommandWasAdoptedReturnsThatSlot) {
   Build(3);
   // Peer 0 reaches peer 1 only, and peer 1 drops the first accept peer 0
   // sends it, after running its own proposal to completion.
-  class DropFirstAcceptFrom : public Service {
-   public:
-    DropFirstAcceptFrom(Service* inner, NodeId from, std::function<void()> before_drop)
-        : inner_(inner), from_(from), before_drop_(std::move(before_drop)) {}
-    StatusOr<Bytes> Handle(uint32_t method, const Bytes& request, NodeId from) override {
-      constexpr uint32_t kAccept = 2;
-      if (method == kAccept && from == from_ && !dropped_) {
-        dropped_ = true;
-        before_drop_();
-        return Unavailable("accept dropped");
-      }
-      return inner_->Handle(method, request, from);
-    }
-
-   private:
-    Service* inner_;
-    NodeId from_;
-    std::function<void()> before_drop_;
-    bool dropped_ = false;
-  };
   net_.SetPartitioned(nodes_[0], nodes_[2], true);
   StatusOr<uint64_t> competitor = Unavailable("not run");
-  DropFirstAcceptFrom gate(peers_[1].peer.get(), nodes_[0],
-                           [&] { competitor = peers_[1].peer->Propose(Cmd("b")); });
+  FirstAcceptGate gate(peers_[1].peer.get(), nodes_[0], /*drop=*/true,
+                       [&] { competitor = peers_[1].peer->Propose(Cmd("b")); });
   net_.RegisterService(nodes_[1], PaxosPeer::kServiceName, &gate);
 
   StatusOr<uint64_t> idx = peers_[0].peer->Propose(Cmd("a"));
@@ -142,6 +154,30 @@ TEST_F(PaxosTest, ProposerWhoseCommandWasAdoptedReturnsThatSlot) {
     p.peer->CatchUp();
     std::lock_guard<std::mutex> guard(p.mu);
     EXPECT_EQ(p.applied, (std::vector<Bytes>{Cmd("a"), Cmd("b")}));
+  }
+}
+
+// One peer proposes the same bytes twice, the second time while its first
+// accept is on its way to peer 1. The second proposal adopts and completes
+// the first at slot 0, then gets its own chosen at slot 1: both are applied,
+// and each Propose returns its own apply's result (here, the index).
+TEST_F(PaxosTest, SameCommandProposedTwiceIsAppliedTwice) {
+  Build(3);
+  StatusOr<uint64_t> second = Unavailable("not run");
+  FirstAcceptGate gate(peers_[1].peer.get(), nodes_[0], /*drop=*/false,
+                       [&] { second = peers_[0].peer->Propose(Cmd("x")); });
+  net_.RegisterService(nodes_[1], PaxosPeer::kServiceName, &gate);
+
+  StatusOr<uint64_t> first = peers_[0].peer->Propose(Cmd("x"));
+  net_.RegisterService(nodes_[1], PaxosPeer::kServiceName, peers_[1].peer.get());
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, 0u);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*second, 1u);
+  for (auto& p : peers_) {
+    p.peer->CatchUp();
+    std::lock_guard<std::mutex> guard(p.mu);
+    EXPECT_EQ(p.applied, (std::vector<Bytes>{Cmd("x"), Cmd("x")}));
   }
 }
 
@@ -200,10 +236,7 @@ TEST_F(PaxosTest, RestartedPeerKeepsPromises) {
     p2->applied.clear();
   }
   p2->peer = std::make_unique<PaxosPeer>(&net_, nodes_[2], members, p2->state.get(),
-                                         [p2](uint64_t idx, const Bytes& cmd) {
-                                           std::lock_guard<std::mutex> guard(p2->mu);
-                                           p2->applied.push_back(cmd);
-                                         });
+                                         Recorder(p2));
   p2->peer->CatchUp();
   {
     std::lock_guard<std::mutex> guard(p2->mu);

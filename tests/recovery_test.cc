@@ -326,10 +326,8 @@ TEST_F(RecoveryTest, BarrierSnapshotMountsCleanReadOnly) {
   // table with its own clerk and requests the barrier lock exclusively,
   // which forces every Frangipani server to flush its dirty data.
   NodeId backup_node = cluster_->net()->AddNode("backup");
-  LockClerk backup_clerk(
-      cluster_->net(), backup_node,
-      std::make_unique<DistLockRouter>(cluster_->net(), backup_node, cluster_->lock_nodes()),
-      cluster_->clock(), LockClerk::Callbacks{});
+  LockClerk backup_clerk(cluster_->net(), backup_node, cluster_->lock_nodes(), cluster_->clock(),
+                         LockClerk::Callbacks{});
   ASSERT_TRUE(backup_clerk.Open("fs").ok());
   ClerkLockProvider backup_provider(&backup_clerk);
   PetalClient backup_petal(cluster_->net(), backup_node, cluster_->petal_nodes());
