@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,7 @@ class Encoder {
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
 
   // Length-prefixed (u32) blob / string.
-  void PutBytes(const Bytes& b) {
+  void PutBytes(std::span<const uint8_t> b) {
     PutU32(static_cast<uint32_t>(b.size()));
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
@@ -90,6 +91,18 @@ class Decoder {
       return out;
     }
     out.assign(data_ + pos_, data_ + pos_ + n);
+    pos_ += n;
+    return out;
+  }
+
+  // The same field as GetBytes, without the copy: a view into the decoded
+  // buffer, valid only while that buffer lives.
+  std::span<const uint8_t> GetBytesView() {
+    uint32_t n = GetU32();
+    if (!Check(n)) {
+      return {};
+    }
+    std::span<const uint8_t> out(data_ + pos_, n);
     pos_ += n;
     return out;
   }

@@ -44,7 +44,19 @@ LockClerk::~LockClerk() {
 Status LockClerk::Open(const std::string& table) {
   Bytes request = LockOpenRequest{table}.Encode();
   Status last = Unavailable("no lock server reachable");
-  for (NodeId server : ActiveServers()) {
+  // A failed call refreshes the assignment (under primary/backup, that makes
+  // the standby take over), so each try asks anew for a server not yet tried.
+  std::vector<NodeId> tried;
+  for (;;) {
+    std::vector<NodeId> servers = ActiveServers();
+    auto untried = std::find_if(servers.begin(), servers.end(), [&](NodeId s) {
+      return std::find(tried.begin(), tried.end(), s) == tried.end();
+    });
+    if (untried == servers.end()) {
+      return last;
+    }
+    NodeId server = *untried;
+    tried.push_back(server);
     StatusOr<Bytes> reply = net_->Call(self_, server, "lockd", kLockOpen, request);
     if (!reply.ok()) {
       last = reply.status();
@@ -63,7 +75,6 @@ Status LockClerk::Open(const std::string& table) {
     poisoned_ = false;
     return OkStatus();
   }
-  return last;
 }
 
 void LockClerk::Close() {
@@ -303,7 +314,7 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
       std::lock_guard<std::mutex> guard(mu_);
       ++async_acks_;
     }
-    net_->SubmitIo([this, lock, slot] {
+    net_->SubmitIo(self_, [this, lock, slot] {
       DeliverGrantAck(lock, slot);
       std::lock_guard<std::mutex> guard(mu_);
       --async_acks_;
@@ -369,7 +380,7 @@ void LockClerk::DropIdle(Duration max_idle) {
   // is benign: the server revokes the lock later and HandleRevoke answers
   // that nothing is held.
   constexpr uint32_t kReleaseWindow = 16;
-  (void)net_->ParallelFor(to_drop.size(), kReleaseWindow, [&](size_t i) {
+  (void)net_->ParallelFor(self_, to_drop.size(), kReleaseWindow, [&](size_t i) {
     (void)ServerCall(kLockRelease, to_drop[i],
                      LockModeRequest{slot, to_drop[i], LockMode::kNone, FullRange()}.Encode());
     return OkStatus();

@@ -16,8 +16,33 @@ constexpr size_t kHeaderBytes = 64;
 
 Network::~Network() {
   // Drain and join IO workers while every member they can touch is still
-  // alive; default member-order destruction would free nodes_ first.
-  io_pool_.reset();
+  // alive; default member-order destruction would free nodes_ first. A task
+  // still running on one pool may submit to a node whose pool was already
+  // joined, which creates it again, so repeat until no pool is left.
+  for (bool joined = true; joined;) {
+    joined = false;
+    for (size_t i = 0;; ++i) {
+      std::unique_ptr<ThreadPool> pool;
+      {
+        std::lock_guard<std::mutex> guard(mu_);
+        if (i >= nodes_.size()) {
+          break;
+        }
+        pool = std::move(nodes_[i]->io_pool);
+      }
+      joined |= pool != nullptr;
+    }
+  }
+}
+
+ThreadPool* Network::IoPool(NodeId node) {
+  std::lock_guard<std::mutex> guard(mu_);
+  FGP_CHECK(node >= 1 && node <= nodes_.size()) << "async IO from unknown node " << node;
+  std::unique_ptr<ThreadPool>& pool = nodes_[node - 1]->io_pool;
+  if (pool == nullptr) {
+    pool = std::make_unique<ThreadPool>(kIoThreadsPerNode);
+  }
+  return pool.get();
 }
 
 NodeId Network::AddNode(std::string name) {
@@ -143,17 +168,17 @@ StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service
   return response;
 }
 
-void Network::SubmitIo(std::function<void()> fn) {
+void Network::SubmitIo(NodeId node, std::function<void()> fn) {
   // Carry the submitting op's trace id onto the worker so the flight
   // recorder parents pool-side spans under the op. Layer attribution is
   // untouched (InheritedTraceScope creates no TraceState).
   uint64_t trace_id = obs::CurrentTraceId();
-  if (trace_id == 0) {
-    io_pool_->Submit(std::move(fn));
-    return;
-  }
-  io_pool_->Submit([trace_id, fn = std::move(fn)] {
+  int64_t queued_ns = obs::MonotonicNs();
+  IoPool(node)->Submit([this, node, trace_id, queued_ns, fn = std::move(fn)] {
     obs::InheritedTraceScope inherit(trace_id);
+    int64_t start_ns = obs::MonotonicNs();
+    m_io_queue_wait_us_->Record(static_cast<double>(start_ns - queued_ns) / 1e3);
+    obs::RecordSpan(obs::Layer::kNet, "net.io_wait", node, queued_ns, start_ns);
     fn();
   });
 }
@@ -167,13 +192,12 @@ std::future<StatusOr<Bytes>> Network::CallAsync(NodeId from, NodeId to,
       });
   std::future<StatusOr<Bytes>> result = task->get_future();
   // Via SubmitIo so the async call inherits the submitter's trace id.
-  SubmitIo([task] { (*task)(); });
+  SubmitIo(from, [task] { (*task)(); });
   return result;
 }
 
-Status Network::ParallelFor(size_t count, uint32_t window,
-                            const std::function<Status(size_t)>& op,
-                            ParallelForOptions opts) {
+Status Network::ParallelFor(NodeId node, size_t count, uint32_t window,
+                            const std::function<Status(size_t)>& op, ParallelForOptions opts) {
   if (count <= 1 || window <= 1) {
     for (size_t i = 0; i < count; ++i) {
       RETURN_IF_ERROR(op(i));
@@ -212,7 +236,7 @@ Status Network::ParallelFor(size_t count, uint32_t window,
         opts.inflight_peak->Max(static_cast<int64_t>(now_inflight));
       }
       lk.unlock();
-      SubmitIo([g, &op, opts, i] {
+      SubmitIo(node, [g, &op, opts, i] {
         Status st = op(i);
         if (opts.inflight != nullptr) {
           opts.inflight->Add(-1);
@@ -227,6 +251,9 @@ Status Network::ParallelFor(size_t count, uint32_t window,
       });
       lk.lock();
     } else {
+      // Opened at the caller's layer, so it moves no time between layers:
+      // the in-flight ops it waits for are charged where they run.
+      obs::SpanScope span(obs::CurrentLayer(), m_parallel_wait_us_, "net.parallel_wait", node);
       g->cv.wait(lk);
     }
   }

@@ -291,6 +291,20 @@ size_t Recorder::ring_count() const {
   return rings_.size() + retired_.size();
 }
 
+void RecordSpan(Layer layer, const char* name, uint32_t node, int64_t start_ns, int64_t end_ns) {
+  if (!RecorderEnabled()) {
+    return;
+  }
+  TraceEvent e;
+  e.layer = layer;
+  e.name = name;
+  e.node = node;
+  e.trace_id = CurrentTraceId();
+  e.start_ns = start_ns;
+  e.dur_ns = end_ns - start_ns;
+  Recorder::Default()->Emit(e);
+}
+
 void RecordInstant(Layer layer, const char* name, uint32_t node, const char* a0_name,
                    uint64_t a0, const char* a1_name, uint64_t a1) {
   if (!RecorderEnabled()) {

@@ -230,6 +230,10 @@ void WaitAsSpan(std::condition_variable& cv, std::unique_lock<std::mutex>& lk, P
   }
 }
 
+// Emits a span measured by the caller, e.g. a wait that began on another
+// thread; a no-op while the recorder is off.
+void RecordSpan(Layer layer, const char* name, uint32_t node, int64_t start_ns, int64_t end_ns);
+
 // Emits a zero-duration instant event (grant applied, partial revoke, ...);
 // a no-op while the recorder is off.
 void RecordInstant(Layer layer, const char* name, uint32_t node = 0,

@@ -55,7 +55,7 @@ Status PetalClient::ForEachChunk(size_t count, const std::function<Status(size_t
   ParallelForOptions pf;
   pf.inflight = m_inflight_;
   pf.inflight_peak = m_inflight_peak_;
-  return net_->ParallelFor(count, kIoWindow, op, pf);
+  return net_->ParallelFor(self_, count, kIoWindow, op, pf);
 }
 
 StatusOr<Bytes> PetalClient::ChunkCall(uint64_t chunk_index, uint32_t method,
@@ -188,10 +188,8 @@ Status PetalClient::Write(VdiskId vdisk, uint64_t offset, const Bytes& data,
     enc.PutU32(vdisk);
     enc.PutU64(s.pos);
     enc.PutI64(lease_expiry_us);
-    // Encode straight from the source range (length-prefixed, matching
-    // Decoder::GetBytes) — no intermediate per-chunk copy.
-    enc.PutU32(s.n);
-    enc.PutRaw(data.data() + s.data_off, s.n);
+    // Encode straight from the source range: no intermediate per-chunk copy.
+    enc.PutBytes(std::span<const uint8_t>(data).subspan(s.data_off, s.n));
     return ChunkCall(s.index, PetalServer::kWrite, enc.buffer()).status();
   });
 }

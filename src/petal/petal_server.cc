@@ -253,7 +253,8 @@ Status PetalServer::CheckWritableVdiskLocked(VdiskId vdisk) const {
 }
 
 const BlobMeta& PetalServer::ApplyWriteLocked(PetalStoreShard& shard, const ChunkKey& key,
-                                              uint32_t offset_in_chunk, const Bytes& data,
+                                              uint32_t offset_in_chunk,
+                                              std::span<const uint8_t> data,
                                               uint64_t forced_version) {
   auto it = shard.chunks.find(key);
   uint64_t handle;
@@ -303,8 +304,8 @@ void PetalServer::DropChunkLocked(PetalStoreShard& shard, const ChunkKey& key) {
   }
 }
 
-void PetalServer::ForwardToPeer(const ChunkKey& key, uint32_t offset_in_chunk, const Bytes& data,
-                                uint64_t version) {
+void PetalServer::ForwardToPeer(const ChunkKey& key, uint32_t offset_in_chunk,
+                                std::span<const uint8_t> data, uint64_t version) {
   Replicas place;
   {
     std::lock_guard<std::mutex> guard(map_mu_);
@@ -454,7 +455,9 @@ StatusOr<Bytes> PetalServer::DoWrite(Decoder& dec) {
   VdiskId vdisk = dec.GetU32();
   uint64_t offset = dec.GetU64();
   int64_t lease_expiry_us = dec.GetI64();
-  Bytes data = dec.GetBytes();
+  // A view into the request, which outlives this handler: the payload is
+  // copied once, into the blob, and not first out of the message.
+  std::span<const uint8_t> data = dec.GetBytesView();
   span.arg0("chunk", ChunkIndexOf(offset));
   span.arg1("bytes", data.size());
   if (!dec.ok() || data.empty()) {
@@ -504,7 +507,7 @@ StatusOr<Bytes> PetalServer::DoReplicaWrite(Decoder& dec) {
   uint64_t index = dec.GetU64();
   uint32_t off_in_chunk = dec.GetU32();
   uint64_t version = dec.GetU64();
-  Bytes data = dec.GetBytes();
+  std::span<const uint8_t> data = dec.GetBytesView();
   span.arg0("chunk", index);
   span.arg1("bytes", data.size());
   if (!dec.ok()) {
@@ -538,7 +541,7 @@ StatusOr<Bytes> PetalServer::DoPushChunk(Decoder& dec) {
   VdiskId vdisk = dec.GetU32();
   uint64_t index = dec.GetU64();
   uint64_t version = dec.GetU64();
-  Bytes data = dec.GetBytes();
+  std::span<const uint8_t> data = dec.GetBytesView();
   if (!dec.ok() || data.size() != kChunkSize) {
     return InvalidArgument("bad push chunk");
   }
@@ -747,7 +750,7 @@ Status PetalServer::Rebalance() {
   pf.inflight = m_resync_inflight_;
   pf.inflight_peak = m_resync_inflight_peak_;
   return net_->ParallelFor(
-      keys.size(), kResyncWindow,
+      self_, keys.size(), kResyncWindow,
       [&](size_t i) -> Status {
         RebalanceChunk(map, keys[i]);
         return OkStatus();
@@ -897,7 +900,7 @@ Status PetalServer::ResyncFromPeers() {
   pf.inflight = m_resync_inflight_;
   pf.inflight_peak = m_resync_inflight_peak_;
   (void)net_->ParallelFor(
-      todo.size(), kResyncWindow,
+      self_, todo.size(), kResyncWindow,
       [&](size_t i) -> Status {
         if (!PullChunkStriped(todo[i])) {
           failed_chunks.fetch_add(1, std::memory_order_relaxed);

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -204,7 +205,7 @@ class PetalServer : public Service {
   // while the shard lock is held). Charges the store copy model for the
   // payload.
   const BlobMeta& ApplyWriteLocked(PetalStoreShard& shard, const ChunkKey& key,
-                                   uint32_t offset_in_chunk, const Bytes& data,
+                                   uint32_t offset_in_chunk, std::span<const uint8_t> data,
                                    uint64_t forced_version);
   // Unmaps the chunk; the last reference frees its blob and its disk slot.
   void DropChunkLocked(PetalStoreShard& shard, const ChunkKey& key);
@@ -215,8 +216,8 @@ class PetalServer : public Service {
   // and the vdisk exists and is writable (caller holds map_mu_).
   Status CheckLease(int64_t lease_expiry_us) const;
   Status CheckWritableVdiskLocked(VdiskId vdisk) const;
-  void ForwardToPeer(const ChunkKey& key, uint32_t offset_in_chunk, const Bytes& data,
-                     uint64_t version);
+  void ForwardToPeer(const ChunkKey& key, uint32_t offset_in_chunk,
+                     std::span<const uint8_t> data, uint64_t version);
 
   // ---- recovery helpers ----
   // One chunk this server should refresh: the highest version any peer

@@ -61,7 +61,7 @@ TEST(SerialTest, RoundTrip) {
   enc.PutI64(-42);
   enc.PutBool(true);
   enc.PutString("hello");
-  enc.PutBytes({1, 2, 3});
+  enc.PutBytes(Bytes{1, 2, 3});
   Bytes buf = enc.Take();
   Decoder dec(buf);
   EXPECT_EQ(dec.GetU8(), 0xAB);

@@ -582,6 +582,42 @@ TEST_F(PbLockTest, BackupTakesOverWithPersistedState) {
   EXPECT_EQ(a->revokes[0].first, 42u);
 }
 
+// Forwards to the primary's lock server, but the primary dies as a clerk's
+// kLockOpen reaches it: after the clerk fetched an assignment that names it,
+// before the open is served.
+class DiesOnOpen : public Service {
+ public:
+  DiesOnOpen(Network* net, NodeId node, Service* server)
+      : net_(net), node_(node), server_(server) {}
+  StatusOr<Bytes> Handle(uint32_t method, const Bytes& request, NodeId from) override {
+    if (method == kLockOpen) {
+      net_->SetNodeUp(node_, false);
+      return Unavailable("primary crashed");
+    }
+    return server_->Handle(method, request, from);
+  }
+
+ private:
+  Network* net_;
+  NodeId node_;
+  Service* server_;
+};
+
+// Open tries the server of the assignment its failed call refreshed: the
+// refresh made the standby take over, and the clerk opens there.
+TEST_F(PbLockTest, OpenFailsOverWhenThePrimaryDiesAfterTheAssignment) {
+  DiesOnOpen dying(&net_, server_nodes_[0], servers_[0].get());
+  net_.RegisterService(server_nodes_[0], LockServer::kServiceName, &dying);
+  TestClerk* a = NewClerk();
+  Status opened = a->clerk->Open("fs");
+  net_.RegisterService(server_nodes_[0], LockServer::kServiceName, servers_[0].get());
+  ASSERT_TRUE(opened.ok()) << opened;
+  EXPECT_FALSE(net_.IsNodeUp(server_nodes_[0]));
+  EXPECT_TRUE(Pb(1)->active());
+  ASSERT_TRUE(a->clerk->Acquire(42, LockMode::kExclusive).ok());
+  a->clerk->Release(42);
+}
+
 // Clerks renew only at the active server. Once the primary is down, an idle
 // clerk's renewal reaches no server; the tick then refreshes the assignment,
 // which makes the standby take over, and renews there. Nothing else talks to

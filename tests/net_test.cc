@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
 
 #include "src/net/network.h"
@@ -21,7 +23,7 @@ class EchoService : public Service {
     return reply;
   }
   std::atomic<int> calls{0};
-  NodeId last_from = kInvalidNode;
+  std::atomic<NodeId> last_from{kInvalidNode};
 };
 
 TEST(NetworkTest, BasicCall) {
@@ -33,7 +35,7 @@ TEST(NetworkTest, BasicCall) {
   auto reply = net.Call(a, b, "echo", 7, {1, 2, 3});
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(*reply, (Bytes{1, 2, 3, 7}));
-  EXPECT_EQ(echo.last_from, a);
+  EXPECT_EQ(echo.last_from.load(), a);
 }
 
 TEST(NetworkTest, HandlerErrorPropagates) {
@@ -165,6 +167,46 @@ TEST(NetworkTest, ConcurrentCallsSafe) {
   }
   EXPECT_EQ(ok.load(), 400);
   EXPECT_EQ(echo.calls.load(), 400);
+}
+
+// Each node issues async IO on its own pool: a machine whose pool is busy
+// (here, every thread blocked and more tasks queued) holds up no other
+// machine's CallAsync or ParallelFor.
+TEST(NetworkTest, BusyIoPoolOfOneNodeDoesNotStallAnother) {
+  Network net;
+  NodeId a = net.AddNode("a");
+  NodeId b = net.AddNode("b");
+  NodeId c = net.AddNode("c");
+  EchoService echo;
+  net.RegisterService(c, "echo", &echo);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> ran{0};
+  const int blocked = 4 * Network::kIoThreadsPerNode;
+  for (int i = 0; i < blocked; ++i) {
+    net.SubmitIo(a, [released, &ran] {
+      released.wait();
+      ran.fetch_add(1);
+    });
+  }
+  constexpr auto kPrompt = std::chrono::seconds(5);
+  std::future<StatusOr<Bytes>> call = net.CallAsync(b, c, "echo", 1, {7});
+  const bool call_done = call.wait_for(kPrompt) == std::future_status::ready;
+  std::future<Status> gather = std::async(std::launch::async, [&] {
+    return net.ParallelFor(b, /*count=*/8, /*window=*/4,
+                           [&](size_t) { return net.Call(b, c, "echo", 2, {}).status(); });
+  });
+  const bool gather_done = gather.wait_for(kPrompt) == std::future_status::ready;
+  // Let a's tasks finish before any check can return early.
+  release.set_value();
+  EXPECT_TRUE(call_done);
+  EXPECT_TRUE(gather_done);
+  EXPECT_TRUE(call.get().ok());
+  EXPECT_TRUE(gather.get().ok());
+  EXPECT_EQ(echo.calls.load(), 9);
+  while (ran.load() < blocked) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 }  // namespace

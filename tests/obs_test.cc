@@ -476,12 +476,14 @@ TEST(RecorderTest, ConcurrentEmitDuringDump) {
 }
 
 // Async work submitted from inside a traced op inherits the op's trace id,
-// so spans emitted on IO-pool threads land in the same span tree.
+// so spans emitted on IO-pool threads land in the same span tree, and so
+// does the task's wait for a pool thread (net.io_wait).
 TEST(RecorderTest, TraceIdPropagatesThroughIoPool) {
   Recorder* rec = Recorder::Default();
   rec->Enable(true);
   rec->Clear();
   Network net;
+  NodeId node = net.AddNode("a");
   MetricsRegistry local;
   OpMetrics m = OpMetrics::For(&local, "async_op");
   uint64_t id = 0;
@@ -492,7 +494,7 @@ TEST(RecorderTest, TraceIdPropagatesThroughIoPool) {
     id = obs::CurrentTraceId();
     ASSERT_NE(id, 0u);
     std::promise<void> done;
-    net.SubmitIo([&] {
+    net.SubmitIo(node, [&] {
       submit_seen.store(obs::CurrentTraceId());
       {
         SpanScope span(Layer::kPetal, "pool.span");
@@ -502,7 +504,7 @@ TEST(RecorderTest, TraceIdPropagatesThroughIoPool) {
       done.set_value();
     });
     done.get_future().wait();
-    ASSERT_TRUE(net.ParallelFor(pf_seen.size(), /*window=*/4,
+    ASSERT_TRUE(net.ParallelFor(node, pf_seen.size(), /*window=*/4,
                                 [&](size_t i) {
                                   pf_seen[i] = obs::CurrentTraceId();
                                   return Status::Ok();
@@ -516,12 +518,18 @@ TEST(RecorderTest, TraceIdPropagatesThroughIoPool) {
   // Off the pool and outside the op, no id leaks.
   EXPECT_EQ(obs::CurrentTraceId(), 0u);
   bool pool_span_tagged = false;
+  size_t io_waits = 0;
   for (const TraceEvent& e : rec->Snapshot()) {
     if (std::string(e.name) == "pool.span") {
       pool_span_tagged = e.trace_id == id;
     }
+    if (std::string(e.name) == "net.io_wait" && e.trace_id == id && e.node == node) {
+      ++io_waits;
+    }
   }
   EXPECT_TRUE(pool_span_tagged);
+  // One wait per submitted task: the SubmitIo and the eight ParallelFor ops.
+  EXPECT_EQ(io_waits, 1 + pf_seen.size());
   rec->Enable(false);
   rec->Clear();
 }
